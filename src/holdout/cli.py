@@ -59,7 +59,7 @@ def run(ctx: click.Context, workflow_file: str) -> None:
         if ctx.obj.get("guards") is not None:
             spec = dataclasses.replace(spec, guards=ctx.obj["guards"])
         report = execute_workflow(spec, registry=registry)
-    except (WorkflowError, FileNotFoundError) as exc:
+    except (WorkflowError, OSError, UnicodeDecodeError) as exc:
         if ctx.obj.get("registry_dump"):
             click.echo(registry.dump_json(), err=True)
         _fail(exc)

@@ -112,7 +112,8 @@ def _check_5_per_fold_preparation():
     for (train_idx, _), transformer in zip(rotation.folds, model.fold_transformers_):
         standardize = next(st for st in transformer.steps if st.kind == "standardize")
         for col, (mean, std) in standardize.params.items():
-            values = [dev.column(col)[i] for i in train_idx]
+            cells = dev.column(col)
+            values = [cells[i] for i in train_idx]
             expect_mean = sum(values) / len(values)
             expect_var = sum((v - expect_mean) ** 2 for v in values) / len(values)
             assert math.isclose(mean, expect_mean, abs_tol=1e-12), (

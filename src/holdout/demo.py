@@ -146,7 +146,8 @@ def _screen_selection_once(rep_seed: int) -> float:
 def _append_rows(df: DataFrame, other: DataFrame, indices) -> DataFrame:
     columns = {}
     for name in df.column_names:
-        extra = tuple(other.column(name)[i] for i in indices)
+        cells = other.column(name)
+        extra = tuple(cells[i] for i in indices)
         columns[name] = df.column(name) + extra
     return DataFrame(columns)
 

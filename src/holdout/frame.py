@@ -6,6 +6,16 @@ they were produced, which column order they use, or what partition tag they
 carry. Content-preserving operations (column selection) keep digests intact;
 content-changing operations (edits, row reordering, sampling) produce new
 digests.
+
+Storage is columnar. A column whose present cells are all floats (missing
+allowed) is one read-only float64 ndarray with NaN standing for missing;
+every other column (bool, int, text, mixed) is a tuple of normalised cells.
+Cells are normalised once, where data enters: the public ``DataFrame(...)``
+constructor and ``from_csv``. Frames derived inside the package (row takes,
+projections, retags, prepared data) reuse that storage through
+``DataFrame._from_storage`` without a second pass. Storage is invisible to
+readers: ``column()`` returns Python cells with ``None`` for missing, and
+equality, hashing and fingerprints depend on cell content only.
 """
 
 from __future__ import annotations
@@ -24,12 +34,15 @@ from .errors import ConfigError, ParseError, SchemaError
 PARTITION_TAGS = ("none", "train", "valid", "test", "dev")
 
 Cell = float | int | bool | str | None
+Column = np.ndarray | tuple
 
 _MISSING_SENTINEL = b"\xff"
 _TAG_FLOAT = b"\x01"
 _TAG_BIGINT = b"\x02"
 _TAG_BOOL = b"\x03"
 _TAG_TEXT = b"\x04"
+
+_FLOAT_OR_MISSING = frozenset((float, type(None)))
 
 
 def _normalize_cell(value) -> Cell:
@@ -51,6 +64,63 @@ def _normalize_cell(value) -> Cell:
     if isinstance(value, str):
         return value
     raise SchemaError(f"unsupported cell value of type {type(value).__name__!r}")
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _store(cells: list) -> Column:
+    """Storage for a list of normalised cells: a float array when every
+    present cell is a float, a tuple otherwise."""
+    if set(map(type, cells)) <= _FLOAT_OR_MISSING:
+        return _readonly(np.array(cells, dtype=np.float64))  # None -> NaN
+    return tuple(cells)
+
+
+def _normalize_column(values) -> Column:
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        if values.dtype.kind == "f":
+            # Widening to float64 is exact and copies, so later writes to
+            # the caller's array cannot reach the frame.
+            return _readonly(values.astype(np.float64))
+        if values.dtype.kind in "biu":
+            return tuple(values.tolist())  # Python bools and ints
+    values = list(values)
+    if not set(map(type, values)) <= _FLOAT_OR_MISSING:  # floats need no pass
+        values = [_normalize_cell(v) for v in values]
+    return _store(values)
+
+
+def _as_cells(col: Column) -> tuple[Cell, ...]:
+    """The column as a tuple of Python cells, None for missing."""
+    if not isinstance(col, np.ndarray):
+        return col
+    cells = col.tolist()
+    for i in np.flatnonzero(np.isnan(col)).tolist():
+        cells[i] = None
+    return tuple(cells)
+
+
+def _cell(col: Column, i: int) -> Cell:
+    value = col[i]
+    if isinstance(col, np.ndarray):
+        return None if math.isnan(value) else float(value)
+    return value
+
+
+def _take_column(col: Column, idx: np.ndarray) -> Column:
+    """The column's cells at row positions `idx`, in that order."""
+    if isinstance(col, np.ndarray):
+        return _readonly(col[idx])
+    return tuple(map(col.__getitem__, idx.tolist()))
+
+
+def _columns_equal(a: Column, b: Column) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and bool(np.array_equal(a, b, equal_nan=True))
+    return _as_cells(a) == _as_cells(b)
 
 
 def canonical_encode(value: Cell) -> bytes:
@@ -96,6 +166,35 @@ def canonical_encode(value: Cell) -> bytes:
     raise SchemaError(f"unsupported cell value of type {type(value).__name__!r}")
 
 
+def _float_column_bytes(a: np.ndarray) -> bytes:
+    """The canonical encodings of a float column, concatenated.
+
+    Builds every cell's 0x01 + big-endian float64 record in one (n, 9) byte
+    array, then keeps only the first byte, set to 0xFF, of missing rows.
+    Equal to joining `canonical_encode` over the cells.
+    """
+    n = len(a)
+    records = np.empty((n, 9), dtype=np.uint8)
+    records[:, 0] = _TAG_FLOAT[0]
+    # Adding +0.0 turns -0.0 into +0.0 and leaves every other value as is.
+    records[:, 1:] = (a + 0.0).astype(">f8").view(np.uint8).reshape(n, 8)
+    missing = np.isnan(a)
+    if not missing.any():
+        return records.tobytes()
+    records[missing, 0] = _MISSING_SENTINEL[0]
+    keep = np.ones((n, 9), dtype=bool)
+    keep[missing, 1:] = False
+    return records[keep].tobytes()
+
+
+def _cells_bytes(col: tuple) -> bytes:
+    """The canonical encodings of a tuple column, each distinct cell encoded
+    once. Keys carry the type so that 1, 1.0 and True stay apart."""
+    keys = list(zip(map(type, col), col))
+    codes = {key: canonical_encode(key[1]) for key in set(keys)}
+    return b"".join(map(codes.__getitem__, keys))
+
+
 class FrameFingerprint:
     """Per-column SHA-256 digests plus the row count.
 
@@ -131,9 +230,6 @@ class FrameFingerprint:
         h.update(self._row_count.to_bytes(8, "big"))
         return h.hexdigest()
 
-    def column_hex(self) -> dict[str, str]:
-        return {name: digest.hex() for name, digest in self._items}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FrameFingerprint):
             return NotImplemented
@@ -168,7 +264,7 @@ class DataFrame:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate column names: {dupes}")
-        cols = tuple(tuple(_normalize_cell(v) for v in values) for _, values in items)
+        cols = tuple(_normalize_column(values) for _, values in items)
         lengths = {len(c) for c in cols}
         if len(lengths) > 1:
             raise SchemaError(f"columns have unequal lengths: {sorted(lengths)}")
@@ -179,6 +275,26 @@ class DataFrame:
         object.__setattr__(self, "_row_count", lengths.pop())
         object.__setattr__(self, "_tag", partition_tag)
         object.__setattr__(self, "_fp", None)
+
+    @classmethod
+    def _from_storage(
+        cls, names: Sequence[str], columns: Sequence[Column], partition_tag: str
+    ) -> "DataFrame":
+        """Trusted constructor for frames derived inside the package.
+
+        The caller guarantees what the public constructor checks: at least
+        one column, distinct names, equal lengths, a known tag, and storage
+        already in normal form (read-only float64 arrays with NaN for
+        missing for all-float columns, tuples of normalised cells
+        otherwise).
+        """
+        df = object.__new__(cls)
+        object.__setattr__(df, "_names", tuple(names))
+        object.__setattr__(df, "_columns", tuple(columns))
+        object.__setattr__(df, "_row_count", len(df._columns[0]))
+        object.__setattr__(df, "_tag", partition_tag)
+        object.__setattr__(df, "_fp", None)
+        return df
 
     def __setattr__(self, name, value):
         raise AttributeError("DataFrame is immutable")
@@ -195,38 +311,45 @@ class DataFrame:
     def partition_tag(self) -> str:
         return self._tag
 
-    def column(self, name: str) -> tuple[Cell, ...]:
+    def _col(self, name: str) -> Column:
+        """The stored column: a read-only float64 array or a tuple of cells."""
         try:
             return self._columns[self._names.index(name)]
         except ValueError:
             raise SchemaError(f"unknown column {name!r}") from None
 
+    def column(self, name: str) -> tuple[Cell, ...]:
+        return _as_cells(self._col(name))
+
     def columns(self) -> dict[str, tuple[Cell, ...]]:
-        return dict(zip(self._names, self._columns))
+        return {name: _as_cells(col) for name, col in zip(self._names, self._columns)}
 
     def row(self, i: int) -> tuple[Cell, ...]:
-        return tuple(col[i] for col in self._columns)
+        return tuple(_cell(col, i) for col in self._columns)
 
     def _retag(self, tag: str) -> "DataFrame":
         # Tags are metadata: content digests are unchanged by design.
-        return DataFrame(zip(self._names, self._columns), partition_tag=tag)
+        return DataFrame._from_storage(self._names, self._columns, tag)
 
     def _take(self, indices: Sequence[int], tag: str | None = None) -> "DataFrame":
-        idx = list(indices)
-        cols = ((n, tuple(c[i] for i in idx)) for n, c in zip(self._names, self._columns))
-        return DataFrame(cols, partition_tag=self._tag if tag is None else tag)
+        idx = np.asarray(indices, dtype=np.intp)
+        cols = [_take_column(c, idx) for c in self._columns]
+        return DataFrame._from_storage(
+            self._names, cols, self._tag if tag is None else tag
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DataFrame):
             return NotImplemented
         return (
             self._names == other._names
-            and self._columns == other._columns
             and self._tag == other._tag
+            and self._row_count == other._row_count
+            and all(map(_columns_equal, self._columns, other._columns))
         )
 
     def __hash__(self):
-        return hash((self._names, self._columns, self._tag))
+        return hash((self._names, tuple(map(_as_cells, self._columns)), self._tag))
 
     def __repr__(self) -> str:
         return (
@@ -239,7 +362,8 @@ def fingerprint(df: DataFrame) -> FrameFingerprint:
     """Per-column SHA-256 over the row-ordered canonical cell encodings.
 
     Independent of column order and of the partition tag; deterministic
-    across runs and platforms.
+    across runs and platforms. Each column is hashed with one `update` of
+    its concatenated encodings, built with numpy for float columns.
     """
     if not isinstance(df, DataFrame):
         raise TypeError("fingerprint expects a DataFrame")
@@ -248,10 +372,11 @@ def fingerprint(df: DataFrame) -> FrameFingerprint:
         return cached
     digests = {}
     for name, col in zip(df._names, df._columns):
-        h = hashlib.sha256()
-        for cell in col:
-            h.update(canonical_encode(cell))
-        digests[name] = h.digest()
+        if isinstance(col, np.ndarray):
+            encoded = _float_column_bytes(col)
+        else:
+            encoded = _cells_bytes(col)
+        digests[name] = hashlib.sha256(encoded).digest()
     fp = FrameFingerprint(digests, df._row_count)
     object.__setattr__(df, "_fp", fp)
     return fp
@@ -274,8 +399,8 @@ def select_columns(df: DataFrame, names: Sequence[str]) -> DataFrame:
         raise SchemaError(f"unknown columns: {unknown}")
     if len(set(names)) != len(names):
         raise SchemaError("duplicate names in projection")
-    return DataFrame(
-        ((n, df.column(n)) for n in names), partition_tag=df.partition_tag
+    return DataFrame._from_storage(
+        names, [df._col(n) for n in names], df.partition_tag
     )
 
 
@@ -305,6 +430,29 @@ def _parse_cell(raw: str, kind: str, where: str) -> Cell:
     return raw  # text / categorical
 
 
+def _parse_floats(cells: Sequence[str]) -> np.ndarray:
+    """Parse a float column; raises ValueError on any non-empty non-float.
+
+    Each cell goes through Python's `float`, exactly like `_parse_cell`;
+    empty cells and "nan" both become NaN, the missing marker."""
+    return _readonly(
+        np.array([float(c) if c else math.nan for c in cells], dtype=np.float64)
+    )
+
+
+def _parse_column(cells: Sequence[str], kind: str | None, where: str) -> Column:
+    if kind is None or kind == "float64":
+        try:
+            return _parse_floats(cells)
+        except ValueError:
+            if kind is None:
+                return _store([c or None for c in cells])  # inferred text
+            for c in cells:
+                _parse_cell(c, kind, where)  # raises on the first bad cell
+            raise
+    return _store([_parse_cell(c, kind, where) for c in cells])
+
+
 def from_csv(path, schema_hints: Mapping[str, str] | None = None) -> DataFrame:
     """Load an RFC-4180-style CSV (UTF-8, header row required) as an untagged frame.
 
@@ -318,7 +466,7 @@ def from_csv(path, schema_hints: Mapping[str, str] | None = None) -> DataFrame:
         if kind not in _HINT_KINDS:
             raise ConfigError(f"unknown schema hint kind {kind!r} for column {name!r}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+        rows = list(filter(None, csv.reader(fh)))  # blank lines dropped
     if not rows:
         raise ParseError(f"{path}: empty CSV (header row required)")
     header = rows[0]
@@ -336,21 +484,8 @@ def from_csv(path, schema_hints: Mapping[str, str] | None = None) -> DataFrame:
                 f"({len(row)} fields, expected {width})"
             )
     raw_cols = list(zip(*rows[1:])) if len(rows) > 1 else [()] * width
-
-    def infer(cells: tuple[str, ...]) -> str:
-        non_empty = [c for c in cells if c != ""]
-        if not non_empty:
-            return "float64"
-        try:
-            for c in non_empty:
-                float(c)
-            return "float64"
-        except ValueError:
-            return "text"
-
-    columns = []
-    for name, cells in zip(header, raw_cols):
-        kind = hints.get(name) or infer(cells)
-        where = f"{path}: column {name!r}"
-        columns.append((name, [_parse_cell(c, kind, where) for c in cells]))
-    return DataFrame(columns)
+    columns = [
+        _parse_column(cells, hints.get(name), f"{path}: column {name!r}")
+        for name, cells in zip(header, raw_cols)
+    ]
+    return DataFrame._from_storage(header, columns, "none")

@@ -15,8 +15,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AlreadyAssessedModel, GuardError, PartitionError
-from .frame import DataFrame, fingerprint
-from .learn import Model, encode_eval_target, predict_values
+from .frame import DataFrame, _take_column, fingerprint
+from .learn import (
+    Model,
+    encode_eval_target,
+    predict_features,
+    predict_values,
+    transform_features,
+)
 from .registry import ProvenanceRegistry, resolve
 from .scoring import PRIMARY_METRIC, score
 
@@ -99,14 +105,6 @@ def _model_source_columns(m) -> tuple[str, ...]:
     return m.source_columns if isinstance(m, StackedModel) else m.transformer.source_columns
 
 
-def _require_feature_columns(m, df: DataFrame) -> None:
-    from .errors import SchemaError
-
-    missing = [c for c in _model_source_columns(m) if c not in df.column_names]
-    if missing:
-        raise SchemaError(f"frame lacks fitted columns: {missing}")
-
-
 def evaluate(
     m, df: DataFrame, metrics=None, registry: ProvenanceRegistry | None = None
 ) -> Metrics:
@@ -158,10 +156,12 @@ def assess(
         raise TypeError("assess expects a DataFrame")
     reg = resolve(registry)
     bypassed = not reg.guards_on
-    # Input validation precedes the claim so a schema problem cannot spend
-    # the holdout; model execution stays behind the guard.
+    # Everything that can reject the frame (target encoding, each fitted
+    # transformer and its checks) runs before the claim, so a frame the
+    # model cannot use never spends the holdout; only the learners run
+    # behind the guard.
     y_true = encode_eval_target(m, test)
-    _require_feature_columns(m, test)
+    X = transform_features(m, test)
     if reg.guards_on:
         if m.assess_count > 0:
             raise AlreadyAssessedModel(
@@ -176,7 +176,7 @@ def assess(
         if record is not None and record.role == "test":
             reg.mark_assessed(fingerprint(test))
     m.assess_count += 1
-    preds = predict_values(m, test)
+    preds = predict_features(m, X)
     values = score(m.task, y_true, preds, metrics)
     return Evidence(
         values=values,
@@ -221,17 +221,18 @@ def explain(
     y_true = encode_eval_target(m, df)
     baseline = score(m.task, y_true, predict_values(m, df), [primary])[primary]
     rng = np.random.Generator(np.random.Philox(seed))
-    columns = df.columns()
+    names = df.column_names
+    stored = [df._col(name) for name in names]
     importances = {}
-    feature_cols = [c for c in _model_source_columns(m) if c in df.column_names]
+    feature_cols = [c for c in _model_source_columns(m) if c in names]
     for col in feature_cols:
         drops = []
-        original = list(columns[col])
+        position = names.index(col)
         for _ in range(repeats):
-            perm = rng.permutation(len(original))
-            shuffled = dict(columns)
-            shuffled[col] = [original[i] for i in perm]
-            permuted_df = DataFrame(shuffled, partition_tag=df.partition_tag)
+            perm = rng.permutation(df.row_count)
+            shuffled = list(stored)
+            shuffled[position] = _take_column(stored[position], perm)
+            permuted_df = DataFrame._from_storage(names, shuffled, df.partition_tag)
             permuted_score = score(
                 m.task, y_true, predict_values(m, permuted_df), [primary]
             )[primary]

@@ -99,13 +99,15 @@ def _fold_seed(seed: int, fold_index: int) -> int:
 
 
 def feature_matrix(prepared_frame: DataFrame, feature_names) -> np.ndarray:
-    cols = [prepared_frame.column(n) for n in feature_names]
+    # Keep this (features, rows) stack transposed, not column_stack: BLAS
+    # rounding can depend on the memory layout of X.
+    cols = [prepared_frame._col(n) for n in feature_names]
     return np.array(cols, dtype=np.float64).T if cols else np.empty((prepared_frame.row_count, 0))
 
 
 def _train_on_prepared(prepared: PreparedData, algorithm: str, hp: dict, seed: int):
     X = feature_matrix(prepared.data, prepared.state.feature_names)
-    y = np.asarray(prepared.data.column(prepared.target), dtype=np.float64)
+    y = np.asarray(prepared.data._col(prepared.target), dtype=np.float64)
     if X.shape[1] == 0:
         raise ConfigError("no feature columns left after preparation")
     state = learners.train(algorithm, X, y, hp, seed, prepared.task)
@@ -222,12 +224,12 @@ def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> M
             "call split() again"
         )
     dev = c._dev_frame
-    task = infer_task(dev.column(target))
+    task = infer_task(dev._col(target))
     global_classes = None
     if task == "classification":
         # Class mapping comes from all dev rows so every fold encodes
         # consistently even when a fold-train slice misses a class.
-        _, global_classes = encode_target(dev.column(target), task)
+        _, global_classes = encode_target(dev._col(target), task)
     algorithm = _resolve_algorithm(algorithm, task)
     hp = learners.resolve_hyperparameters(algorithm, hyperparameters)
 
@@ -242,9 +244,7 @@ def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> M
 
         valid_features = apply(prepared.state, fold_valid)
         X_valid = feature_matrix(valid_features, prepared.state.feature_names)
-        y_valid = encode_target_with_classes(
-            fold_valid.column(target), global_classes
-        )
+        y_valid = encode_target_with_classes(fold_valid._col(target), global_classes)
         preds = state.predict(X_valid)
         fold_metrics.append(score(task, y_valid, preds, CV_METRICS[task]))
         fold_transformers.append(prepared.state)
@@ -291,13 +291,30 @@ def predict(m, df: DataFrame) -> Predictions:
 
 def predict_values(m, df: DataFrame) -> np.ndarray:
     """Raw numeric predictions shared by predict, the scorer and strategies."""
+    return predict_features(m, transform_features(m, df))
+
+
+def transform_features(m, df: DataFrame):
+    """Everything prediction does before a learner runs: apply each fitted
+    transformer and build its feature matrix (one per base model of a
+    StackedModel). Raises for a frame the model cannot use."""
     from .strategy import StackedModel
 
     if isinstance(m, StackedModel):
-        return m._predict_values(df)
+        return tuple(transform_features(base, df) for base in m.base)
     features = apply(m.transformer, df)
-    X = feature_matrix(features, m.transformer.feature_names)
-    out = np.asarray(m.state.predict(X), dtype=np.float64)
+    return feature_matrix(features, m.transformer.feature_names)
+
+
+def predict_features(m, X) -> np.ndarray:
+    """Run the learners on the output of `transform_features`."""
+    from .strategy import StackedModel
+
+    if isinstance(m, StackedModel):
+        base = np.column_stack([predict_features(b, x) for b, x in zip(m.base, X)])
+        out = np.asarray(m.meta.predict(base), dtype=np.float64)
+    else:
+        out = np.asarray(m.state.predict(X), dtype=np.float64)
     if m.task == "classification":
         out = np.clip(out, 0.0, 1.0)
     return out
@@ -363,6 +380,4 @@ def model_from_json(text: str) -> Model:
 def encode_eval_target(m, df: DataFrame) -> np.ndarray:
     if m.target not in df.column_names:
         raise SchemaError(f"frame lacks the target column {m.target!r}")
-    return np.asarray(
-        encode_target_with_classes(df.column(m.target), m.classes), dtype=np.float64
-    )
+    return encode_target_with_classes(df._col(m.target), m.classes)

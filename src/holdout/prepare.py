@@ -4,22 +4,39 @@ A Transformer captures fit-time statistics (means, stddevs, category lists)
 and can later be applied to any frame with a compatible schema using only
 those statistics. Fitting per fold inside the training loop is what keeps
 validation rows out of the statistics.
+
+Numeric steps run on float64 arrays, and their results equal, bit for bit,
+the per-cell Python arithmetic the statistics are defined by:
+
+- a mean is builtin `sum` over the present values, left to right, divided
+  by their count (numpy's pairwise `sum`/`mean` round differently);
+- the population variance sums `d ** 2` for each deviation `d = v - mean`
+  with Python's float power (libm `pow`); `d * d` and `np.square` differ
+  from it in the last bit on a few percent of values;
+- elementwise `v - mean`, `/ std` and imputation are single IEEE operations,
+  identical in numpy and Python.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, GuardError, PartitionError, SchemaError
-from .frame import DataFrame
+from .frame import Column, DataFrame, _as_cells, _readonly, _store
 from .registry import ProvenanceRegistry, resolve
 
 STEP_KINDS = ("impute_mean", "one_hot", "standardize")
 DEFAULT_RECIPE = ("impute_mean", "one_hot", "standardize")
 ONE_HOT_SEPARATOR = "="
 CLASSIFICATION_MAX_CLASSES = 20
+
+_NONE_TYPE = type(None)
 
 
 @dataclass(frozen=True)
@@ -89,37 +106,125 @@ class PreparedData:
     classes: tuple | None = None
 
 
-def _is_text_column(values) -> bool:
-    return any(isinstance(v, str) for v in values)
+class _Working:
+    """Feature columns part-way through a recipe.
 
+    A column is a float64 array or, for int, mixed and text columns, a
+    sequence of cells. Arrays use NaN for missing, and `missing` keeps a mask of the
+    cells that really are missing, because arithmetic on infinities also
+    yields NaN and such a value is present, not missing.
+    """
 
-def _column_kinds(names, working: dict) -> dict[str, str]:
-    kinds = {}
-    for name in names:
-        values = working[name]
-        if _is_text_column(values):
-            if any(not isinstance(v, str) and v is not None for v in values):
-                raise ConfigError(
-                    f"column {name!r} mixes text and numeric values; "
-                    "cannot prepare it coherently"
-                )
-            kinds[name] = "categorical"
+    def __init__(self, df: DataFrame, names: Sequence[str]):
+        self.order = list(names)
+        self.values: dict[str, np.ndarray | Sequence] = {}
+        self.missing: dict[str, np.ndarray] = {}
+        for name in names:
+            self._load(name, df._col(name))
+
+    def _load(self, name: str, col: Column) -> None:
+        if not isinstance(col, np.ndarray):
+            cells = col
+            if bool in set(map(type, cells)):
+                # Bool cells become 0.0/1.0 before any step runs.
+                cells = [float(v) if isinstance(v, bool) else v for v in cells]
+            if not set(map(type, cells)) <= {float, _NONE_TYPE}:
+                self.values[name] = cells
+                return
+            col = np.array(cells, dtype=np.float64)
+        self.values[name] = col
+        mask = np.isnan(col)
+        if mask.any():
+            self.missing[name] = mask
+
+    def kind(self, name: str) -> str:
+        values = self.values[name]
+        if isinstance(values, np.ndarray):
+            return "numeric"
+        types = set(map(type, values))
+        text = {t for t in types if issubclass(t, str)}
+        if not text:
+            return "numeric"
+        if types - text - {_NONE_TYPE}:
+            raise ConfigError(
+                f"column {name!r} mixes text and numeric values; "
+                "cannot prepare it coherently"
+            )
+        return "categorical"
+
+    def floats(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """A numeric column as float64 values plus its missing mask (None
+        when nothing is missing); list cells convert with `float(v)`."""
+        values = self.values[name]
+        if isinstance(values, np.ndarray):
+            return values, self.missing.get(name)
+        mask = np.array([v is None for v in values], dtype=bool)
+        floats = np.array(
+            [math.nan if v is None else float(v) for v in values], dtype=np.float64
+        )
+        return floats, (mask if mask.any() else None)
+
+    def set_floats(self, name: str, values: np.ndarray, mask: np.ndarray | None) -> None:
+        self.values[name] = values
+        if mask is None:
+            self.missing.pop(name, None)
         else:
-            kinds[name] = "numeric"
-    return kinds
+            self.missing[name] = mask
+
+    def validate(self) -> None:
+        """Reject a result that still holds missing or text cells."""
+        for name in self.order:
+            values = self.values[name]
+            if name in self.missing:
+                _raise_missing(name)
+            if isinstance(values, np.ndarray):
+                continue
+            for v in values:
+                if v is None:
+                    _raise_missing(name)
+                if isinstance(v, str):
+                    raise ConfigError(
+                        f"recipe leaves categorical column {name!r} unencoded; "
+                        "add a one_hot step"
+                    )
+
+    def frame(self, extra: list[tuple[str, np.ndarray]], tag: str) -> DataFrame:
+        names = self.order + [name for name, _ in extra]
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise SchemaError(f"duplicate column names: {dupes}")
+        columns = [
+            _readonly(v) if isinstance(v, np.ndarray) else _store(v)
+            for v in (self.values[n] for n in self.order)
+        ]
+        columns += [_readonly(v) for _, v in extra]
+        return DataFrame._from_storage(names, columns, tag)
 
 
-def _mean(values) -> float:
-    present = [float(v) for v in values if v is not None]
-    return sum(present) / len(present) if present else 0.0
+def _raise_missing(name: str):
+    raise ConfigError(
+        f"recipe leaves missing values in column {name!r}; add an impute_mean step"
+    )
 
 
-def _mean_std(values) -> tuple[float, float]:
-    present = [float(v) for v in values if v is not None]
-    if not present:
+def _present(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    return values if mask is None else values[~mask]
+
+
+def _mean(present: np.ndarray) -> float:
+    # Builtin sum, left to right, as the statistic is defined.
+    return sum(present.tolist()) / len(present) if len(present) else 0.0
+
+
+def _mean_std(present: np.ndarray) -> tuple[float, float]:
+    if not len(present):
         return 0.0, 0.0
-    m = sum(present) / len(present)
-    var = sum((v - m) ** 2 for v in present) / len(present)  # population variance
+    m = _mean(present)
+    # Python's float power per deviation, not d * d: see the module docstring.
+    with np.errstate(all="ignore"):  # Python float arithmetic never warns
+        deviations = (present - m).tolist()
+    squares = map(operator.pow, deviations, repeat(2))
+    var = sum(squares) / len(present)  # population variance
     return m, math.sqrt(var)
 
 
@@ -147,30 +252,21 @@ def normalize_recipe(recipe) -> list[tuple[str, list[str] | None]]:
     return out
 
 
-def _fit_steps(df: DataFrame, target: str, recipe) -> tuple[Transformer, dict]:
+def _fit_steps(df: DataFrame, target: str, recipe) -> tuple[Transformer, _Working]:
     """Fit every step in order on the working copy and apply it in place.
 
     Returns the fitted Transformer and the transformed feature columns.
-    Bool cells coerce to 0/1 floats before any step runs.
     """
     source = [n for n in df.column_names if n != target]
-    working: dict[str, list] = {}
-    order: list[str] = []
-    for name in source:
-        working[name] = [
-            float(v) if isinstance(v, bool) else v for v in df.column(name)
-        ]
-        order.append(name)
+    working = _Working(df, source)
 
     fitted: list[Step] = []
     for step_name, wanted in normalize_recipe(recipe):
-        kinds = _column_kinds(order, working)
-        if step_name == "one_hot":
-            applicable = [n for n in order if kinds[n] == "categorical"]
-        else:
-            applicable = [n for n in order if kinds[n] == "numeric"]
+        kinds = {name: working.kind(name) for name in working.order}
+        wanted_kind = "categorical" if step_name == "one_hot" else "numeric"
+        applicable = [n for n in working.order if kinds[n] == wanted_kind]
         if wanted is not None:
-            missing = [c for c in wanted if c not in order]
+            missing = [c for c in wanted if c not in working.order]
             if missing:
                 raise ConfigError(f"step {step_name!r} names absent columns: {missing}")
             bad = [c for c in wanted if c not in applicable]
@@ -178,68 +274,80 @@ def _fit_steps(df: DataFrame, target: str, recipe) -> tuple[Transformer, dict]:
                 raise ConfigError(
                     f"step {step_name!r} does not apply to columns {bad}"
                 )
-            applicable = [n for n in order if n in wanted]
+            applicable = [n for n in working.order if n in wanted]
         params: dict[str, Any] = {}
-        if step_name == "impute_mean":
-            for col in applicable:
-                params[col] = _mean(working[col])
-        elif step_name == "standardize":
-            for col in applicable:
-                params[col] = _mean_std(working[col])
-        elif step_name == "one_hot":
-            for col in applicable:
-                seen: list[str] = []
-                for v in working[col]:
-                    if v is not None and v not in seen:
-                        seen.append(v)  # category order: first appearance
-                params[col] = tuple(seen)
+        for col in applicable:
+            if step_name == "one_hot":
+                # Category order: first appearance.
+                categories = dict.fromkeys(working.values[col])
+                categories.pop(None, None)
+                params[col] = tuple(categories)
+            else:
+                present = _present(*working.floats(col))
+                params[col] = _mean(present) if step_name == "impute_mean" else _mean_std(present)
         step = Step(kind=step_name, params=params)
         fitted.append(step)
-        order = _apply_step(step, order, working)
+        _apply_step(step, working)
 
-    return (
-        Transformer(steps=tuple(fitted), source_columns=tuple(source), feature_names=tuple(order)),
-        {name: working[name] for name in order},
+    transformer = Transformer(
+        steps=tuple(fitted),
+        source_columns=tuple(source),
+        feature_names=tuple(working.order),
     )
+    return transformer, working
 
 
-def _apply_step(step: Step, order: list[str], working: dict) -> list[str]:
+def _apply_step(step: Step, working: _Working) -> None:
     if step.kind == "impute_mean":
         for col, mean in step.params.items():
-            if col in working:
-                working[col] = [mean if v is None else float(v) for v in working[col]]
-        return order
+            if col in working.values:
+                values, mask = working.floats(col)
+                if mask is not None:
+                    values = np.where(mask, mean, values)
+                working.set_floats(col, values, None)
+        return
     if step.kind == "standardize":
         for col, (mean, std) in step.params.items():
-            if col not in working:
+            if col not in working.values:
                 continue
+            values, mask = working.floats(col)
             if std == 0.0:
-                working[col] = [
-                    None if v is None else 0.0 for v in working[col]
-                ]
+                out = np.zeros(len(values))
+                if mask is not None:
+                    out[mask] = math.nan
             else:
-                working[col] = [
-                    None if v is None else (float(v) - mean) / std
-                    for v in working[col]
-                ]
-        return order
+                with np.errstate(all="ignore"):
+                    out = (values - mean) / std  # missing stays NaN
+            working.set_floats(col, out, mask)
+        return
     # one_hot: replace each source column with its indicator block in place;
-    # unseen and missing values encode as all zeros.
+    # unseen and missing values encode as all zeros. Each column is coded
+    # once, then every category's indicator is one comparison.
     new_order: list[str] = []
-    for name in order:
+    for name in working.order:
         if name not in step.params:
             new_order.append(name)
             continue
         categories = step.params[name]
-        values = working.pop(name)
+        values = working.values.pop(name)
+        working.missing.pop(name, None)
+        cells = values.tolist() if isinstance(values, np.ndarray) else values
+        index: dict = {}
+        for k, cat in enumerate(categories):
+            index.setdefault(cat, k)
+        codes = np.array(list(map(index.get, cells, repeat(-1))), dtype=np.intp)
         for cat in categories:
             col_name = f"{name}{ONE_HOT_SEPARATOR}{cat}"
-            working[col_name] = [1.0 if v == cat else 0.0 for v in values]
+            working.values[col_name] = (codes == index[cat]).astype(np.float64)
             new_order.append(col_name)
-    return new_order
+    working.order = new_order
 
 
 def infer_task(values) -> str:
+    if isinstance(values, np.ndarray):
+        present = values[~np.isnan(values)]
+        distinct = len(np.unique(present))
+        return "classification" if 0 < distinct <= CLASSIFICATION_MAX_CLASSES else "regression"
     distinct = {v for v in values if v is not None}
     if any(isinstance(v, str) for v in distinct):
         return "classification"
@@ -248,38 +356,46 @@ def infer_task(values) -> str:
     return "classification" if 0 < len(distinct) <= CLASSIFICATION_MAX_CLASSES else "regression"
 
 
-def encode_target(values, task: str) -> tuple[list[float], tuple | None]:
-    """Regression targets pass through raw; classification targets map their
-    two classes (sorted by repr) onto 0.0/1.0."""
+def _regression_target(values) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        if np.isnan(values).any():
+            raise ConfigError("target column has missing values")
+        return values
     if any(v is None for v in values):
         raise ConfigError("target column has missing values")
+    return np.array([float(v) for v in values], dtype=np.float64)
+
+
+def encode_target(values, task: str) -> tuple[np.ndarray, tuple | None]:
+    """Regression targets pass through raw; classification targets map their
+    two classes (sorted by repr) onto 0.0/1.0."""
     if task == "regression":
-        return [float(v) for v in values], None
-    classes = sorted({v for v in values}, key=repr)
+        return _regression_target(values), None
+    values = _as_cells(values)
+    if any(v is None for v in values):
+        raise ConfigError("target column has missing values")
+    classes = sorted(set(values), key=repr)
     if len(classes) == 1:
         # Degenerate single-class frame: encode everything as class 0.
-        return [0.0] * len(values), (classes[0], classes[0])
+        return np.zeros(len(values)), (classes[0], classes[0])
     if len(classes) != 2:
         raise ConfigError(
             f"classification supports exactly 2 classes, got {len(classes)}"
         )
-    lookup = {classes[0]: 0.0, classes[1]: 1.0}
-    return [lookup[v] for v in values], tuple(classes)
+    return encode_target_with_classes(values, tuple(classes)), tuple(classes)
 
 
-def encode_target_with_classes(values, classes: tuple | None) -> list[float]:
+def encode_target_with_classes(values, classes: tuple | None) -> np.ndarray:
     """Encode a target column using a previously fitted class mapping."""
     if classes is None:
-        if any(v is None for v in values):
-            raise ConfigError("target column has missing values")
-        return [float(v) for v in values]
+        return _regression_target(values)
     lookup = {classes[0]: 0.0, classes[1]: 1.0}
     out = []
-    for v in values:
+    for v in _as_cells(values):
         if v not in lookup:
             raise SchemaError(f"target value {v!r} was not seen at fit time")
         out.append(lookup[v])
-    return out
+    return np.array(out, dtype=np.float64)
 
 
 def fit_transformer(
@@ -290,31 +406,15 @@ def fit_transformer(
         raise SchemaError(f"target column {target!r} not in frame")
     if len(df.column_names) < 2:
         raise ConfigError("frame has no feature columns besides the target")
-    transformer, features = _fit_steps(df, target, recipe)
-    task = task or infer_task(df.column(target))
-    encoded, classes = encode_target(df.column(target), task)
-    _validate_numeric(features)
-    columns = [(name, features[name]) for name in transformer.feature_names]
-    columns.append((target, encoded))
-    data = DataFrame(columns, partition_tag=df.partition_tag)
+    transformer, working = _fit_steps(df, target, recipe)
+    y = df._col(target)
+    task = task or infer_task(y)
+    encoded, classes = encode_target(y, task)
+    working.validate()
+    data = working.frame([(target, encoded)], df.partition_tag)
     return PreparedData(
         data=data, state=transformer, target=target, task=task, classes=classes
     )
-
-
-def _validate_numeric(features: dict) -> None:
-    for name, values in features.items():
-        for v in values:
-            if v is None:
-                raise ConfigError(
-                    f"recipe leaves missing values in column {name!r}; "
-                    "add an impute_mean step"
-                )
-            if isinstance(v, str):
-                raise ConfigError(
-                    f"recipe leaves categorical column {name!r} unencoded; "
-                    "add a one_hot step"
-                )
 
 
 def prepare(
@@ -361,16 +461,10 @@ def apply(t: Transformer, df: DataFrame) -> DataFrame:
     missing = [c for c in t.source_columns if c not in df.column_names]
     if missing:
         raise SchemaError(f"frame lacks fitted columns: {missing}")
-    working = {
-        name: [float(v) if isinstance(v, bool) else v for v in df.column(name)]
-        for name in t.source_columns
-    }
-    order = list(t.source_columns)
+    working = _Working(df, t.source_columns)
     for step in t.steps:
-        order = _apply_step(step, order, working)
+        _apply_step(step, working)
     # Any survivor of the fitted pipeline that is still missing had no
     # impute step; fail the same way fitting would.
-    _validate_numeric({name: working[name] for name in order})
-    return DataFrame(
-        [(name, working[name]) for name in order], partition_tag=df.partition_tag
-    )
+    working.validate()
+    return working.frame([], df.partition_tag)

@@ -69,10 +69,6 @@ class ProvenanceRegistry:
         with self._lock:
             self._entries[fp] = ProvenanceRecord(role=role, split_id=split_id)
 
-    def lookup_fingerprint(self, fp: FrameFingerprint) -> ProvenanceRecord | None:
-        with self._lock:
-            return self._entries.get(fp)
-
     def lookup(self, df: DataFrame) -> ProvenanceRecord | None:
         """Resolve a frame to its provenance record by content.
 

@@ -116,7 +116,3 @@ def score(task: str, y_true, y_pred, metrics=None) -> dict[str, float]:
     if unknown:
         raise ConfigError(f"unknown metrics: {unknown}")
     return {name: _METRIC_FUNCS[name](y_true, y_pred) for name in names}
-
-
-def higher_is_better(metric: str) -> bool:
-    return metric in ("accuracy", "roc_auc", "r2")

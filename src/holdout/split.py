@@ -23,10 +23,10 @@ from .errors import (
     TemporalTieError,
 )
 from .frame import DataFrame, fingerprint
+from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 
 RATIO_TOLERANCE = 1e-9
-CLASSIFICATION_MAX_CLASSES = 20
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,6 @@ def _validate_common(df: DataFrame, target: str, ratios) -> None:
         raise PartitionError(f"need at least 3 rows to split, got {df.row_count}")
 
 
-def _is_classification(values) -> bool:
-    distinct = {v for v in values if v is not None}
-    return 0 < len(distinct) <= CLASSIFICATION_MAX_CLASSES
-
-
 def _split_id(kind: str, seed, members) -> str:
     h = hashlib.sha256()
     h.update(kind.encode())
@@ -154,16 +149,17 @@ def split(
     """Random three-way split; same input, ratios and seed reproduce the
     same member fingerprints bit for bit.
 
-    With stratify=True and a classification target (at most 20 distinct
-    values), per-class proportions in every member match the global
-    proportions to within one row per class.
+    With stratify=True and a classification target (text, bool, or at
+    most 20 distinct values: the rule of `prepare.infer_task`), per-class
+    proportions in every member match the global proportions to within one
+    row per class.
     """
     reg = resolve(registry)
     _validate_common(df, target, ratios)
     n = df.row_count
     rng = _rng(seed)
 
-    if stratify and not _is_classification(df.column(target)):
+    if stratify and infer_task(df._col(target)) != "classification":
         warnings.warn(
             "stratify requested for a non-classification target; ignoring",
             stacklevel=2,

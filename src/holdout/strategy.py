@@ -15,8 +15,7 @@ import numpy as np
 
 from . import learners
 from .errors import ConfigError
-from .frame import DataFrame
-from .learn import _fold_seed, _train_on_prepared, feature_matrix, fit, predict_values
+from .learn import _fold_seed, _train_on_prepared, feature_matrix, fit
 from .prepare import (
     apply,
     encode_target,
@@ -72,17 +71,6 @@ class StackedModel:
     @property
     def source_columns(self) -> tuple[str, ...]:
         return self.base[0].transformer.source_columns
-
-    def _predict_values(self, df: DataFrame) -> np.ndarray:
-        columns = {
-            f"base_{algo}": predict_values(model, df)
-            for algo, model in zip(self.base_algorithms, self.base)
-        }
-        X = np.column_stack(list(columns.values()))
-        out = np.asarray(self.meta.predict(X), dtype=np.float64)
-        if self.task == "classification":
-            out = np.clip(out, 0.0, 1.0)
-        return out
 
     def __repr__(self) -> str:
         return (
@@ -237,10 +225,10 @@ def stack(
 
     dev = c._dev_frame
     n_dev = dev.row_count
-    task = infer_task(dev.column(target))
+    task = infer_task(dev._col(target))
     classes = None
     if task == "classification":
-        _, classes = encode_target(dev.column(target), task)
+        _, classes = encode_target(dev._col(target), task)
 
     oof = np.full((n_dev, len(base_algorithms)), np.nan)
     for a, algo in enumerate(base_algorithms):
@@ -258,9 +246,7 @@ def stack(
             oof[list(valid_idx), a] = state.predict(X_valid)
 
     covered = ~np.isnan(oof).any(axis=1)
-    y_dev = np.asarray(
-        encode_target_with_classes(dev.column(target), classes), dtype=np.float64
-    )
+    y_dev = encode_target_with_classes(dev._col(target), classes)
     meta_hp = learners.resolve_hyperparameters(meta_algorithm, None)
     meta_state = learners.train(
         meta_algorithm, oof[covered], y_dev[covered], meta_hp, seed, task

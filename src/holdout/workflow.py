@@ -58,6 +58,79 @@ def _strip_lines(obj):
 MODE_BLOCKS = ("model", "screen", "tune", "stack")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    )
+
+
+_VALUE_CHECKS = {
+    "an integer": _is_int,
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a mapping": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a list of numbers": _is_number_list,
+}
+
+# Expected type of each value the runner reads, per block. A value of the
+# wrong type would otherwise fail deep inside a verb with a bare
+# TypeError/ValueError instead of a spec error.
+_VALUE_TYPES = {
+    "data": {"path": "a string", "target": "a string", "schema_hints": "a mapping"},
+    "split": {
+        "kind": "a string", "ratios": "a list of numbers", "seed": "an integer",
+        "stratify": "a boolean", "embargo": "an integer",
+        "time_col": "a string", "group_col": "a string",
+    },
+    "cv": {
+        "kind": "a string", "k": "an integer", "seed": "an integer",
+        "window": "a string", "min_train": "an integer", "embargo": "an integer",
+    },
+    "model": {
+        "algorithm": "a string", "seed": "an integer",
+        "hyperparameters": "a mapping", "recipe": "a list",
+    },
+    "screen": {"algorithms": "a list", "seed": "an integer", "hyperparameters": "a mapping"},
+    "tune": {
+        "algorithm": "a string", "space": "a mapping", "budget": "an integer",
+        "method": "a string", "seed": "an integer",
+    },
+    "stack": {
+        "base": "a list", "meta": "a string", "seed": "an integer",
+        "hyperparameters": "a mapping",
+    },
+}
+
+# Values that may be null: the runner passes None on and the verb applies
+# its default.
+_NULLABLE = {
+    ("data", "schema_hints"),
+    ("model", "algorithm"),
+    ("model", "hyperparameters"),
+    ("model", "recipe"),
+    ("screen", "hyperparameters"),
+    ("stack", "hyperparameters"),
+}
+
+
+def _check_values(block: dict, name: str, source: str) -> None:
+    for key, expected in _VALUE_TYPES[name].items():
+        if key not in block:
+            continue
+        value = block[key]
+        if value is None and (name, key) in _NULLABLE:
+            continue
+        if not _VALUE_CHECKS[expected](value):
+            raise ConfigError(
+                f"{source}: {name}.{key} must be {expected}, got {value!r}{_line(block)}"
+            )
+
+
 @dataclass(frozen=True)
 class WorkflowSpec:
     """Validated workflow: data source, split plan, optional rotation, one
@@ -99,10 +172,12 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
         raise ConfigError(f"{source}: 'data' must be a mapping")
     _require(data, "path", "data")
     _require(data, "target", "data")
+    _check_values(data, "data", source)
 
     split_block = _require(raw, "split", "top-level")
     if not isinstance(split_block, dict):
         raise ConfigError(f"{source}: 'split' must be a mapping")
+    _check_values(split_block, "split", source)
     split_kind = split_block.get("kind", "random")
     if split_kind not in ("random", "temporal", "group"):
         raise ConfigError(
@@ -124,10 +199,13 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
     mode_block = raw[mode]
     if not isinstance(mode_block, dict):
         raise ConfigError(f"{source}: {mode!r} must be a mapping")
+    _check_values(mode_block, mode, source)
 
     cv_block = raw.get("cv")
-    if cv_block is not None and not isinstance(cv_block, dict):
-        raise ConfigError(f"{source}: 'cv' must be a mapping")
+    if cv_block is not None:
+        if not isinstance(cv_block, dict):
+            raise ConfigError(f"{source}: 'cv' must be a mapping")
+        _check_values(cv_block, "cv", source)
     if mode in ("screen", "tune", "stack") and cv_block is None:
         raise ConfigError(
             f"{source}: the {mode!r} strategy requires a 'cv' block{_line(mode_block)}"
@@ -411,7 +489,8 @@ def run_workflow(path, registry: ProvenanceRegistry | None = None) -> RunReport:
 def classify_exit(exc: BaseException) -> int:
     """Map an error to the documented CLI exit codes.
 
-    2: workflow file problems; 3: guard rejections; 4: data problems.
+    2: workflow file problems; 3: guard rejections; 4: data problems,
+    including files that cannot be opened or decoded.
     """
     from .errors import (
         CVError,
@@ -426,7 +505,7 @@ def classify_exit(exc: BaseException) -> int:
         return 2
     if isinstance(exc, (GuardError, PartitionError, RegistryError, CVError)):
         return 3
-    if isinstance(exc, (ParseError, SchemaError, FileNotFoundError)):
+    if isinstance(exc, (ParseError, SchemaError, OSError, UnicodeDecodeError)):
         return 4
     if isinstance(exc, WorkflowError):
         return 4

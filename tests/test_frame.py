@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from holdout import (
     from_csv,
     select_columns,
 )
+from holdout.prepare import fit_transformer
 
 
 class TestConstruction:
@@ -47,6 +49,71 @@ class TestConstruction:
     def test_unsupported_type_rejected(self):
         with pytest.raises(SchemaError, match="unsupported"):
             DataFrame({"x": [object()]})
+
+
+class TestStorage:
+    """Float columns are stored as arrays; readers still see Python cells."""
+
+    def frame(self):
+        return DataFrame(
+            {
+                "f": np.array([1.5, np.nan, -0.0]),
+                "i": np.array([1, -2, 3], dtype=np.int64),
+                "b": np.array([True, False, True]),
+                "t": ["a", None, "ü"],
+                "m": [1, 2.5, None],
+            }
+        )
+
+    def test_column_returns_tuples_of_python_cells(self):
+        df = self.frame()
+        allowed = {
+            "f": {float, type(None)},
+            "i": {int},
+            "b": {bool},
+            "t": {str, type(None)},
+            "m": {int, float, type(None)},
+        }
+        derived = (
+            df,
+            df._take([2, 0, 1]),
+            select_columns(df, ["t", "f"]),
+            DataFrame(df.columns()),
+        )
+        for frame in derived:
+            for name in frame.column_names:
+                col = frame.column(name)
+                assert type(col) is tuple
+                assert {type(v) for v in col} <= allowed[name]
+        assert df.column("f") == (1.5, None, -0.0)
+        assert df.row(1) == (None, -2, False, None, 2.5)
+
+    def test_rebuilt_frame_equal_with_equal_hash(self):
+        df = self.frame()
+        rebuilt = DataFrame(df.columns())
+        assert rebuilt == df
+        assert hash(rebuilt) == hash(df)
+        # An int/float column and its all-float twin hold equal cells.
+        mixed, floats = DataFrame({"x": [1, 2.0]}), DataFrame({"x": [1.0, 2.0]})
+        assert mixed == floats and hash(mixed) == hash(floats)
+        assert df != df._take([2, 0, 1])
+
+    def test_stored_arrays_cannot_be_written(self):
+        source = np.array([1.0, 2.0, 3.0])
+        df = DataFrame({"x": source, "y": [1, 2, 3]})
+        source[0] = 99.0
+        prepared = fit_transformer(df, "y", ["standardize"], task="regression").data
+        derived = (
+            df,
+            df._take([2, 1, 0]),
+            select_columns(df, ["x"]),
+            df._retag("train"),
+            prepared,
+        )
+        for frame in derived:
+            with pytest.raises(ValueError, match="read-only"):
+                frame._col("x")[0] = 5.0
+        assert df.column("x") == (1.0, 2.0, 3.0)
 
 
 class TestCanonicalEncode:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from holdout import (
     AlreadyAssessedModel,
     ConfigError,
+    DataFrame,
     Evidence,
     Explanation,
     GuardError,
@@ -21,6 +22,7 @@ from holdout import (
     fingerprint,
     fit,
     split,
+    split_temporal,
 )
 
 from conftest import make_classification_frame
@@ -347,3 +349,25 @@ def test_schema_error_does_not_spend_holdout(registry, partition, model):
     assert registry.lookup(partition.test).assessed is False
     ev = assess(model, partition.test, registry=registry)
     assert isinstance(ev, Evidence)
+
+
+def test_unusable_test_frame_does_not_spend_holdout(registry):
+    # The only missing cell sits in the last (test) rows of a temporal
+    # split. A standardize-only model cannot transform it; that must fail
+    # before the claim, so a correctly built model can still be assessed.
+    n = 40
+    df = DataFrame(
+        {
+            "t": [float(i) for i in range(n)],
+            "x": [float(i % 7) for i in range(n - 1)] + [None],
+            "y": [i % 2 for i in range(n)],
+        }
+    )
+    p = split_temporal(df, "y", "t", registry=registry)
+    fragile = fit(p.train, "y", recipe=["standardize"], registry=registry)
+    with pytest.raises(ConfigError, match="missing values"):
+        assess(fragile, p.test, registry=registry)
+    assert fragile.assess_count == 0
+    assert registry.lookup(p.test).assessed is False
+    sound = fit(p.train, "y", registry=registry)
+    assert isinstance(assess(sound, p.test, registry=registry), Evidence)

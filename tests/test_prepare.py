@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from holdout import (
@@ -125,6 +126,41 @@ class TestSteps:
         df = DataFrame({"x": [1.0, 2.0], "y": [None, 1]})
         with pytest.raises(ConfigError, match="target"):
             fit_transformer(df, "y", None)
+
+
+class TestExactStatistics:
+    """Fitted statistics equal the per-cell Python formulas bit for bit."""
+
+    def test_mean_and_std_match_python_formulas(self):
+        rng = np.random.Generator(np.random.Philox(11))
+        # 500 three-decimal values: numpy's pairwise mean rounds differently
+        # from a left-to-right sum on this column.
+        wide = [4.536] + [round(float(v), 3) for v in rng.normal(3.0, 2.0, size=499)]
+        wide[7] = None
+        # Mean exactly 0.0: squaring 4.536 with `d * d` instead of `d ** 2`
+        # moves the variance by one ulp.
+        signed = [4.536, -4.536, 1.25, -1.25, None] * 100
+        df = DataFrame({"wide": wide, "signed": signed, "y": [0, 1] * 250})
+        prepared = fit_transformer(df, "y", ["impute_mean", "standardize"])
+        params = {step.kind: step.params for step in prepared.state.steps}
+        for name, values in (("wide", wide), ("signed", signed)):
+            present = [v for v in values if v is not None]
+            mean = sum(present) / len(present)
+            imputed = [mean if v is None else v for v in values]
+            m = sum(imputed) / len(imputed)
+            std = math.sqrt(sum((v - m) ** 2 for v in imputed) / len(imputed))
+            assert params["impute_mean"][name].hex() == mean.hex()
+            got_m, got_std = params["standardize"][name]
+            assert (got_m.hex(), got_std.hex()) == (m.hex(), std.hex())
+            assert prepared.data.column(name) == tuple((v - m) / std for v in imputed)
+
+    def test_nan_from_infinities_is_not_missing(self):
+        # inf - inf is NaN: a present value, which validation lets through
+        # (only missing cells are rejected) and the frame then stores as
+        # missing.
+        df = DataFrame({"x": [math.inf, 1.0, 2.0], "y": [0, 1, 0]})
+        prepared = fit_transformer(df, "y", ["standardize"])
+        assert prepared.data.column("x") == (None, None, None)
 
 
 class TestApply:

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from holdout import (
@@ -130,6 +132,19 @@ class TestStratify:
         df = DataFrame({"x": [1.0, 2.0, 3.0, 4.0, 5.0], "y": [0, 0, 0, 1, 1]})
         with pytest.raises(StratifyError):
             split(df, "y", stratify=True, registry=registry)
+
+    def test_text_target_with_many_classes_is_stratified(self, registry):
+        # 25 text classes of 6 rows: a classification target for
+        # prepare.infer_task, so stratification applies (no warning) and
+        # each class splits 4/1/1.
+        labels = [f"c{i % 25}" for i in range(150)]
+        df = DataFrame({"x": [float(i) for i in range(150)], "y": labels})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = split(df, "y", stratify=True, seed=3, registry=registry)
+        for m, per_class in zip((p.train, p.valid, p.test), (4, 1, 1)):
+            counts = {c: m.column("y").count(c) for c in set(labels)}
+            assert set(counts.values()) == {per_class}
 
     def test_regression_target_warns_and_ignores(self, registry):
         df = DataFrame(

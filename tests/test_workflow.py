@@ -105,6 +105,25 @@ class TestParsing:
         spec = parse_workflow(workflow_text(data_csv, extra="guards: off\n"))
         assert spec.guards == "off"
 
+    @pytest.mark.parametrize(
+        "line, typo",
+        [
+            ("  seed: 42\nreport", "  seed: '42'\nreport"),
+            ("  k: 3\n", "  k: true\n"),
+        ],
+        ids=["model.seed", "cv.k"],
+    )
+    def test_value_types_checked(self, data_csv, line, typo):
+        text = workflow_text(data_csv)
+        assert line in text
+        with pytest.raises(ConfigError, match="must be"):
+            parse_workflow(text.replace(line, typo, 1))
+
+    def test_data_path_must_be_text(self, data_csv):
+        text = workflow_text(data_csv).replace(str(data_csv), "7")
+        with pytest.raises(ConfigError, match="data.path must be a string"):
+            parse_workflow(text)
+
     def test_bad_split_kind_cites_line(self, data_csv):
         text = workflow_text(data_csv).replace("kind: random", "kind: sideways", 1)
         with pytest.raises(ConfigError, match=r"line \d+"):
@@ -292,6 +311,29 @@ class TestCli:
         wf.write_text(workflow_text(tmp_path / "nope.csv"))
         result = CliRunner().invoke(main, ["run", str(wf)])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize(
+        "line, typo",
+        [("  k: 3\n", "  k: abc\n"), ("  ratios: [0.6, 0.2, 0.2]\n", "  ratios: 5\n")],
+        ids=["cv.k", "split.ratios"],
+    )
+    def test_mistyped_spec_value_exit_2(self, tmp_path, data_csv, line, typo):
+        wf = tmp_path / "typo.yaml"
+        wf.write_text(workflow_text(data_csv).replace(line, typo))
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 2
+        assert json.loads(result.stderr)["error"] == "ConfigError"
+
+    def test_unreadable_data_exit_4(self, tmp_path):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("x,y\n1.0,caf\xe9\n".encode("latin-1"))
+        for data_path, error in ((tmp_path, "IsADirectoryError"),
+                                 (latin1, "UnicodeDecodeError")):
+            wf = tmp_path / "wf.yaml"
+            wf.write_text(workflow_text(data_path))
+            result = CliRunner().invoke(main, ["run", str(wf)])
+            assert result.exit_code == 4
+            assert json.loads(result.stderr)["error"] == error
 
     def test_global_guards_override(self, tmp_path, data_csv):
         double = tmp_path / "double.yaml"
