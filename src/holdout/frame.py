@@ -16,6 +16,13 @@ projections, retags, prepared data) reuse that storage through
 ``DataFrame._from_storage`` without a second pass. Storage is invisible to
 readers: ``column()`` returns Python cells with ``None`` for missing, and
 equality, hashing and fingerprints depend on cell content only.
+
+Exactness rules for the array paths: widening float32 (or any float
+dtype) to float64 is exact, so an array-built frame holds the same cells as
+one built from ``float(v)`` per value; a float column's fingerprint bytes
+are built with numpy and equal the per-cell ``canonical_encode`` stream
+byte for byte, with ``x + 0.0`` collapsing -0.0 to +0.0 and NaN rows
+reduced to the one-byte missing sentinel.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ validation rows out of the statistics.
 Numeric steps run on float64 arrays, and their results equal, bit for bit,
 the per-cell Python arithmetic the statistics are defined by:
 
-- a mean is builtin `sum` over the present values, left to right, divided
+- a mean is builtin `sum` over the present values in row order, divided
   by their count (numpy's pairwise `sum`/`mean` round differently);
 - the population variance sums `d ** 2` for each deviation `d = v - mean`
   with Python's float power (libm `pow`); `d * d` and `np.square` differ
@@ -110,9 +110,9 @@ class _Working:
     """Feature columns part-way through a recipe.
 
     A column is a float64 array or, for int, mixed and text columns, a
-    sequence of cells. Arrays use NaN for missing, and `missing` keeps a mask of the
-    cells that really are missing, because arithmetic on infinities also
-    yields NaN and such a value is present, not missing.
+    sequence of cells. Arrays use NaN for missing, and `missing` keeps a
+    mask of the cells that really are missing, because arithmetic on
+    infinities also yields NaN and such a value is present, not missing.
     """
 
     def __init__(self, df: DataFrame, names: Sequence[str]):
@@ -212,7 +212,7 @@ def _present(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 
 
 def _mean(present: np.ndarray) -> float:
-    # Builtin sum, left to right, as the statistic is defined.
+    # Builtin sum in row order, as the statistic is defined.
     return sum(present.tolist()) / len(present) if len(present) else 0.0
 
 
@@ -282,9 +282,10 @@ def _fit_steps(df: DataFrame, target: str, recipe) -> tuple[Transformer, _Workin
                 categories = dict.fromkeys(working.values[col])
                 categories.pop(None, None)
                 params[col] = tuple(categories)
+            elif step_name == "impute_mean":
+                params[col] = _mean(_present(*working.floats(col)))
             else:
-                present = _present(*working.floats(col))
-                params[col] = _mean(present) if step_name == "impute_mean" else _mean_std(present)
+                params[col] = _mean_std(_present(*working.floats(col)))
         step = Step(kind=step_name, params=params)
         fitted.append(step)
         _apply_step(step, working)
@@ -345,15 +346,15 @@ def _apply_step(step: Step, working: _Working) -> None:
 
 def infer_task(values) -> str:
     if isinstance(values, np.ndarray):
-        present = values[~np.isnan(values)]
-        distinct = len(np.unique(present))
-        return "classification" if 0 < distinct <= CLASSIFICATION_MAX_CLASSES else "regression"
-    distinct = {v for v in values if v is not None}
-    if any(isinstance(v, str) for v in distinct):
-        return "classification"
-    if all(isinstance(v, bool) for v in distinct) and distinct:
-        return "classification"
-    return "classification" if 0 < len(distinct) <= CLASSIFICATION_MAX_CLASSES else "regression"
+        distinct = len(np.unique(values[~np.isnan(values)]))
+    else:
+        present = {v for v in values if v is not None}
+        if any(isinstance(v, str) for v in present):
+            return "classification"
+        if all(isinstance(v, bool) for v in present) and present:
+            return "classification"
+        distinct = len(present)
+    return "classification" if 0 < distinct <= CLASSIFICATION_MAX_CLASSES else "regression"
 
 
 def _regression_target(values) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -171,7 +172,42 @@ class TestCanonicalEncode:
                 assert a == b
 
 
+_CELLS = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.booleans(),
+    st.text(max_size=4),
+)
+
+
 class TestFingerprint:
+    @given(
+        st.lists(st.one_of(st.none(), st.floats()), min_size=1, max_size=20),
+        st.lists(_CELLS, min_size=1, max_size=20),
+        st.lists(st.integers(min_value=0, max_value=19), max_size=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cell_reference(self, floats, cells, rows):
+        # The reference hashes `canonical_encode` cell by cell, the way the
+        # README defines a column digest.
+        n = min(len(floats), len(cells))
+        df = DataFrame({"f": floats[:n], "c": cells[:n]})
+        for frame in (df, df._take([r % n for r in rows])):
+            expected = {}
+            for name in frame.column_names:
+                h = hashlib.sha256()
+                for cell in frame.column(name):
+                    h.update(canonical_encode(cell))
+                expected[name] = h.digest()
+            assert fingerprint(frame).column_digests == expected
+
+    def test_equal_cells_of_different_kinds_encode_apart(self):
+        # 1 == 1.0 == True in Python, but a bool encodes differently.
+        cells = [1, True, 1.0, 0, False, -0.0, None, "1"]
+        expected = hashlib.sha256(b"".join(map(canonical_encode, cells))).digest()
+        assert fingerprint(DataFrame({"c": cells})).column_digests == {"c": expected}
+
     def test_deterministic_within_session(self, toy_frame):
         assert fingerprint(toy_frame) == fingerprint(toy_frame)
         rebuilt = DataFrame(toy_frame.columns())

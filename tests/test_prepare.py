@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holdout import (
     ConfigError,
@@ -128,31 +130,39 @@ class TestSteps:
             fit_transformer(df, "y", None)
 
 
+def _three_decimals(n, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [round(float(v), 3) for v in rng.normal(3.0, 2.0, size=n)]
+
+
 class TestExactStatistics:
     """Fitted statistics equal the per-cell Python formulas bit for bit."""
 
-    def test_mean_and_std_match_python_formulas(self):
-        rng = np.random.Generator(np.random.Philox(11))
-        # 500 three-decimal values: numpy's pairwise mean rounds differently
-        # from a left-to-right sum on this column.
-        wide = [4.536] + [round(float(v), 3) for v in rng.normal(3.0, 2.0, size=499)]
-        wide[7] = None
-        # Mean exactly 0.0: squaring 4.536 with `d * d` instead of `d ** 2`
-        # moves the variance by one ulp.
-        signed = [4.536, -4.536, 1.25, -1.25, None] * 100
-        df = DataFrame({"wide": wide, "signed": signed, "y": [0, 1] * 250})
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # 500 three-decimal values: numpy's pairwise mean rounds
+            # differently from builtin sum on this column.
+            [4.536, None] + _three_decimals(498, seed=11),
+            # Mean exactly 0.0: squaring 4.536 as `d * d` instead of `d ** 2`
+            # moves the stddev by one ulp.
+            [4.536, -4.536, None],
+        ],
+        ids=["mean", "variance"],
+    )
+    def test_mean_and_std_match_python_formulas(self, values):
+        df = DataFrame({"x": values, "y": [i % 2 for i in range(len(values))]})
         prepared = fit_transformer(df, "y", ["impute_mean", "standardize"])
-        params = {step.kind: step.params for step in prepared.state.steps}
-        for name, values in (("wide", wide), ("signed", signed)):
-            present = [v for v in values if v is not None]
-            mean = sum(present) / len(present)
-            imputed = [mean if v is None else v for v in values]
-            m = sum(imputed) / len(imputed)
-            std = math.sqrt(sum((v - m) ** 2 for v in imputed) / len(imputed))
-            assert params["impute_mean"][name].hex() == mean.hex()
-            got_m, got_std = params["standardize"][name]
-            assert (got_m.hex(), got_std.hex()) == (m.hex(), std.hex())
-            assert prepared.data.column(name) == tuple((v - m) / std for v in imputed)
+        params = {step.kind: step.params["x"] for step in prepared.state.steps}
+        present = [v for v in values if v is not None]
+        mean = sum(present) / len(present)
+        imputed = [mean if v is None else v for v in values]
+        m = sum(imputed) / len(imputed)
+        std = math.sqrt(sum((v - m) ** 2 for v in imputed) / len(imputed))
+        assert params["impute_mean"].hex() == mean.hex()
+        got_m, got_std = params["standardize"]
+        assert (got_m.hex(), got_std.hex()) == (m.hex(), std.hex())
+        assert prepared.data.column("x") == tuple((v - m) / std for v in imputed)
 
     def test_nan_from_infinities_is_not_missing(self):
         # inf - inf is NaN: a present value, which validation lets through
@@ -161,6 +171,68 @@ class TestExactStatistics:
         df = DataFrame({"x": [math.inf, 1.0, 2.0], "y": [0, 1, 0]})
         prepared = fit_transformer(df, "y", ["standardize"])
         assert prepared.data.column("x") == (None, None, None)
+
+
+def _reference_default_recipe(columns: dict, target: str):
+    """The default recipe written cell by cell in plain Python."""
+    work = {
+        name: [float(v) if isinstance(v, bool) else v for v in values]
+        for name, values in columns.items()
+        if name != target
+    }
+
+    def numeric(name):
+        return not any(isinstance(v, str) for v in work[name])
+
+    for name in list(work):
+        if numeric(name):
+            present = [float(v) for v in work[name] if v is not None]
+            mean = sum(present) / len(present) if present else 0.0
+            work[name] = [mean if v is None else float(v) for v in work[name]]
+    order = []
+    for name in list(work):
+        if numeric(name):
+            order.append(name)
+            continue
+        values = work.pop(name)
+        categories = []
+        for v in values:
+            if v is not None and v not in categories:
+                categories.append(v)
+        for cat in categories:
+            work[f"{name}={cat}"] = [1.0 if v == cat else 0.0 for v in values]
+            order.append(f"{name}={cat}")
+    for name in order:
+        values = work[name]
+        mean = sum(values) / len(values)
+        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+        work[name] = [0.0 if std == 0.0 else (v - mean) / std for v in values]
+    return order, work
+
+
+class TestReferenceEquivalence:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_default_recipe_matches_per_cell_reference(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=25))
+
+        def column(cells):
+            cells = st.one_of(st.none(), cells)
+            return data.draw(st.lists(cells, min_size=n, max_size=n))
+
+        columns = {
+            "f": column(st.floats(-1e6, 1e6).map(lambda v: round(v, 3))),
+            "i": column(st.integers(-1000, 1000)),
+            "b": column(st.booleans()),
+            "t": column(st.sampled_from(["a", "b", "ü"])),
+            "y": [i % 2 for i in range(n)],
+        }
+        prepared = fit_transformer(DataFrame(columns), "y")
+        order, expected = _reference_default_recipe(columns, "y")
+        assert prepared.state.feature_names == tuple(order)
+        for name in order:
+            got = [v.hex() for v in prepared.data.column(name)]
+            assert got == [v.hex() for v in expected[name]], name
 
 
 class TestApply:
