@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import GuardError, HoldoutSpent, PartitionError
 from .frame import DataFrame, select_columns
 from .judge import Evidence, Metrics, assess, evaluate
 from .learn import Model, fit
 from .registry import ProvenanceRegistry
+from .rng import generator
 from .rotate import cv
 from .split import Partition, split
 
 
 def _toy_frame(n: int = 60, seed: int = 7) -> DataFrame:
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = generator(seed)
     half = n // 2
     y = [0] * half + [1] * (n - half)
     x1 = [float(rng.normal(loc=2.0 * label, scale=1.0)) for label in y]

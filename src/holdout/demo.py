@@ -18,6 +18,7 @@ from .frame import DataFrame
 from .judge import assess, evaluate
 from .learn import fit
 from .registry import ProvenanceRegistry
+from .rng import generator
 from .rotate import cv
 from .split import split
 from .strategy import screen
@@ -44,7 +45,7 @@ def two_gaussian_frame(
 ) -> DataFrame:
     """Balanced binary classification data; the first two features carry
     the class signal, the rest are noise."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = generator(seed)
     half = n // 2
     labels = np.array([0] * half + [1] * (n - half))
     X = rng.normal(size=(n, n_features))
@@ -166,7 +167,7 @@ def _duplicate_injection_once(rep_seed: int, algorithm: str, hp: dict | None) ->
     leaky_reg = ProvenanceRegistry()
     leaky_reg.set_guards("off")
     s2 = split(df, "y", seed=rep_seed, registry=leaky_reg)
-    rng = np.random.Generator(np.random.Philox(rep_seed))
+    rng = generator(rep_seed)
     n_dup = max(1, int(round(0.10 * s2.test.row_count)))
     picked = sorted(int(i) for i in rng.choice(s2.test.row_count, size=n_dup, replace=False))
     contaminated = _append_rows(s2.dev, s2.test, picked)

@@ -24,6 +24,7 @@ from .learn import (
     transform_features,
 )
 from .registry import ProvenanceRegistry, resolve
+from .rng import generator
 from .scoring import PRIMARY_METRIC, score
 
 
@@ -220,7 +221,7 @@ def explain(
     primary = PRIMARY_METRIC[m.task]
     y_true = encode_eval_target(m, df)
     baseline = score(m.task, y_true, predict_values(m, df), [primary])[primary]
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = generator(seed)
     names = df.column_names
     stored = [df._col(name) for name in names]
     importances = {}

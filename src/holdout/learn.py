@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -110,8 +110,7 @@ def _train_on_prepared(prepared: PreparedData, algorithm: str, hp: dict, seed: i
     y = np.asarray(prepared.data._col(prepared.target), dtype=np.float64)
     if X.shape[1] == 0:
         raise ConfigError("no feature columns left after preparation")
-    state = learners.train(algorithm, X, y, hp, seed, prepared.task)
-    return state
+    return learners.train(algorithm, X, y, hp, seed, prepared.task)
 
 
 def _resolve_algorithm(algorithm: str | None, task: str) -> str:
@@ -211,13 +210,32 @@ def _fit_prepared(prepared: PreparedData, algorithm, seed, hyperparameters, reg)
     )
 
 
-def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> Model:
+class _CrossValidation(NamedTuple):
+    """What one pass over a rotation's folds produced, run by run."""
+
+    target: str
+    task: str
+    classes: tuple | None
+    runs: list[tuple[str, dict]]  # resolved (algorithm, hyperparameters)
+    scores: list[dict[str, float]]  # mean fold metrics per run
+    fold_transformers: tuple[Transformer, ...]
+    oof: np.ndarray  # (dev rows, runs) out-of-fold predictions, NaN where uncovered
+
+
+def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
+    """Cross-validate every (algorithm, hyperparameters) run on one pass
+    over the rotation's folds.
+
+    The target, the rotation's registration and every run's
+    hyperparameters are checked before anything trains. Each fold is then
+    prepared once, and every run trains on it with the fold's seed, so a
+    run scores exactly as it would alone.
+    """
     target = target or c.target
     if target != c.target:
         raise ConfigError(
             f"rotation was built for target {c.target!r}, not {target!r}"
         )
-    bypassed = not reg.guards_on
     if reg.guards_on and not reg.has_split(c.source_split_id):
         raise PartitionError(
             "rotation's source split is not registered in this session; "
@@ -225,52 +243,68 @@ def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> M
         )
     dev = c._dev_frame
     task = infer_task(dev._col(target))
-    global_classes = None
+    classes = None
     if task == "classification":
         # Class mapping comes from all dev rows so every fold encodes
         # consistently even when a fold-train slice misses a class.
-        _, global_classes = encode_target(dev._col(target), task)
-    algorithm = _resolve_algorithm(algorithm, task)
-    hp = learners.resolve_hyperparameters(algorithm, hyperparameters)
+        _, classes = encode_target(dev._col(target), task)
+    resolved = []
+    for algorithm, hyperparameters in runs:
+        algorithm = _resolve_algorithm(algorithm, task)
+        resolved.append(
+            (algorithm, learners.resolve_hyperparameters(algorithm, hyperparameters))
+        )
 
-    fold_metrics: list[dict[str, float]] = []
+    fold_metrics: list[list[dict[str, float]]] = [[] for _ in resolved]
     fold_transformers: list[Transformer] = []
+    oof = np.full((dev.row_count, len(resolved)), np.nan)
     for fold_index, (train_idx, valid_idx) in enumerate(c.folds):
-        fold_train = _materialize(c, train_idx)
+        prepared = fit_transformer(_materialize(c, train_idx), target, recipe, task=task)
         fold_valid = _materialize(c, valid_idx)
-        prepared = fit_transformer(fold_train, target, recipe, task=task)
+        X_valid = feature_matrix(
+            apply(prepared.state, fold_valid), prepared.state.feature_names
+        )
+        y_valid = encode_target_with_classes(fold_valid._col(target), classes)
         fold_seed = _fold_seed(seed, fold_index)
-        state = _train_on_prepared(prepared, algorithm, hp, fold_seed)
-
-        valid_features = apply(prepared.state, fold_valid)
-        X_valid = feature_matrix(valid_features, prepared.state.feature_names)
-        y_valid = encode_target_with_classes(fold_valid._col(target), global_classes)
-        preds = state.predict(X_valid)
-        fold_metrics.append(score(task, y_valid, preds, CV_METRICS[task]))
+        for r, (algorithm, hp) in enumerate(resolved):
+            preds = _train_on_prepared(prepared, algorithm, hp, fold_seed).predict(X_valid)
+            fold_metrics[r].append(score(task, y_valid, preds, CV_METRICS[task]))
+            oof[list(valid_idx), r] = preds
         fold_transformers.append(prepared.state)
 
-    mean_scores = {
-        name: float(np.mean([m[name] for m in fold_metrics]))
-        for name in fold_metrics[0]
-    }
+    scores = [
+        {name: float(np.mean([m[name] for m in metrics])) for name in metrics[0]}
+        for metrics in fold_metrics
+    ]
+    return _CrossValidation(
+        target, task, classes, resolved, scores, tuple(fold_transformers), oof
+    )
 
-    # Deployable model: refit on every non-test row with dev-fitted state.
-    prepared_dev = fit_transformer(dev, target, recipe, task=task)
-    final_state = _train_on_prepared(prepared_dev, algorithm, hp, seed)
+
+def _refit_on_dev(c, cvr: _CrossValidation, run: int, seed, recipe, reg) -> Model:
+    """The deployable model of one cross-validated run: refit on every
+    non-test row with dev-fitted preparation, carrying the run's scores."""
+    algorithm, hp = cvr.runs[run]
+    prepared_dev = fit_transformer(c._dev_frame, cvr.target, recipe, task=cvr.task)
     return Model(
         algorithm=algorithm,
-        task=task,
-        state=final_state,
+        task=cvr.task,
+        state=_train_on_prepared(prepared_dev, algorithm, hp, seed),
         transformer=prepared_dev.state,
-        target=target,
-        classes=global_classes,
+        target=cvr.target,
+        classes=cvr.classes,
         hyperparameters=hp,
         seed=seed,
         source_split_id=c.source_split_id,
-        scores_=mean_scores,
-        guards_bypassed=bypassed,
-        fold_transformers_=tuple(fold_transformers),
+        scores_=cvr.scores[run],
+        guards_bypassed=not reg.guards_on,
+        fold_transformers_=cvr.fold_transformers,
     )
+
+
+def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> Model:
+    cvr = _cross_validate(c, target, [(algorithm, hyperparameters)], seed, recipe, reg)
+    return _refit_on_dev(c, cvr, 0, seed, recipe, reg)
 
 
 def predict(m, df: DataFrame) -> Predictions:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .rng import generator
 
 ALGORITHMS = ("logistic", "linear", "decision_tree", "random_forest", "knn")
 
@@ -37,10 +38,6 @@ def resolve_hyperparameters(algorithm: str, overrides) -> dict:
             raise ConfigError(f"unknown hyperparameter {key!r} for {algorithm!r}")
         hp[key] = value
     return hp
-
-
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -124,47 +121,41 @@ def fit_linear(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> LinearState
 
 
 def _best_split(X, y, rows, features, criterion, min_leaf):
-    """Scan candidate thresholds per feature with cumulative sums.
+    """Scan candidate thresholds of every feature at once with cumulative
+    sums down the sorted (rows x features) block.
 
     Returns (cost, feature, threshold) or None. Ties resolve to the first
     feature in `features` order and the lowest threshold, so tree growth is
     deterministic.
     """
-    best = None
-    ys_all = y[rows]
     n = len(rows)
-    for f in features:
-        v = X[rows, f]
-        order = np.argsort(v, kind="mergesort")
-        vs = v[order]
-        ys = ys_all[order]
-        boundary = vs[1:] != vs[:-1]
-        if not boundary.any():
+    v = X[np.ix_(rows, features)]
+    order = np.argsort(v, axis=0, kind="mergesort")
+    vs = np.take_along_axis(v, order, axis=0)
+    ys = y[rows][order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    total, total_sq = csum[-1], csq[-1]
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    right_n = n - left_n
+    left_mean = csum[:-1] / left_n
+    right_mean = (total - csum[:-1]) / right_n
+    if criterion == "gini":
+        left_imp = 2.0 * left_mean * (1.0 - left_mean)
+        right_imp = 2.0 * right_mean * (1.0 - right_mean)
+    else:  # variance
+        left_imp = csq[:-1] / left_n - left_mean**2
+        right_imp = (total_sq - csq[:-1]) / right_n - right_mean**2
+    cost = (left_n * left_imp + right_n * right_imp) / n
+    allowed = (vs[1:] != vs[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    cost = np.where(allowed, cost, np.inf)
+    best = None
+    for j, i in enumerate(np.argmin(cost, axis=0)):
+        if not np.isfinite(cost[i, j]):
             continue
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        total, total_sq = csum[-1], csq[-1]
-        left_n = np.arange(1, n, dtype=np.float64)
-        right_n = n - left_n
-        left_mean = csum[:-1] / left_n
-        right_mean = (total - csum[:-1]) / right_n
-        if criterion == "gini":
-            left_imp = 2.0 * left_mean * (1.0 - left_mean)
-            right_imp = 2.0 * right_mean * (1.0 - right_mean)
-        else:  # variance
-            left_imp = csq[:-1] / left_n - left_mean**2
-            right_imp = (total_sq - csq[:-1]) / right_n - right_mean**2
-        cost = (left_n * left_imp + right_n * right_imp) / n
-        cost = np.where(boundary, cost, np.inf)
-        cost = np.where(
-            (left_n >= min_leaf) & (right_n >= min_leaf), cost, np.inf
-        )
-        i = int(np.argmin(cost))
-        if not np.isfinite(cost[i]):
-            continue
-        if best is None or cost[i] < best[0] - 1e-15:
-            threshold = float((vs[i] + vs[i + 1]) / 2.0)
-            best = (float(cost[i]), int(f), threshold)
+        if best is None or cost[i, j] < best[0] - 1e-15:
+            threshold = float((vs[i, j] + vs[i + 1, j]) / 2.0)
+            best = (float(cost[i, j]), int(features[j]), threshold)
     return best
 
 
@@ -244,7 +235,7 @@ def fit_decision_tree(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: s
     """CART with gini impurity (classification) or variance (regression)."""
     criterion = "gini" if task == "classification" else "variance"
     rows = np.arange(len(y))
-    root = _grow_tree(X, y, rows, 0, hp, criterion, _generator(seed), None)
+    root = _grow_tree(X, y, rows, 0, hp, criterion, generator(seed), None)
     return TreeState(root=root, task=task)
 
 
@@ -279,40 +270,53 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: s
     seeds = np.random.SeedSequence(seed).spawn(int(hp["n_trees"]))
     trees = []
     for tree_seq in seeds:
-        rng = np.random.Generator(np.random.Philox(tree_seq))
+        rng = generator(tree_seq)
         rows = rng.integers(0, n, size=n)  # bootstrap sample
         root = _grow_tree(X, y, rows, 0, hp, criterion, rng, n_subsample)
         trees.append(root)
     return ForestState(trees=trees, task=task)
 
 
-@dataclass
+# Queries per distance block: bounds the (block x train rows x features)
+# temporary instead of materialising it for every query at once.
+KNN_QUERY_BLOCK = 64
+
+
+@dataclass(eq=False)  # array fields: == on them would be ambiguous
 class KnnState:
     k: int
     task: str
-    train_X: list[list[float]] = field(repr=False, default_factory=list)
-    train_y: list[float] = field(repr=False, default_factory=list)
+    train_X: np.ndarray = field(repr=False)
+    train_y: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        # C order, as parsed JSON lists give: the distance sums depend on it.
+        self.train_X = np.array(self.train_X, dtype=np.float64, order="C")
+        self.train_y = np.array(self.train_y, dtype=np.float64)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        A = np.asarray(self.train_X)
-        y = np.asarray(self.train_y)
-        k = min(self.k, len(y))
-        dists = np.sqrt(((X[:, None, :] - A[None, :, :]) ** 2).sum(axis=2))
-        # Stable sort: exact distance ties resolve to the lower train row index.
-        nearest = np.argsort(dists, axis=1, kind="mergesort")[:, :k]
-        return y[nearest].mean(axis=1)
+        k = min(self.k, len(self.train_y))
+        m = len(X)
+        out = np.empty(m)
+        for start in range(0, m, KNN_QUERY_BLOCK):
+            # The last block is a full one ending at row m, overlapping its
+            # predecessor: a lone query row would take numpy's other
+            # summation path for the feature sum and change the last bit.
+            block = slice(max(0, min(start, m - KNN_QUERY_BLOCK)), start + KNN_QUERY_BLOCK)
+            q = X[block]
+            dists = np.sqrt(((q[:, None, :] - self.train_X[None, :, :]) ** 2).sum(axis=2))
+            # Stable sort: exact distance ties resolve to the lower train row index.
+            nearest = np.argsort(dists, axis=1, kind="mergesort")[:, :k]
+            out[block] = self.train_y[nearest].mean(axis=1)
+        return out
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "task": self.task, "train_X": self.train_X, "train_y": self.train_y}
+        return {"k": self.k, "task": self.task, "train_X": self.train_X.tolist(),
+                "train_y": self.train_y.tolist()}
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> KnnState:
-    return KnnState(
-        k=int(hp["k"]),
-        task=task,
-        train_X=[[float(v) for v in row] for row in X],
-        train_y=[float(v) for v in y],
-    )
+    return KnnState(k=int(hp["k"]), task=task, train_X=X, train_y=y)
 
 
 def train(algorithm: str, X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str):

@@ -7,11 +7,10 @@ stays on the originating Partition and is reachable only through assess.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ConfigError, CVError, GuardError
 from .frame import DataFrame
 from .registry import ProvenanceRegistry, resolve
+from .rng import generator
 from .split import Partition, largest_remainder
 
 _BLOCKED_ATTRS = ("train", "valid", "test", "dev")
@@ -105,7 +104,7 @@ def cv(
     n = p.dev.row_count
     if not 2 <= folds <= n:
         raise CVError(f"folds must be between 2 and {n} (dev rows), got {folds}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = generator(seed)
     perm = [int(i) for i in rng.permutation(n)]
     sizes = _chunk_sizes(n, folds)
     out = []
@@ -180,7 +179,7 @@ def cv_group(
         raise CVError(
             f"folds must be between 2 and {len(names)} (dev groups), got {folds}"
         )
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = generator(seed)
     order = rng.permutation(len(names))
     shuffled = [names[i] for i in order]
     sizes = _chunk_sizes(len(names), folds)

@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     GroupError,
     PartitionError,
@@ -25,6 +23,7 @@ from .errors import (
 from .frame import DataFrame, fingerprint
 from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
+from .rng import generator
 
 RATIO_TOLERANCE = 1e-9
 
@@ -48,11 +47,6 @@ class Partition:
     kind: str = "random"
     time_col: str | None = field(default=None, repr=False)
     group_col: str | None = field(default=None, repr=False)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    # Philox: counter-based, platform-stable, documented bit-for-bit.
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def largest_remainder(n: int, ratios) -> list[int]:
@@ -157,7 +151,7 @@ def split(
     reg = resolve(registry)
     _validate_common(df, target, ratios)
     n = df.row_count
-    rng = _rng(seed)
+    rng = generator(seed)
 
     if stratify and infer_task(df._col(target)) != "classification":
         warnings.warn(
@@ -285,7 +279,7 @@ def split_group(
             f"need at least 3 distinct groups to split, got {len(group_names)}"
         )
 
-    rng = _rng(seed)
+    rng = generator(seed)
     order = rng.permutation(len(group_names))
     shuffled = [group_names[i] for i in order]
     counts = largest_remainder(len(group_names), ratios)

@@ -15,16 +15,11 @@ import numpy as np
 
 from . import learners
 from .errors import ConfigError
-from .learn import _fold_seed, _train_on_prepared, feature_matrix, fit
-from .prepare import (
-    apply,
-    encode_target,
-    encode_target_with_classes,
-    fit_transformer,
-    infer_task,
-)
+from .learn import _cross_validate, _refit_on_dev
+from .prepare import encode_target_with_classes
 from .registry import ProvenanceRegistry, resolve
-from .rotate import CVResult, _materialize
+from .rng import generator
+from .rotate import CVResult
 from .scoring import PRIMARY_METRIC
 
 
@@ -96,7 +91,9 @@ def screen(
 
     Returns a Leaderboard ordered by the task's primary metric. Screening
     happens entirely in the iterate zone: the registry's assessed flags are
-    unchanged afterwards.
+    unchanged afterwards. All candidates share one pass over the folds and
+    none is refit on dev. Every candidate's hyperparameters are checked
+    before any training, so an unknown one fails fast.
     """
     _check_rotation(c, "screen")
     reg = resolve(registry)
@@ -107,20 +104,11 @@ def screen(
         if algo not in learners.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
     per_algo = dict(hyperparameters or {})
-    results = []
-    metric = None
-    for algo in algorithms:
-        model = fit(
-            c,
-            target,
-            algorithm=algo,
-            seed=seed,
-            hyperparameters=per_algo.get(algo),
-            registry=reg,
-        )
-        metric = metric or PRIMARY_METRIC[model.task]
-        results.append((algo, dict(model.scores_)))
-    ranked = sorted(results, key=lambda row: (-row[1][metric], row[0]))
+    cvr = _cross_validate(
+        c, target, [(algo, per_algo.get(algo)) for algo in algorithms], seed, None, reg
+    )
+    metric = PRIMARY_METRIC[cvr.task]
+    ranked = sorted(zip(algorithms, cvr.scores), key=lambda row: (-row[1][metric], row[0]))
     return Leaderboard(rows=tuple(ranked), best=ranked[0][0], metric=metric)
 
 
@@ -137,7 +125,7 @@ def _grid_trials(space: Mapping[str, Sequence], budget: int) -> list[dict]:
 
 
 def _random_trials(space: Mapping[str, Sequence], budget: int, seed: int) -> list[dict]:
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = generator(seed)
     names = sorted(space)
     out = []
     for _ in range(budget):
@@ -163,7 +151,9 @@ def tune(
 
     Grid enumerates the cross-product of the space in lexicographic order,
     capped at `budget`; random draws `budget` seeded samples. Every trial
-    is a full cross-validated fit.
+    scores exactly as a cross-validated fit would; trials share one pass
+    over the folds and none is refit on dev. Every trial's hyperparameters
+    are checked before any training, so an unknown one fails fast.
     """
     _check_rotation(c, "tune")
     reg = resolve(registry)
@@ -180,15 +170,11 @@ def tune(
     else:
         raise ConfigError(f"tune method must be 'grid' or 'random', got {method!r}")
 
-    trials = []
-    metric = None
-    for params in trial_params:
-        model = fit(
-            c, target, algorithm=algorithm, seed=seed, hyperparameters=params,
-            registry=reg,
-        )
-        metric = metric or PRIMARY_METRIC[model.task]
-        trials.append((params, dict(model.scores_)))
+    cvr = _cross_validate(
+        c, target, [(algorithm, params) for params in trial_params], seed, None, reg
+    )
+    metric = PRIMARY_METRIC[cvr.task]
+    trials = list(zip(trial_params, cvr.scores))
     best_index = max(
         range(len(trials)), key=lambda i: (trials[i][1][metric], -i)
     )
@@ -221,55 +207,26 @@ def stack(
         if algo not in learners.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
     per_algo = dict(hyperparameters or {})
-    target = target or c.target
-
-    dev = c._dev_frame
-    n_dev = dev.row_count
-    task = infer_task(dev._col(target))
-    classes = None
-    if task == "classification":
-        _, classes = encode_target(dev._col(target), task)
-
-    oof = np.full((n_dev, len(base_algorithms)), np.nan)
-    for a, algo in enumerate(base_algorithms):
-        hp = learners.resolve_hyperparameters(algo, per_algo.get(algo))
-        for fold_index, (train_idx, valid_idx) in enumerate(c.folds):
-            fold_train = _materialize(c, train_idx)
-            fold_valid = _materialize(c, valid_idx)
-            prepared = fit_transformer(fold_train, target, None, task=task)
-            state = _train_on_prepared(
-                prepared, algo, hp, _fold_seed(seed, fold_index)
-            )
-            X_valid = feature_matrix(
-                apply(prepared.state, fold_valid), prepared.state.feature_names
-            )
-            oof[list(valid_idx), a] = state.predict(X_valid)
-
-    covered = ~np.isnan(oof).any(axis=1)
-    y_dev = encode_target_with_classes(dev._col(target), classes)
+    cvr = _cross_validate(
+        c, target, [(algo, per_algo.get(algo)) for algo in base_algorithms],
+        seed, None, reg,
+    )
+    covered = ~np.isnan(cvr.oof).any(axis=1)
+    y_dev = encode_target_with_classes(c._dev_frame._col(cvr.target), cvr.classes)
     meta_hp = learners.resolve_hyperparameters(meta_algorithm, None)
     meta_state = learners.train(
-        meta_algorithm, oof[covered], y_dev[covered], meta_hp, seed, task
+        meta_algorithm, cvr.oof[covered], y_dev[covered], meta_hp, seed, cvr.task
     )
-
     base_models = [
-        fit(
-            c,
-            target,
-            algorithm=algo,
-            seed=seed,
-            hyperparameters=per_algo.get(algo),
-            registry=reg,
-        )
-        for algo in base_algorithms
+        _refit_on_dev(c, cvr, r, seed, None, reg) for r in range(len(base_algorithms))
     ]
     return StackedModel(
         base=base_models,
         meta=meta_state,
         base_algorithms=base_algorithms,
-        task=task,
-        target=target,
+        task=cvr.task,
+        target=cvr.target,
         source_split_id=c.source_split_id,
-        classes=classes,
+        classes=cvr.classes,
         guards_bypassed=not reg.guards_on,
     )

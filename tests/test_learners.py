@@ -192,6 +192,30 @@ class TestKnn:
         state = fit_knn(X, y, hp("knn", k=3), seed=0, task="regression")
         assert np.allclose(state.predict(np.array([[1.0]])), [3.0])
 
+    @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocked_queries_equal_unblocked_formula(self, m, order):
+        # 12 features: numpy sums them pairwise or in sequence depending on
+        # the memory layout, which shows in the last bit. Permutations of
+        # one vector lie at one true distance from the origin, so which is
+        # nearest to an origin query depends on that order; duplicated
+        # train rows with different targets make exact ties.
+        rng = np.random.Generator(np.random.Philox(3))
+        v = rng.normal(size=12)
+        A = np.vstack([[rng.permutation(v) for _ in range(20)], rng.normal(2.0, size=(25, 12))])
+        A = np.vstack([A, A])
+        y = rng.normal(size=90)
+        Q = np.array(rng.normal(size=(m, 12)), order=order)
+        Q[::2] = 0.0
+        Q[:3] = A[:min(m, 3)]
+        # Training input in the column-major layout feature_matrix gives.
+        state = fit_knn(np.asfortranarray(A), y, hp("knn", k=4), seed=0,
+                        task="regression")
+        dists = np.sqrt(((Q[:, None, :] - A[None, :, :]) ** 2).sum(axis=2))
+        nearest = np.argsort(dists, axis=1, kind="mergesort")[:, :4]
+        expected = y[nearest].mean(axis=1)
+        assert state.predict(Q).tobytes() == expected.tobytes()
+
 
 class TestDispatch:
     def test_unknown_algorithm(self):

@@ -1,8 +1,12 @@
+import importlib
+
+import numpy as np
 import pytest
 
 from holdout import (
     ConfigError,
     Evidence,
+    PartitionError,
     HoldoutSpent,
     Leaderboard,
     StackedModel,
@@ -156,31 +160,42 @@ class TestTune:
 class TestStack:
     def test_out_of_fold_property(self, registry):
         # Instrument fold membership on a small frame: row i's base
-        # prediction must come from a model whose training fold excluded i.
+        # prediction must come from a model whose training fold excluded i,
+        # and the meta learner must be the one trained on exactly that
+        # out-of-fold matrix.
         from holdout.learn import _fold_seed, _train_on_prepared, feature_matrix
+        from holdout.learners import resolve_hyperparameters, train
         from holdout.prepare import apply, fit_transformer
         from holdout.rotate import _materialize
 
         p = split(make_classification_frame(20, seed=3), "y", seed=6, registry=registry)
         c = cv(p, 4, seed=2, registry=registry)
-        algo = "knn"
+        algos = ["knn", "logistic"]
 
-        oof = {}
-        for fold_index, (train_idx, valid_idx) in enumerate(c.folds):
-            fold_train = _materialize(c, train_idx)
-            prepared = fit_transformer(fold_train, "y", None, task="classification")
-            state = _train_on_prepared(
-                prepared, algo,
-                {"k": 5},
-                _fold_seed(1, fold_index),
-            )
-            fold_valid = _materialize(c, valid_idx)
-            X = feature_matrix(apply(prepared.state, fold_valid),
-                               prepared.state.feature_names)
-            for row, value in zip(valid_idx, state.predict(X)):
-                assert row not in train_idx
-                oof[row] = float(value)
-        assert sorted(oof) == list(range(p.dev.row_count))
+        oof = np.full((p.dev.row_count, len(algos)), np.nan)
+        for a, algo in enumerate(algos):
+            for fold_index, (train_idx, valid_idx) in enumerate(c.folds):
+                fold_train = _materialize(c, train_idx)
+                prepared = fit_transformer(fold_train, "y", None, task="classification")
+                state = _train_on_prepared(
+                    prepared, algo,
+                    resolve_hyperparameters(algo, None),
+                    _fold_seed(1, fold_index),
+                )
+                fold_valid = _materialize(c, valid_idx)
+                X = feature_matrix(apply(prepared.state, fold_valid),
+                                   prepared.state.feature_names)
+                for row, value in zip(valid_idx, state.predict(X)):
+                    assert row not in train_idx
+                    oof[row, a] = float(value)
+        assert not np.isnan(oof).any()
+
+        y_dev = np.array(p.dev.column("y"), dtype=np.float64)
+        meta = train("logistic", oof, y_dev, resolve_hyperparameters("logistic", None),
+                     1, "classification")
+        model = stack(c, "y", base_algorithms=algos, meta_algorithm="logistic", seed=1,
+                      registry=registry)
+        assert model.meta.to_dict() == meta.to_dict()
 
     def test_stacked_model_shape_and_assess(self, registry, rotation):
         p, c = rotation
@@ -235,3 +250,91 @@ def test_strategies_never_touch_test_role(registry):
     stack(c, "y", base_algorithms=["logistic", "knn"], registry=registry)
     assert registry.dump() == before
     assert registry.lookup(p.test).assessed is False
+
+
+class TestCrossValidationEngine:
+    """screen, tune and stack share one pass over the rotation's folds."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        learn_module = importlib.import_module("holdout.learn")
+        learners_module = importlib.import_module("holdout.learners")
+        calls = {"prepare": 0, "train": 0}
+        real_prepare = learn_module.fit_transformer
+        real_train = learners_module.train
+
+        def counting_prepare(*args, **kwargs):
+            calls["prepare"] += 1
+            return real_prepare(*args, **kwargs)
+
+        def counting_train(*args, **kwargs):
+            calls["train"] += 1
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(learn_module, "fit_transformer", counting_prepare)
+        monkeypatch.setattr(learners_module, "train", counting_train)
+        return calls
+
+    def test_screen_prepares_each_fold_once(self, registry, rotation, calls):
+        _, c = rotation
+        screen(c, "y", ["logistic", "decision_tree", "knn"], seed=1, registry=registry)
+        assert calls == {"prepare": c.k, "train": 3 * c.k}
+
+    def test_tune_trains_each_trial_per_fold_only(self, registry, rotation, calls):
+        _, c = rotation
+        tune(c, "y", algorithm="knn", space={"k": [1, 3, 5]}, registry=registry)
+        assert calls == {"prepare": c.k, "train": 3 * c.k}
+
+    def test_stack_trains_bases_once_per_fold_plus_refit(self, registry, rotation, calls):
+        _, c = rotation
+        stack(c, "y", base_algorithms=["logistic", "knn"], registry=registry)
+        # Out-of-fold bases, one dev refit per base, one meta learner.
+        assert calls == {"prepare": c.k + 2, "train": 2 * c.k + 2 + 1}
+
+    def test_stack_checks_target_before_training(self, registry, rotation, calls):
+        _, c = rotation
+        with pytest.raises(ConfigError, match="target"):
+            stack(c, "x0", base_algorithms=["logistic", "knn"], registry=registry)
+        assert calls["train"] == 0
+
+    def test_stack_checks_registration_before_training(self, registry, rotation, calls):
+        _, c = rotation
+        registry.reset()
+        with pytest.raises(PartitionError):
+            stack(c, "y", base_algorithms=["logistic", "knn"], registry=registry)
+        assert calls["train"] == 0
+
+    def test_screen_checks_every_candidate_before_training(self, registry, rotation, calls):
+        _, c = rotation
+        with pytest.raises(ConfigError, match="hyperparameter"):
+            screen(c, "y", ["logistic", "knn"], hyperparameters={"knn": {"kk": 3}},
+                   registry=registry)
+        assert calls["train"] == 0
+
+    def test_screen_rows_equal_fit_scores(self, registry, rotation):
+        _, c = rotation
+        algos = ["logistic", "decision_tree", "random_forest", "knn"]
+        board = screen(c, "y", algos, seed=3, registry=registry)
+        for algo, scores in board.rows:
+            assert scores == fit(c, "y", algorithm=algo, seed=3, registry=registry).scores_
+
+    def test_tune_trials_equal_fit_scores(self, registry, rotation):
+        _, c = rotation
+        result = tune(c, "y", algorithm="decision_tree",
+                      space={"max_depth": [2, 4], "min_leaf": [1, 3]}, seed=2,
+                      registry=registry)
+        for params, scores in result.trials:
+            model = fit(c, "y", algorithm="decision_tree", seed=2,
+                        hyperparameters=params, registry=registry)
+            assert scores == model.scores_
+
+    def test_stack_bases_equal_fit(self, registry, rotation):
+        _, c = rotation
+        model = stack(c, "y", base_algorithms=["random_forest", "knn"], seed=4,
+                      registry=registry)
+        for base in model.base:
+            alone = fit(c, "y", algorithm=base.algorithm, seed=4, registry=registry)
+            assert base.scores_ == alone.scores_
+            assert base.state.to_dict() == alone.state.to_dict()
+            assert base.transformer == alone.transformer
+            assert base.fold_transformers_ == alone.fold_transformers_
