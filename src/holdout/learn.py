@@ -10,6 +10,7 @@ is refit on the full dev set with a dev-fitted transformer.
 from __future__ import annotations
 
 import json
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -26,6 +27,7 @@ from .prepare import (
     encode_target_with_classes,
     fit_transformer,
     infer_task,
+    normalize_recipe,
 )
 from .registry import ProvenanceRegistry, resolve
 from .rotate import CVResult, _materialize
@@ -216,20 +218,43 @@ class _CrossValidation(NamedTuple):
     target: str
     task: str
     classes: tuple | None
+    recipe: tuple  # normalised preparation steps
     runs: list[tuple[str, dict]]  # resolved (algorithm, hyperparameters)
     scores: list[dict[str, float]]  # mean fold metrics per run
     fold_transformers: tuple[Transformer, ...]
     oof: np.ndarray  # (dev rows, runs) out-of-fold predictions, NaN where uncovered
 
 
+def _pinned(value) -> bool:
+    # Values whose type and repr fix what a learner does with them.
+    return type(value) in (bool, int, float, str, type(None)) or isinstance(
+        value, (np.bool_, np.number)
+    )
+
+
+def _run_key(target, recipe, seed, algorithm, hp) -> tuple | None:
+    """The key a rotation remembers a cross-validated run under, or None
+    when a hyperparameter value is not pinned by its type and repr (such a
+    run is trained on every call)."""
+    if not all(map(_pinned, hp.values())):
+        return None
+    values = tuple((name, type(v), repr(v)) for name, v in sorted(hp.items()))
+    # Fold seeds depend on int(seed) only: see _fold_seed.
+    return (target, recipe, int(seed), algorithm, values)
+
+
 def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
-    """Cross-validate every (algorithm, hyperparameters) run on one pass
-    over the rotation's folds.
+    """Cross-validate every (algorithm, hyperparameters) run on the
+    rotation's folds.
 
     The target, the rotation's registration and every run's
-    hyperparameters are checked before anything trains. Each fold is then
-    prepared once, and every run trains on it with the fold's seed, so a
-    run scores exactly as it would alone.
+    hyperparameters are checked on every call, before anything trains.
+    A run's fold predictions depend only on the rotation and the run, so
+    the rotation remembers each run it has cross-validated (`c._runs`:
+    mean scores and out-of-fold column, plus one tuple of fold
+    transformers per target and recipe) and only runs it has not seen
+    train, in one fold-outer pass. Entries are written after the whole
+    pass succeeds; callers get copies.
     """
     target = target or c.target
     if target != c.target:
@@ -251,13 +276,51 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
     resolved = []
     for algorithm, hyperparameters in runs:
         algorithm = _resolve_algorithm(algorithm, task)
-        resolved.append(
-            (algorithm, learners.resolve_hyperparameters(algorithm, hyperparameters))
-        )
+        hp = learners.resolve_hyperparameters(algorithm, hyperparameters)
+        learners.check_task(algorithm, task)
+        resolved.append((algorithm, hp))
+    recipe = tuple(
+        (step, None if cols is None else tuple(cols))
+        for step, cols in normalize_recipe(recipe)
+    )
 
-    fold_metrics: list[list[dict[str, float]]] = [[] for _ in resolved]
+    memo = c._runs
+    keys = [_run_key(target, recipe, seed, algorithm, hp) for algorithm, hp in resolved]
+    # Each run still to train, once: under its key, or under its position
+    # when it has none.
+    pending: dict = {}
+    for r, key in enumerate(keys):
+        if key is None or key not in memo:
+            pending.setdefault(r if key is None else key, r)
+    fresh: dict = {}
+    if pending:
+        scores, oof, fold_transformers = _fold_pass(
+            c, target, task, classes, recipe, [resolved[r] for r in pending.values()], seed
+        )
+        for j, key in enumerate(pending):
+            fresh[key] = (scores[j], oof[:, j].copy())
+        fresh[(target, recipe)] = fold_transformers
+        memo.update((key, v) for key, v in fresh.items() if type(key) is tuple)
+    found = ChainMap(fresh, memo)
+    picked = [found[r if key is None else key] for r, key in enumerate(keys)]
+    return _CrossValidation(
+        target, task, classes, recipe, resolved,
+        [dict(run_scores) for run_scores, _ in picked],
+        found[(target, recipe)],
+        np.column_stack([column for _, column in picked]),
+    )
+
+
+def _fold_pass(c, target, task, classes, recipe, runs, seed):
+    """Train every run on each fold in turn, each fold prepared once, with
+    the fold's seed, so a run scores exactly as it would alone.
+
+    Returns per-run mean scores, the (dev rows, runs) out-of-fold matrix
+    and the fold transformers.
+    """
+    fold_metrics: list[list[dict[str, float]]] = [[] for _ in runs]
     fold_transformers: list[Transformer] = []
-    oof = np.full((dev.row_count, len(resolved)), np.nan)
+    oof = np.full((c._dev_frame.row_count, len(runs)), np.nan)
     for fold_index, (train_idx, valid_idx) in enumerate(c.folds):
         prepared = fit_transformer(_materialize(c, train_idx), target, recipe, task=task)
         fold_valid = _materialize(c, valid_idx)
@@ -266,7 +329,7 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
         )
         y_valid = encode_target_with_classes(fold_valid._col(target), classes)
         fold_seed = _fold_seed(seed, fold_index)
-        for r, (algorithm, hp) in enumerate(resolved):
+        for r, (algorithm, hp) in enumerate(runs):
             preds = _train_on_prepared(prepared, algorithm, hp, fold_seed).predict(X_valid)
             fold_metrics[r].append(score(task, y_valid, preds, CV_METRICS[task]))
             oof[list(valid_idx), r] = preds
@@ -276,16 +339,14 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
         {name: float(np.mean([m[name] for m in metrics])) for name in metrics[0]}
         for metrics in fold_metrics
     ]
-    return _CrossValidation(
-        target, task, classes, resolved, scores, tuple(fold_transformers), oof
-    )
+    return scores, oof, tuple(fold_transformers)
 
 
-def _refit_on_dev(c, cvr: _CrossValidation, run: int, seed, recipe, reg) -> Model:
+def _refit_on_dev(c, cvr: _CrossValidation, run: int, seed, reg) -> Model:
     """The deployable model of one cross-validated run: refit on every
     non-test row with dev-fitted preparation, carrying the run's scores."""
     algorithm, hp = cvr.runs[run]
-    prepared_dev = fit_transformer(c._dev_frame, cvr.target, recipe, task=cvr.task)
+    prepared_dev = fit_transformer(c._dev_frame, cvr.target, cvr.recipe, task=cvr.task)
     return Model(
         algorithm=algorithm,
         task=cvr.task,
@@ -304,7 +365,7 @@ def _refit_on_dev(c, cvr: _CrossValidation, run: int, seed, recipe, reg) -> Mode
 
 def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> Model:
     cvr = _cross_validate(c, target, [(algorithm, hyperparameters)], seed, recipe, reg)
-    return _refit_on_dev(c, cvr, 0, seed, recipe, reg)
+    return _refit_on_dev(c, cvr, 0, seed, reg)
 
 
 def predict(m, df: DataFrame) -> Predictions:

@@ -282,6 +282,33 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: s
 KNN_QUERY_BLOCK = 64
 
 
+def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest values, in stable-sort order:
+    equal to `np.argsort(dists, axis=1, kind="mergesort")[:, :k]`, ties
+    to the lower index and NaN last, without sorting whole rows.
+
+    A row's k-th smallest value comes from `np.partition`. The row keeps
+    every value below it and, of the values tied with it, the lowest
+    indices that bring the count to k; a stable sort orders those k.
+    """
+    if not 1 <= k <= dists.shape[1]:  # degenerate k: the plain definition
+        return np.argsort(dists, axis=1, kind="mergesort")[:, :k]
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
+    nan_kth = np.isnan(kth)
+    nan = np.isnan(dists)
+    with np.errstate(invalid="ignore"):
+        below = (dists < kth) | (nan_kth & ~nan)
+        tied = np.where(nan_kth, nan, dists == kth)
+    keep = below | tied
+    # Only rows with more ties than room need the lowest-index ones picked.
+    over = np.flatnonzero(keep.sum(axis=1) > k)
+    room = k - below[over].sum(axis=1, keepdims=True)
+    keep[over] = below[over] | (tied[over] & (np.cumsum(tied[over], axis=1) <= room))
+    chosen = (np.flatnonzero(keep) % dists.shape[1]).reshape(len(dists), k)
+    order = np.argsort(np.take_along_axis(dists, chosen, axis=1), axis=1, kind="mergesort")
+    return np.take_along_axis(chosen, order, axis=1)
+
+
 @dataclass(eq=False)  # array fields: == on them would be ambiguous
 class KnnState:
     k: int
@@ -305,9 +332,7 @@ class KnnState:
             block = slice(max(0, min(start, m - KNN_QUERY_BLOCK)), start + KNN_QUERY_BLOCK)
             q = X[block]
             dists = np.sqrt(((q[:, None, :] - self.train_X[None, :, :]) ** 2).sum(axis=2))
-            # Stable sort: exact distance ties resolve to the lower train row index.
-            nearest = np.argsort(dists, axis=1, kind="mergesort")[:, :k]
-            out[block] = self.train_y[nearest].mean(axis=1)
+            out[block] = self.train_y[_nearest(dists, k)].mean(axis=1)
         return out
 
     def to_dict(self) -> dict:
@@ -319,14 +344,22 @@ def fit_knn(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> Knn
     return KnnState(k=int(hp["k"]), task=task, train_X=X, train_y=y)
 
 
+# The one task an algorithm is restricted to; the others learn both.
+_ONLY_TASK = {"logistic": "classification", "linear": "regression"}
+
+
+def check_task(algorithm: str, task: str) -> None:
+    """Reject an algorithm that cannot learn this task, before any training."""
+    only = _ONLY_TASK.get(algorithm)
+    if only is not None and task != only:
+        raise ConfigError(f"{algorithm} supports {only} targets only")
+
+
 def train(algorithm: str, X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str):
+    check_task(algorithm, task)
     if algorithm == "logistic":
-        if task != "classification":
-            raise ConfigError("logistic supports classification targets only")
         return fit_logistic(X, y, hp, seed)
     if algorithm == "linear":
-        if task != "regression":
-            raise ConfigError("linear supports regression targets only")
         return fit_linear(X, y, hp, seed)
     if algorithm == "decision_tree":
         return fit_decision_tree(X, y, hp, seed, task)

@@ -8,11 +8,13 @@ validation rows out of the statistics.
 Numeric steps run on float64 arrays, and their results equal, bit for bit,
 the per-cell Python arithmetic the statistics are defined by:
 
-- a mean is builtin `sum` over the present values in row order, divided
-  by their count (numpy's pairwise `sum`/`mean` round differently);
-- the population variance sums `d ** 2` for each deviation `d = v - mean`
-  with Python's float power (libm `pow`); `d * d` and `np.square` differ
-  from it in the last bit on a few percent of values;
+- a mean is the left-to-right float sum of the present values in row
+  order, divided by their count (numpy's pairwise `sum`/`mean` round
+  differently, and so does builtin `sum` from Python 3.12);
+- the population variance sums, left to right, `d ** 2` for each
+  deviation `d = v - mean` with Python's float power (libm `pow`); `d * d`
+  and `np.square` differ from it in the last bit on a few percent of
+  values. A finite column whose squares overflow is a data error;
 - elementwise `v - mean`, `/ std` and imputation are single IEEE operations,
   identical in numpy and Python.
 """
@@ -211,20 +213,33 @@ def _present(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return values if mask is None else values[~mask]
 
 
+def _sum(values: np.ndarray) -> float:
+    """Left-to-right float sum of a nonempty array, starting from 0.0: builtin
+    `sum` up to Python 3.11 (3.12's compensates rounding). `+ 0.0` makes a
+    sum of negative zeros 0.0, as 0.0 + -0.0 is."""
+    with np.errstate(all="ignore"):  # Python float addition never warns
+        return float(np.cumsum(values)[-1]) + 0.0
+
+
 def _mean(present: np.ndarray) -> float:
-    # Builtin sum in row order, as the statistic is defined.
-    return sum(present.tolist()) / len(present) if len(present) else 0.0
+    return _sum(present) / len(present) if len(present) else 0.0
 
 
-def _mean_std(present: np.ndarray) -> tuple[float, float]:
+def _mean_std(name: str, present: np.ndarray) -> tuple[float, float]:
     if not len(present):
         return 0.0, 0.0
     m = _mean(present)
     # Python's float power per deviation, not d * d: see the module docstring.
     with np.errstate(all="ignore"):  # Python float arithmetic never warns
         deviations = (present - m).tolist()
-    squares = map(operator.pow, deviations, repeat(2))
-    var = sum(squares) / len(present)  # population variance
+    try:
+        squares = np.fromiter(map(operator.pow, deviations, repeat(2)), np.float64)
+    except OverflowError:
+        raise SchemaError(
+            f"column {name!r} is too spread out to standardize: its squared "
+            "deviations overflow float64"
+        ) from None
+    var = _sum(squares) / len(present)  # population variance
     return m, math.sqrt(var)
 
 
@@ -285,7 +300,7 @@ def _fit_steps(df: DataFrame, target: str, recipe) -> tuple[Transformer, _Workin
             elif step_name == "impute_mean":
                 params[col] = _mean(_present(*working.floats(col)))
             else:
-                params[col] = _mean_std(_present(*working.floats(col)))
+                params[col] = _mean_std(col, _present(*working.floats(col)))
         step = Step(kind=step_name, params=params)
         fitted.append(step)
         _apply_step(step, working)

@@ -21,9 +21,18 @@ class CVResult:
 
     folds holds k (train_indices, valid_indices) pairs of sorted row
     indices into the dev frame of the originating split.
+
+    A cross-validated run's fold predictions depend only on the rotation
+    and the run, so the rotation keeps each run it has seen (its mean fold
+    scores and its out-of-fold column, dev rows x 8 bytes) plus one tuple
+    of fold transformers per recipe, and later `fit(c)`, `screen`, `tune`
+    and `stack` calls reuse them instead of training again. It keeps no
+    frames and no prepared matrices.
     """
 
-    __slots__ = ("_folds", "_k", "_target", "_source_split_id", "_kind", "_dev_frame")
+    __slots__ = (
+        "_folds", "_k", "_target", "_source_split_id", "_kind", "_dev_frame", "_runs"
+    )
 
     def __init__(self, folds, k, target, source_split_id, kind, dev_frame):
         object.__setattr__(self, "_folds", tuple(folds))
@@ -32,6 +41,7 @@ class CVResult:
         object.__setattr__(self, "_source_split_id", source_split_id)
         object.__setattr__(self, "_kind", kind)
         object.__setattr__(self, "_dev_frame", dev_frame)
+        object.__setattr__(self, "_runs", {})  # see learn._cross_validate
 
     def __setattr__(self, name, value):
         raise AttributeError("CVResult is immutable")

@@ -16,7 +16,7 @@ import numpy as np
 from . import learners
 from .errors import ConfigError
 from .learn import _cross_validate, _refit_on_dev
-from .prepare import encode_target_with_classes
+from .prepare import encode_target_with_classes, infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .rotate import CVResult
@@ -206,6 +206,7 @@ def stack(
     for algo in base_algorithms + [meta_algorithm]:
         if algo not in learners.ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
+    learners.check_task(meta_algorithm, infer_task(c._dev_frame._col(c.target)))
     per_algo = dict(hyperparameters or {})
     cvr = _cross_validate(
         c, target, [(algo, per_algo.get(algo)) for algo in base_algorithms],
@@ -218,7 +219,7 @@ def stack(
         meta_algorithm, cvr.oof[covered], y_dev[covered], meta_hp, seed, cvr.task
     )
     base_models = [
-        _refit_on_dev(c, cvr, r, seed, None, reg) for r in range(len(base_algorithms))
+        _refit_on_dev(c, cvr, r, seed, reg) for r in range(len(base_algorithms))
     ]
     return StackedModel(
         base=base_models,

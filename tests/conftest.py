@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -42,3 +45,9 @@ def make_regression_frame(n=60, seed=0):
     noise = rng.normal(scale=0.1, size=n)
     y = 2.0 * x1 - 1.0 * x2 + 0.5 + noise
     return DataFrame({"x1": x1, "x2": x2, "y": y})
+
+
+def left_sum(values):
+    """Float sum strictly left to right from 0.0, the order `prepare`'s
+    statistics are defined by (builtin `sum` compensates from Python 3.12)."""
+    return functools.reduce(operator.add, values, 0.0)

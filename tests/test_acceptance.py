@@ -41,6 +41,7 @@ from holdout.prepare import PreparedData
 from holdout.rotate import CVResult
 from holdout.demo import two_gaussian_frame
 
+from conftest import left_sum
 from test_workflow import workflow_text, write_csv
 
 
@@ -184,8 +185,8 @@ def test_criterion_4_per_fold_preparation_oracle():
             standardize = next(st for st in transformer.steps if st.kind == "standardize")
             for col, (mean, std) in standardize.params.items():
                 values = [float(dev.column(col)[i]) for i in train_idx]
-                want_mean = sum(values) / len(values)
-                want_var = sum((v - want_mean) ** 2 for v in values) / len(values)
+                want_mean = left_sum(values) / len(values)
+                want_var = left_sum((v - want_mean) ** 2 for v in values) / len(values)
                 assert abs(mean - want_mean) <= 1e-12
                 assert abs(std - math.sqrt(want_var)) <= 1e-12
                 assert abs(impute.params[col] - want_mean) <= 1e-12

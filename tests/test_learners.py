@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holdout.errors import ConfigError
 from holdout.learners import (
+    _nearest,
     DEFAULT_HYPERPARAMETERS,
     fit_decision_tree,
     fit_knn,
@@ -215,6 +218,28 @@ class TestKnn:
         nearest = np.argsort(dists, axis=1, kind="mergesort")[:, :4]
         expected = y[nearest].mean(axis=1)
         assert state.predict(Q).tobytes() == expected.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_equals_stable_sort(self, data):
+        # Few distinct values make exact ties common; infinities and NaN
+        # (which a stable sort puts last) appear in every position.
+        m = data.draw(st.integers(0, 4), label="rows")
+        n = data.draw(st.integers(1, 12), label="columns")
+        values = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, np.inf, -np.inf, np.nan])
+        cells = data.draw(st.lists(values, min_size=m * n, max_size=m * n), label="cells")
+        dists = np.array(cells, dtype=np.float64).reshape(m, n)
+        k = data.draw(st.integers(1, n), label="k")
+        expected = np.argsort(dists, axis=1, kind="mergesort")[:, :k]
+        assert np.array_equal(_nearest(dists, k), expected)
+
+    def test_nearest_on_distance_blocks(self):
+        # A query block's rows at realistic sizes, with rounded (tied) values.
+        rng = np.random.Generator(np.random.Philox(5))
+        dists = np.round(rng.random((64, 400)), 2)
+        for k in (1, 5, 37, 400):
+            expected = np.argsort(dists, axis=1, kind="mergesort")[:, :k]
+            assert np.array_equal(_nearest(dists, k), expected)
 
 
 class TestDispatch:

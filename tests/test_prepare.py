@@ -18,7 +18,7 @@ from holdout import (
 )
 from holdout.prepare import fit_transformer
 
-from conftest import make_classification_frame
+from conftest import left_sum, make_classification_frame
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ class TestExactStatistics:
         "values",
         [
             # 500 three-decimal values: numpy's pairwise mean rounds
-            # differently from builtin sum on this column.
+            # differently from a left-to-right sum on this column.
             [4.536, None] + _three_decimals(498, seed=11),
             # Mean exactly 0.0: squaring 4.536 as `d * d` instead of `d ** 2`
             # moves the stddev by one ulp.
@@ -155,10 +155,10 @@ class TestExactStatistics:
         prepared = fit_transformer(df, "y", ["impute_mean", "standardize"])
         params = {step.kind: step.params["x"] for step in prepared.state.steps}
         present = [v for v in values if v is not None]
-        mean = sum(present) / len(present)
+        mean = left_sum(present) / len(present)
         imputed = [mean if v is None else v for v in values]
-        m = sum(imputed) / len(imputed)
-        std = math.sqrt(sum((v - m) ** 2 for v in imputed) / len(imputed))
+        m = left_sum(imputed) / len(imputed)
+        std = math.sqrt(left_sum((v - m) ** 2 for v in imputed) / len(imputed))
         assert params["impute_mean"].hex() == mean.hex()
         got_m, got_std = params["standardize"]
         assert (got_m.hex(), got_std.hex()) == (m.hex(), std.hex())
@@ -171,6 +171,37 @@ class TestExactStatistics:
         df = DataFrame({"x": [math.inf, 1.0, 2.0], "y": [0, 1, 0]})
         prepared = fit_transformer(df, "y", ["standardize"])
         assert prepared.data.column("x") == (None, None, None)
+
+
+    def test_finite_values_whose_squares_overflow(self):
+        # Deviations of 1e200 square past float64: a data error naming the
+        # column, not Python's OverflowError.
+        df = DataFrame({"x": [1.0, 2.0, 3.0], "big": [1e200, -1e200, 1e200],
+                        "y": [0, 1, 0]})
+        with pytest.raises(SchemaError, match="'big'"):
+            fit_transformer(df, "y", None)
+        # Without a standardize step no square is taken.
+        prepared = fit_transformer(df, "y", ["impute_mean"])
+        assert prepared.data.column("big") == (1e200, -1e200, 1e200)
+
+    @pytest.mark.parametrize(
+        "values, mean",
+        [
+            # Left to right gives 0.9999999999999999; a compensated sum
+            # (builtin sum from Python 3.12) gives 1.0.
+            ([0.1] * 10, 0.9999999999999999 / 10),
+            # 0.0 + -0.0 is 0.0: a sum of negative zeros starts from 0.0.
+            ([-0.0, -0.0], 0.0),
+            ([1e308, 1e308, -1e308], math.inf),
+            ([math.inf, -math.inf], math.nan),
+        ],
+        ids=["tenths", "negative-zeros", "overflow", "infinities"],
+    )
+    def test_means_sum_left_to_right(self, values, mean):
+        df = DataFrame({"x": values + [None], "y": [i % 2 for i in range(len(values) + 1)]})
+        got = fit_transformer(df, "y", ["impute_mean"]).state.steps[0].params["x"]
+        assert got.hex() == mean.hex() or (math.isnan(got) and math.isnan(mean))
+        assert math.copysign(1.0, got) == math.copysign(1.0, mean) or math.isnan(mean)
 
 
 def _reference_default_recipe(columns: dict, target: str):
@@ -187,7 +218,7 @@ def _reference_default_recipe(columns: dict, target: str):
     for name in list(work):
         if numeric(name):
             present = [float(v) for v in work[name] if v is not None]
-            mean = sum(present) / len(present) if present else 0.0
+            mean = left_sum(present) / len(present) if present else 0.0
             work[name] = [mean if v is None else float(v) for v in work[name]]
     order = []
     for name in list(work):
@@ -204,8 +235,8 @@ def _reference_default_recipe(columns: dict, target: str):
             order.append(f"{name}={cat}")
     for name in order:
         values = work[name]
-        mean = sum(values) / len(values)
-        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+        mean = left_sum(values) / len(values)
+        std = math.sqrt(left_sum((v - mean) ** 2 for v in values) / len(values))
         work[name] = [0.0 if std == 0.0 else (v - mean) / std for v in values]
     return order, work
 
@@ -296,8 +327,8 @@ class TestLeakageFreedomOracle:
         standardize = next(s for s in prepared.state.steps if s.kind == "standardize")
         for col, (mean, std) in standardize.params.items():
             values = [float(v) for v in p.train.column(col)]
-            m = sum(values) / len(values)
-            var = sum((v - m) ** 2 for v in values) / len(values)
+            m = left_sum(values) / len(values)
+            var = left_sum((v - m) ** 2 for v in values) / len(values)
             assert abs(mean - m) < 1e-12
             assert abs(std - math.sqrt(var)) < 1e-12
 

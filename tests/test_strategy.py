@@ -8,6 +8,7 @@ from holdout import (
     Evidence,
     PartitionError,
     HoldoutSpent,
+    ProvenanceRegistry,
     Leaderboard,
     StackedModel,
     TuningResult,
@@ -21,7 +22,29 @@ from holdout import (
     tune,
 )
 
-from conftest import make_classification_frame
+from conftest import make_classification_frame, make_regression_frame
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts fold and dev preparations and learner fits."""
+    learn_module = importlib.import_module("holdout.learn")
+    learners_module = importlib.import_module("holdout.learners")
+    calls = {"prepare": 0, "train": 0}
+    real_prepare = learn_module.fit_transformer
+    real_train = learners_module.train
+
+    def counting_prepare(*args, **kwargs):
+        calls["prepare"] += 1
+        return real_prepare(*args, **kwargs)
+
+    def counting_train(*args, **kwargs):
+        calls["train"] += 1
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(learn_module, "fit_transformer", counting_prepare)
+    monkeypatch.setattr(learners_module, "train", counting_train)
+    return calls
 
 
 @pytest.fixture
@@ -255,26 +278,6 @@ def test_strategies_never_touch_test_role(registry):
 class TestCrossValidationEngine:
     """screen, tune and stack share one pass over the rotation's folds."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        learn_module = importlib.import_module("holdout.learn")
-        learners_module = importlib.import_module("holdout.learners")
-        calls = {"prepare": 0, "train": 0}
-        real_prepare = learn_module.fit_transformer
-        real_train = learners_module.train
-
-        def counting_prepare(*args, **kwargs):
-            calls["prepare"] += 1
-            return real_prepare(*args, **kwargs)
-
-        def counting_train(*args, **kwargs):
-            calls["train"] += 1
-            return real_train(*args, **kwargs)
-
-        monkeypatch.setattr(learn_module, "fit_transformer", counting_prepare)
-        monkeypatch.setattr(learners_module, "train", counting_train)
-        return calls
-
     def test_screen_prepares_each_fold_once(self, registry, rotation, calls):
         _, c = rotation
         screen(c, "y", ["logistic", "decision_tree", "knn"], seed=1, registry=registry)
@@ -311,6 +314,29 @@ class TestCrossValidationEngine:
                    registry=registry)
         assert calls["train"] == 0
 
+    def test_screen_checks_every_candidate_task_before_training(
+        self, registry, rotation, calls
+    ):
+        _, c = rotation
+        with pytest.raises(ConfigError, match="regression targets only"):
+            screen(c, "y", ["logistic", "linear"], registry=registry)
+        assert calls["train"] == 0
+
+    def test_stack_rejects_linear_meta_on_classification(self, registry, rotation, calls):
+        _, c = rotation
+        with pytest.raises(ConfigError, match="regression targets only"):
+            stack(c, "y", base_algorithms=["logistic", "knn"], meta_algorithm="linear",
+                  registry=registry)
+        assert calls["train"] == 0
+
+    def test_stack_rejects_logistic_meta_on_regression(self, registry, calls):
+        p = split(make_regression_frame(60), "y", seed=4, registry=registry)
+        c = cv(p, 3, seed=1, registry=registry)
+        with pytest.raises(ConfigError, match="classification targets only"):
+            stack(c, "y", base_algorithms=["linear", "knn"], meta_algorithm="logistic",
+                  registry=registry)
+        assert calls["train"] == 0
+
     def test_screen_rows_equal_fit_scores(self, registry, rotation):
         _, c = rotation
         algos = ["logistic", "decision_tree", "random_forest", "knn"]
@@ -338,3 +364,179 @@ class TestCrossValidationEngine:
             assert base.state.to_dict() == alone.state.to_dict()
             assert base.transformer == alone.transformer
             assert base.fold_transformers_ == alone.fold_transformers_
+
+
+def _model_view(m):
+    return (m.scores_, m.state.to_dict(), m.transformer, m.fold_transformers_)
+
+
+class _Three:
+    """A hyperparameter value whose repr says nothing about its value."""
+
+    def __int__(self):
+        return 3
+
+
+class TestRunMemo:
+    """A rotation remembers the runs it has cross-validated."""
+
+    def test_repeated_call_materialises_nothing(self, registry, rotation, calls,
+                                                monkeypatch):
+        _, c = rotation
+        learn_module = importlib.import_module("holdout.learn")
+        real = learn_module._materialize
+        materialised = []
+        monkeypatch.setattr(learn_module, "_materialize",
+                            lambda *a: materialised.append(1) or real(*a))
+        first = screen(c, "y", ["logistic", "knn"], seed=1, registry=registry)
+        calls.update(prepare=0, train=0)
+        materialised.clear()
+        assert screen(c, "y", ["knn", "logistic"], seed=1, registry=registry) == first
+        assert calls == {"prepare": 0, "train": 0} and materialised == []
+
+    def test_stack_after_screen_trains_no_fold_model_again(self, registry, rotation, calls):
+        _, c = rotation
+        screen(c, "y", ["logistic", "decision_tree", "knn"], seed=1, registry=registry)
+        calls.update(prepare=0, train=0)
+        stack(c, "y", base_algorithms=["logistic", "knn"], meta_algorithm="logistic",
+              seed=1, registry=registry)
+        # One dev refit per base plus the meta learner; no fold is prepared.
+        assert calls == {"prepare": 2, "train": 2 + 1}
+
+    def test_tune_reuses_screens_default_trial(self, registry, rotation, calls):
+        _, c = rotation
+        screen(c, "y", ["decision_tree"], seed=1, registry=registry)
+        calls.update(prepare=0, train=0)
+        tune(c, "y", algorithm="decision_tree",
+             space={"max_depth": [6, 3], "min_leaf": [2]}, seed=1, registry=registry)
+        assert calls == {"prepare": c.k, "train": c.k}
+
+    def test_fit_after_screen_only_refits(self, registry, rotation, calls):
+        _, c = rotation
+        board = screen(c, "y", ["knn"], seed=1, registry=registry)
+        calls.update(prepare=0, train=0)
+        model = fit(c, "y", algorithm="knn", seed=1, registry=registry)
+        assert calls == {"prepare": 1, "train": 1}
+        assert model.scores_ == board.rows[0][1]
+        assert len(model.fold_transformers_) == c.k
+
+    def test_results_equal_a_fresh_rotation(self, registry, rotation):
+        p, c = rotation
+
+        def fresh():
+            return cv(p, 3, seed=1, registry=registry)
+
+        algos = ["logistic", "decision_tree", "knn"]
+        assert screen(c, "y", algos, seed=1, registry=registry) == screen(
+            fresh(), "y", algos, seed=1, registry=registry)
+        space = {"max_depth": [6, 3], "min_leaf": [2]}
+        assert tune(c, "y", algorithm="decision_tree", space=space, seed=1,
+                    registry=registry) == tune(fresh(), "y", algorithm="decision_tree",
+                                               space=space, seed=1, registry=registry)
+        warm, cold = (
+            stack(rot, "y", base_algorithms=["logistic", "knn"], seed=1, registry=registry)
+            for rot in (c, fresh())
+        )
+        assert warm.meta.to_dict() == cold.meta.to_dict()
+        assert [_model_view(b) for b in warm.base] == [_model_view(b) for b in cold.base]
+        assert predict(warm, p.valid) == predict(cold, p.valid)
+        for algo in algos:
+            assert _model_view(fit(c, "y", algorithm=algo, seed=1, registry=registry)) == \
+                _model_view(fit(fresh(), "y", algorithm=algo, seed=1, registry=registry))
+
+    def test_misses_retrain_and_hits_do_not(self, registry, rotation, calls):
+        _, c = rotation
+        fit(c, "y", algorithm="decision_tree", seed=1, registry=registry)
+        misses = [
+            {"seed": 2},
+            {"hyperparameters": {"max_depth": 5}},
+            {"hyperparameters": {"max_depth": 6.0}},  # same value, other type
+            {"recipe": ["impute_mean", "standardize"]},
+        ]
+        hits = [
+            {},
+            {"hyperparameters": {"min_leaf": 2, "max_depth": 6}},  # the defaults
+            {"recipe": ["impute_mean", "one_hot", "standardize"]},  # the default
+        ]
+        for variant, fold_fits in [(v, c.k) for v in misses] + [(v, 0) for v in hits]:
+            calls.update(prepare=0, train=0)
+            args = {"algorithm": "decision_tree", "seed": 1, **variant}
+            fit(c, "y", registry=registry, **args)
+            assert calls == {"prepare": fold_fits + 1, "train": fold_fits + 1}, variant
+        # A rotation is built for one target; any other is refused first.
+        calls.update(prepare=0, train=0)
+        with pytest.raises(ConfigError, match="target"):
+            fit(c, "x0", algorithm="decision_tree", seed=1, registry=registry)
+        assert calls == {"prepare": 0, "train": 0}
+
+    def test_unpinned_hyperparameter_trains_every_call(self, registry, rotation, calls):
+        _, c = rotation
+        first = fit(c, "y", algorithm="knn", hyperparameters={"k": _Three()}, seed=1,
+                    registry=registry)
+        second = fit(c, "y", algorithm="knn", hyperparameters={"k": _Three()}, seed=1,
+                     registry=registry)
+        assert calls == {"prepare": 2 * (c.k + 1), "train": 2 * (c.k + 1)}
+        assert first.scores_ == second.scores_
+
+    def test_duplicate_runs_in_one_call_train_once(self, registry, rotation, calls):
+        _, c = rotation
+        result = tune(c, "y", algorithm="knn", space={"k": [3]}, method="random",
+                      budget=4, seed=1, registry=registry)
+        assert calls == {"prepare": c.k, "train": c.k}
+        scores = [s for _, s in result.trials]
+        assert scores[0] == scores[3] and scores[0] is not scores[3]
+
+    def test_failed_pass_leaves_memo_unchanged(self, registry, rotation, monkeypatch):
+        _, c = rotation
+        fit(c, "y", algorithm="logistic", seed=1, registry=registry)
+        before = dict(c._runs)
+        learners_module = importlib.import_module("holdout.learners")
+        real_train = learners_module.train
+        trained = []
+        fail_at = [4]  # the second fold's second run
+
+        def failing_train(*args, **kwargs):
+            trained.append(args[0])
+            if len(trained) == fail_at[0]:
+                raise RuntimeError("learner failed")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(learners_module, "train", failing_train)
+        with pytest.raises(RuntimeError, match="learner failed"):
+            screen(c, "y", ["logistic", "knn", "decision_tree"], seed=1, registry=registry)
+        assert trained == ["knn", "decision_tree", "knn", "decision_tree"]
+        assert c._runs.keys() == before.keys()
+        assert all(c._runs[key] is before[key] for key in before)
+        trained.clear()
+        fail_at[0] = None
+        screen(c, "y", ["logistic", "knn", "decision_tree"], seed=1, registry=registry)
+        assert trained == ["knn", "decision_tree"] * c.k
+
+    def test_guards_still_fire(self, registry, rotation, calls):
+        _, c = rotation
+        screen(c, "y", ["logistic", "knn"], seed=1, registry=registry)
+        calls.update(prepare=0, train=0)
+        other = ProvenanceRegistry()
+        with pytest.raises(PartitionError):
+            screen(c, "y", ["logistic", "knn"], seed=1, registry=other)
+        with pytest.raises(PartitionError):
+            fit(c, "y", algorithm="knn", seed=1, registry=other)
+        with pytest.raises(PartitionError):
+            stack(c, "y", base_algorithms=["logistic", "knn"], seed=1, registry=other)
+        assert calls == {"prepare": 0, "train": 0}
+        other.set_guards("off")
+        assert fit(c, "y", algorithm="knn", seed=1, registry=other).guards_bypassed
+        assert not fit(c, "y", algorithm="knn", seed=1, registry=registry).guards_bypassed
+
+    def test_callers_get_copies(self, registry, rotation):
+        _, c = rotation
+        model = fit(c, "y", algorithm="knn", seed=1, registry=registry)
+        want = dict(model.scores_)
+        model.scores_["roc_auc"] = -1.0
+        board = screen(c, "y", ["knn"], seed=1, registry=registry)
+        assert board.rows[0][1] == want
+        board.rows[0][1].clear()
+        assert fit(c, "y", algorithm="knn", seed=1, registry=registry).scores_ == want
+        stacked = stack(c, "y", base_algorithms=["knn", "logistic"], seed=1,
+                        registry=registry)
+        assert stacked.base[0].scores_ == want
