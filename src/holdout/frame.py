@@ -306,6 +306,10 @@ class DataFrame:
     def __setattr__(self, name, value):
         raise AttributeError("DataFrame is immutable")
 
+    def __reduce__(self):
+        # copy and pickle cannot restore slots through __setattr__.
+        return _rebuild_frame, (self._names, self._columns, self._tag)
+
     @property
     def column_names(self) -> tuple[str, ...]:
         return self._names
@@ -363,6 +367,12 @@ class DataFrame:
             f"DataFrame(rows={self._row_count}, "
             f"columns={list(self._names)}, tag={self._tag!r})"
         )
+
+
+def _rebuild_frame(names, columns, tag) -> DataFrame:
+    """A copied or unpickled frame; unpickled arrays come back writeable."""
+    columns = [_readonly(c) if isinstance(c, np.ndarray) else c for c in columns]
+    return DataFrame._from_storage(names, columns, tag)
 
 
 def fingerprint(df: DataFrame) -> FrameFingerprint:

@@ -46,6 +46,13 @@ class CVResult:
     def __setattr__(self, name, value):
         raise AttributeError("CVResult is immutable")
 
+    def __reduce__(self):
+        # A copy rebuilds through __init__, so it starts with an empty memo.
+        return CVResult, (
+            self._folds, self._k, self._target, self._source_split_id,
+            self._kind, self._dev_frame,
+        )
+
     @property
     def folds(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         return self._folds

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import subprocess
 import sys
 
@@ -15,8 +17,11 @@ from holdout import (
     fingerprint,
     from_csv,
     select_columns,
+    split,
 )
 from holdout.prepare import fit_transformer
+
+from conftest import make_classification_frame
 
 
 class TestConstruction:
@@ -115,6 +120,29 @@ class TestStorage:
             with pytest.raises(ValueError, match="read-only"):
                 frame._col("x")[0] = 5.0
         assert df.column("x") == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda df: pickle.loads(pickle.dumps(df))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_content_and_read_only_storage(self, duplicate):
+        df = self.frame()._retag("train")
+        twin = duplicate(df)
+        assert twin == df and twin.partition_tag == "train"
+        assert fingerprint(twin) == fingerprint(df)
+        with pytest.raises(ValueError, match="read-only"):
+            twin._col("f")[0] = 5.0
+        with pytest.raises(AttributeError, match="immutable"):
+            twin._tag = "test"
+
+    def test_unpickled_partition_frames_find_their_records(self, registry):
+        p = split(make_classification_frame(40), "y", seed=3, registry=registry)
+        for member, role in ((p.train, "train"), (p.test, "test"), (p.dev, "dev")):
+            twin = pickle.loads(pickle.dumps(member))
+            record = registry.lookup(twin)
+            assert record is not None and record.role == role
+            assert record is registry.lookup(member)
 
 
 class TestCanonicalEncode:

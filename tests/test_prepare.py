@@ -184,6 +184,42 @@ class TestExactStatistics:
         prepared = fit_transformer(df, "y", ["impute_mean"])
         assert prepared.data.column("big") == (1e200, -1e200, 1e200)
 
+    @pytest.mark.parametrize("recipe", [["impute_mean"], ["standardize"]])
+    def test_finite_values_whose_sum_overflows(self, recipe):
+        # The left-to-right sum overflows to inf: the mean would be inf and
+        # every standardized value NaN, so this is a data error naming the
+        # column for both steps.
+        df = DataFrame({"x": [1.0, 2.0, 3.0, 4.0],
+                        "big": [1e308, 1e308, -1e308, 1.0], "y": [0, 1, 0, 1]})
+        with pytest.raises(SchemaError, match="'big'.*sum"):
+            fit_transformer(df, "y", recipe)
+
+    def test_infinite_values_keep_their_statistics(self):
+        # A column that really holds inf is not an overflow: its mean is
+        # inf as before, and only the steps' arithmetic yields NaN.
+        df = DataFrame({"x": [math.inf, 1.0, None], "y": [0, 1, 0]})
+        prepared = fit_transformer(df, "y", ["impute_mean", "standardize"])
+        params = {step.kind: step.params["x"] for step in prepared.state.steps}
+        assert params["impute_mean"] == math.inf
+        assert params["standardize"][0] == math.inf
+        assert math.isnan(params["standardize"][1])
+
+    def test_variance_of_a_wide_column_matches_python_power(self):
+        # 2,000 values over many magnitudes. Squaring some deviations as
+        # `d * d` differs from `d ** 2`, and with this seed the difference
+        # reaches the stddev, so only a C pow per deviation reproduces the
+        # per-cell formula.
+        rng = np.random.default_rng(7809)
+        values = (rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000)).tolist()
+        m = left_sum(values) / len(values)
+        deviations = [v - m for v in values]
+        assert any(d * d != d ** 2 for d in deviations)
+        std = math.sqrt(left_sum(d ** 2 for d in deviations) / len(values))
+        assert math.sqrt(left_sum(d * d for d in deviations) / len(values)) != std
+        df = DataFrame({"x": values, "y": [i % 2 for i in range(len(values))]})
+        got = fit_transformer(df, "y", ["standardize"]).state.steps[0].params["x"]
+        assert (got[0].hex(), got[1].hex()) == (m.hex(), std.hex())
+
     @pytest.mark.parametrize(
         "values, mean",
         [
@@ -192,16 +228,66 @@ class TestExactStatistics:
             ([0.1] * 10, 0.9999999999999999 / 10),
             # 0.0 + -0.0 is 0.0: a sum of negative zeros starts from 0.0.
             ([-0.0, -0.0], 0.0),
-            ([1e308, 1e308, -1e308], math.inf),
+            # Left to right, 1e308 + 1e308 overflows (a compensated sum
+            # would not): a finite column with no finite mean is a data error.
+            ([1e308, 1e308, -1e308], SchemaError),
             ([math.inf, -math.inf], math.nan),
         ],
         ids=["tenths", "negative-zeros", "overflow", "infinities"],
     )
     def test_means_sum_left_to_right(self, values, mean):
         df = DataFrame({"x": values + [None], "y": [i % 2 for i in range(len(values) + 1)]})
+        if mean is SchemaError:
+            with pytest.raises(SchemaError, match="'x'"):
+                fit_transformer(df, "y", ["impute_mean"])
+            return
         got = fit_transformer(df, "y", ["impute_mean"]).state.steps[0].params["x"]
         assert got.hex() == mean.hex() or (math.isnan(got) and math.isnan(mean))
         assert math.copysign(1.0, got) == math.copysign(1.0, mean) or math.isnan(mean)
+
+
+def _python_square(d: float) -> float:
+    try:
+        return d ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
+
+
+class TestFloatPowerPremise:
+    """`np.float_power(d, 2.0)` is the C `pow` loop: it equals Python's
+    `d ** 2` bit for bit, while `d * d` and `np.power` do not. `prepare`'s
+    variance rests on this; a numpy that vectorises `float_power` fails
+    here by name."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_python_power_on_finite_values(self, values):
+        with np.errstate(all="ignore"):
+            squares = np.float_power(np.array(values, dtype=np.float64), 2.0)
+        for d, got in zip(values, squares.tolist()):
+            assert _same_bits(got, _python_square(d)), d
+
+    @pytest.mark.parametrize(
+        "d",
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+         1.3407807929942596e154, 1.3407807929942597e154],
+        ids=["zero", "negative-zero", "inf", "negative-inf", "nan",
+             "smallest-subnormal", "negative-subnormal", "largest-finite-square",
+             "first-overflow"],
+    )
+    def test_equals_python_power_on_edges(self, d):
+        with np.errstate(all="ignore"):
+            got = float(np.float_power(np.array([d]), 2.0)[0])
+        assert _same_bits(got, _python_square(d))
+        if d == 1.3407807929942597e154:
+            assert got == math.inf  # a finite input whose square overflows
+        if d == 1.3407807929942596e154:
+            assert math.isfinite(got)
 
 
 def _reference_default_recipe(columns: dict, target: str):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from holdout import (
@@ -8,6 +11,8 @@ from holdout import (
     cv,
     cv_group,
     cv_temporal,
+    fingerprint,
+    fit,
     split,
     split_group,
     split_temporal,
@@ -75,6 +80,36 @@ class TestKFold:
         c = cv(partition, 5, registry=registry)
         with pytest.raises(AttributeError):
             c.k = 7
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_the_schedule_with_an_empty_memo(
+        self, registry, partition, duplicate
+    ):
+        c = cv(partition, 5, seed=1, registry=registry)
+        fit(c, "y", algorithm="logistic", seed=1, registry=registry)
+        twin = duplicate(c)
+        assert (twin.folds, twin.k, twin.target, twin.source_split_id, twin.kind) == (
+            c.folds, c.k, c.target, c.source_split_id, c.kind
+        )
+        assert c._runs and twin._runs == {}
+        assert twin._dev_frame == c._dev_frame
+        assert fingerprint(twin._dev_frame) == fingerprint(partition.dev)
+        with pytest.raises(ValueError, match="read-only"):
+            twin._dev_frame._col("x0")[0] = 5.0
+        with pytest.raises(GuardError, match="originating Partition"):
+            twin.test
+        with pytest.raises(AttributeError, match="immutable"):
+            twin.k = 7
+        # The unpickled dev frame still resolves to its registered record,
+        # so the copy rotates under the guards like the original.
+        assert registry.lookup(twin._dev_frame).role == "dev"
+        model = fit(twin, "y", algorithm="logistic", seed=1, registry=registry)
+        assert model.scores_ == fit(c, "y", algorithm="logistic", seed=1,
+                                    registry=registry).scores_
 
     def test_profile_mismatch(self, registry):
         df = DataFrame(

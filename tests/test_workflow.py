@@ -324,6 +324,19 @@ class TestCli:
         error = json.loads(result.stderr)
         assert error["error"] == "SchemaError" and "'big'" in error["message"]
 
+    def test_overflowing_mean_exit_4(self, tmp_path):
+        data = tmp_path / "huge.csv"
+        data.write_text("x,big,y\n" + "".join(
+            f"{i * 0.5},1e308,{i % 2}\n" for i in range(30)
+        ))
+        wf = tmp_path / "wf.yaml"
+        wf.write_text(workflow_text(data))
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 4
+        error = json.loads(result.stderr)
+        assert error["error"] == "SchemaError" and "'big'" in error["message"]
+        assert "sum" in error["message"]
+
     @pytest.mark.parametrize(
         "line, typo",
         [("  k: 3\n", "  k: abc\n"), ("  ratios: [0.6, 0.2, 0.2]\n", "  ratios: 5\n")],
