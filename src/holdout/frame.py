@@ -7,22 +7,20 @@ carry. Content-preserving operations (column selection) keep digests intact;
 content-changing operations (edits, row reordering, sampling) produce new
 digests.
 
-Storage is columnar. A column whose present cells are all floats (missing
-allowed) is one read-only float64 ndarray with NaN standing for missing;
-every other column (bool, int, text, mixed) is a tuple of normalised cells.
-Cells are normalised once, where data enters: the public ``DataFrame(...)``
-constructor and ``from_csv``. Frames derived inside the package (row takes,
-projections, retags, prepared data) reuse that storage through
-``DataFrame._from_storage`` without a second pass. Storage is invisible to
-readers: ``column()`` returns Python cells with ``None`` for missing, and
-equality, hashing and fingerprints depend on cell content only.
-
-Exactness rules for the array paths: widening float32 (or any float
-dtype) to float64 is exact, so an array-built frame holds the same cells as
-one built from ``float(v)`` per value; a float column's fingerprint bytes
-are built with numpy and equal the per-cell ``canonical_encode`` stream
-byte for byte, with ``x + 0.0`` collapsing -0.0 to +0.0 and NaN rows
-reduced to the one-byte missing sentinel.
+Storage is columnar. A column whose present cells are all floats is a
+read-only float64 ndarray, NaN for missing. Every other column (bool, int,
+text, mixed) is `Coded`: an int32 code per row, -1 for missing, into a
+dictionary of the distinct cells the column holds (Apache Arrow dictionary
+encoding). Cells Python calls equal but that encode apart (1, 1.0, True;
+0.0, -0.0) get separate entries, and ints of any size stay Python ints.
+Dictionary order means nothing; a row take keeps its parent's entries
+that some row still uses. Cells are normalised once, where data enters
+(``DataFrame(...)``, ``from_csv``); derived frames reuse storage through
+``DataFrame._from_storage``. Readers never see storage: ``column()``
+returns Python cells with ``None`` for missing, and equality, hashing and
+fingerprints depend on cell content only. A fingerprint encodes float
+columns with numpy and each dictionary entry once, gathered by code; both
+equal the per-cell ``canonical_encode`` stream byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +29,9 @@ import csv
 import hashlib
 import math
 import struct
+from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from itertools import compress, repeat
 from typing import Iterable
 
 import numpy as np
@@ -41,7 +41,6 @@ from .errors import ConfigError, ParseError, SchemaError
 PARTITION_TAGS = ("none", "train", "valid", "test", "dev")
 
 Cell = float | int | bool | str | None
-Column = np.ndarray | tuple
 
 _MISSING_SENTINEL = b"\xff"
 _TAG_FLOAT = b"\x01"
@@ -49,7 +48,23 @@ _TAG_BIGINT = b"\x02"
 _TAG_BOOL = b"\x03"
 _TAG_TEXT = b"\x04"
 
-_FLOAT_OR_MISSING = frozenset((float, type(None)))
+_NONE_TYPE = type(None)
+
+
+@dataclass(eq=False, slots=True)
+class Coded:
+    """A non-float column: row i holds ``values[codes[i]]``. `codes` is a
+    read-only int32 array, -1 for missing; `values` holds the distinct
+    cells some row uses, then ``None``, so code -1 reads ``None``."""
+
+    codes: np.ndarray
+    values: tuple
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+Column = np.ndarray | Coded
 
 
 def _normalize_cell(value) -> Cell:
@@ -78,12 +93,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _store(cells: list) -> Column:
-    """Storage for a list of normalised cells: a float array when every
-    present cell is a float, a tuple otherwise."""
-    if set(map(type, cells)) <= _FLOAT_OR_MISSING:
+def _store(cells: Sequence) -> Column:
+    """Storage for normalised cells: a float array when every present cell
+    is a float, else a coded column built in one dict pass, its entries in
+    order of first appearance."""
+    kinds = set(map(type, cells)) - {_NONE_TYPE}
+    if kinds <= {float}:
         return _readonly(np.array(cells, dtype=np.float64))  # None -> NaN
-    return tuple(cells)
+    keys, missing = cells, None
+    if len(kinds) > 1:
+        # 1 == 1.0 == True and 0.0 == -0.0, yet each keeps its own entry.
+        keys = [(v, type(v), math.copysign(1.0, v) if type(v) is float else 0.0) for v in cells]
+        missing = (None, _NONE_TYPE, 0.0)
+    index = dict.fromkeys(keys)
+    index.pop(missing, None)
+    entries = list(index)
+    index.update(zip(entries, range(len(entries))))
+    index[missing] = -1
+    codes = np.fromiter(map(index.__getitem__, keys), dtype=np.int32, count=len(keys))
+    values = entries if keys is cells else [key[0] for key in entries]
+    return Coded(_readonly(codes), (*values, None))
+
+
+def _recode(col: Coded, fn) -> Column:
+    """The column with `fn` applied once to each dictionary entry."""
+    return _take_column(_store([*map(fn, col.values[:-1]), None]), col.codes)
 
 
 def _normalize_column(values) -> Column:
@@ -93,41 +127,71 @@ def _normalize_column(values) -> Column:
             # the caller's array cannot reach the frame.
             return _readonly(values.astype(np.float64))
         if values.dtype.kind in "biu":
-            return tuple(values.tolist())  # Python bools and ints
+            return _store(values.tolist())  # Python bools or ints
     values = list(values)
-    if not set(map(type, values)) <= _FLOAT_OR_MISSING:  # floats need no pass
+    if not set(map(type, values)) <= {float, _NONE_TYPE}:  # floats need no pass
         values = [_normalize_cell(v) for v in values]
     return _store(values)
 
 
 def _as_cells(col: Column) -> tuple[Cell, ...]:
     """The column as a tuple of Python cells, None for missing."""
-    if not isinstance(col, np.ndarray):
-        return col
-    cells = col.tolist()
-    for i in np.flatnonzero(np.isnan(col)).tolist():
-        cells[i] = None
-    return tuple(cells)
+    if isinstance(col, Coded):
+        cells = np.array(col.values, dtype=object)[col.codes]
+    else:
+        cells = np.where(np.isnan(col), None, col.astype(object))
+    return tuple(cells.tolist())
 
 
 def _cell(col: Column, i: int) -> Cell:
+    if isinstance(col, Coded):
+        return col.values[col.codes[i]]
     value = col[i]
-    if isinstance(col, np.ndarray):
-        return None if math.isnan(value) else float(value)
-    return value
+    return None if math.isnan(value) else float(value)
 
 
 def _take_column(col: Column, idx: np.ndarray) -> Column:
     """The column's cells at row positions `idx`, in that order."""
     if isinstance(col, np.ndarray):
         return _readonly(col[idx])
-    return tuple(map(col.__getitem__, idx.tolist()))
+    codes = col.codes[idx]
+    used = np.zeros(len(col.values), dtype=bool)
+    used[codes] = True
+    used[-1] = True  # the trailing None stays
+    if used.all():
+        return Coded(_readonly(codes), col.values)
+    # Drop the entries no row uses; the others keep their order.
+    renumber = np.cumsum(used, dtype=np.int32) - 1
+    renumber[-1] = -1
+    return Coded(_readonly(renumber[codes]), tuple(compress(col.values, used)))
 
 
-def _columns_equal(a: Column, b: Column) -> bool:
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return a.shape == b.shape and bool(np.array_equal(a, b, equal_nan=True))
-    return _as_cells(a) == _as_cells(b)
+def _missing(col: Column) -> np.ndarray:
+    """Mask of the missing rows."""
+    return col.codes < 0 if isinstance(col, Coded) else np.isnan(col)
+
+
+def _as_floats(col: Column) -> np.ndarray:
+    """The column as float64, NaN for missing, each entry through `float`."""
+    return col if isinstance(col, np.ndarray) else _recode(col, float)
+
+
+def _first_appearance(col: Column) -> list[Cell]:
+    """The distinct present cells in order of first appearance; a float
+    column's equal cells (0.0 and -0.0) count once."""
+    keys = col.codes if isinstance(col, Coded) else col
+    distinct, first = np.unique(keys, return_index=True)
+    present = (distinct >= 0) if isinstance(col, Coded) else ~np.isnan(distinct)
+    return [_cell(col, i) for i in np.sort(first[present]).tolist()]
+
+
+def _lookup(col: Column, table: Mapping, default) -> np.ndarray:
+    """Each cell's entry in `table` by Python equality (1, 1.0 and True
+    find the same entry), `default` for missing cells and cells it lacks."""
+    if isinstance(col, Coded):
+        entries = [*map(table.get, col.values[:-1], repeat(default)), default]
+        return np.array(entries)[col.codes]
+    return np.array(list(map(table.get, col.tolist(), repeat(default))))
 
 
 def canonical_encode(value: Cell) -> bytes:
@@ -152,11 +216,10 @@ def canonical_encode(value: Cell) -> bytes:
         return _TAG_BOOL + (b"\x01" if value else b"\x00")
     if isinstance(value, int):
         try:
-            as_float = float(value)
+            if float(value) == value:  # int-float comparison is exact
+                return _TAG_FLOAT + struct.pack(">d", float(value))
         except OverflowError:
-            as_float = None
-        if as_float is not None and as_float.is_integer() and int(as_float) == value:
-            return _TAG_FLOAT + struct.pack(">d", as_float)
+            pass
         try:
             return _TAG_BIGINT + value.to_bytes(8, "big", signed=True)
         except OverflowError as exc:
@@ -194,12 +257,11 @@ def _float_column_bytes(a: np.ndarray) -> bytes:
     return records[keep].tobytes()
 
 
-def _cells_bytes(col: tuple) -> bytes:
-    """The canonical encodings of a tuple column, each distinct cell encoded
-    once. Keys carry the type so that 1, 1.0 and True stay apart."""
-    keys = list(zip(map(type, col), col))
-    codes = {key: canonical_encode(key[1]) for key in set(keys)}
-    return b"".join(map(codes.__getitem__, keys))
+def _coded_column_bytes(col: Coded) -> bytes:
+    """The canonical encodings of a coded column: each dictionary entry
+    encoded once, then gathered by code (-1 reads the trailing None)."""
+    encoded = list(map(canonical_encode, col.values))
+    return b"".join(map(encoded.__getitem__, col.codes.tolist()))
 
 
 class FrameFingerprint:
@@ -277,11 +339,7 @@ class DataFrame:
             raise SchemaError(f"columns have unequal lengths: {sorted(lengths)}")
         if partition_tag not in PARTITION_TAGS:
             raise SchemaError(f"unknown partition tag {partition_tag!r}")
-        object.__setattr__(self, "_names", tuple(names))
-        object.__setattr__(self, "_columns", cols)
-        object.__setattr__(self, "_row_count", lengths.pop())
-        object.__setattr__(self, "_tag", partition_tag)
-        object.__setattr__(self, "_fp", None)
+        self._assign(names, cols, partition_tag)
 
     @classmethod
     def _from_storage(
@@ -292,16 +350,17 @@ class DataFrame:
         The caller guarantees what the public constructor checks: at least
         one column, distinct names, equal lengths, a known tag, and storage
         already in normal form (read-only float64 arrays with NaN for
-        missing for all-float columns, tuples of normalised cells
-        otherwise).
+        missing for all-float columns, coded columns otherwise).
         """
         df = object.__new__(cls)
-        object.__setattr__(df, "_names", tuple(names))
-        object.__setattr__(df, "_columns", tuple(columns))
-        object.__setattr__(df, "_row_count", len(df._columns[0]))
-        object.__setattr__(df, "_tag", partition_tag)
-        object.__setattr__(df, "_fp", None)
+        df._assign(names, columns, partition_tag)
         return df
+
+    def _assign(self, names, columns, tag: str) -> None:
+        # In __slots__ order; the fingerprint is computed on first use.
+        values = (tuple(names), tuple(columns), len(columns[0]), tag, None)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("DataFrame is immutable")
@@ -323,7 +382,7 @@ class DataFrame:
         return self._tag
 
     def _col(self, name: str) -> Column:
-        """The stored column: a read-only float64 array or a tuple of cells."""
+        """The stored column: a read-only float64 array or a coded column."""
         try:
             return self._columns[self._names.index(name)]
         except ValueError:
@@ -355,8 +414,7 @@ class DataFrame:
         return (
             self._names == other._names
             and self._tag == other._tag
-            and self._row_count == other._row_count
-            and all(map(_columns_equal, self._columns, other._columns))
+            and list(map(_as_cells, self._columns)) == list(map(_as_cells, other._columns))
         )
 
     def __hash__(self):
@@ -371,7 +429,8 @@ class DataFrame:
 
 def _rebuild_frame(names, columns, tag) -> DataFrame:
     """A copied or unpickled frame; unpickled arrays come back writeable."""
-    columns = [_readonly(c) if isinstance(c, np.ndarray) else c for c in columns]
+    for c in columns:
+        _readonly(c.codes if isinstance(c, Coded) else c)
     return DataFrame._from_storage(names, columns, tag)
 
 
@@ -389,10 +448,10 @@ def fingerprint(df: DataFrame) -> FrameFingerprint:
         return cached
     digests = {}
     for name, col in zip(df._names, df._columns):
-        if isinstance(col, np.ndarray):
-            encoded = _float_column_bytes(col)
+        if isinstance(col, Coded):
+            encoded = _coded_column_bytes(col)
         else:
-            encoded = _cells_bytes(col)
+            encoded = _float_column_bytes(col)
         digests[name] = hashlib.sha256(encoded).digest()
     fp = FrameFingerprint(digests, df._row_count)
     object.__setattr__(df, "_fp", fp)
@@ -447,27 +506,17 @@ def _parse_cell(raw: str, kind: str, where: str) -> Cell:
     return raw  # text / categorical
 
 
-def _parse_floats(cells: Sequence[str]) -> np.ndarray:
-    """Parse a float column; raises ValueError on any non-empty non-float.
-
-    Each cell goes through Python's `float`, exactly like `_parse_cell`;
-    empty cells and "nan" both become NaN, the missing marker."""
-    return _readonly(
-        np.array([float(c) if c else math.nan for c in cells], dtype=np.float64)
-    )
-
-
 def _parse_column(cells: Sequence[str], kind: str | None, where: str) -> Column:
-    if kind is None or kind == "float64":
+    if kind in (None, "float64") or not cells:
         try:
-            return _parse_floats(cells)
+            # Python's float per cell; empty cells and "nan" become NaN, missing.
+            floats = [float(c) if c else math.nan for c in cells]
+            return _readonly(np.array(floats, dtype=np.float64))
         except ValueError:
-            if kind is None:
-                return _store([c or None for c in cells])  # inferred text
-            for c in cells:
-                _parse_cell(c, kind, where)  # raises on the first bad cell
-            raise
-    return _store([_parse_cell(c, kind, where) for c in cells])
+            kind = kind or "text"
+    # Each distinct raw string is parsed once, in order of first appearance,
+    # so the first bad one is the first bad cell.
+    return _recode(_store(cells), lambda c: _parse_cell(c, kind, where))
 
 
 def from_csv(path, schema_hints: Mapping[str, str] | None = None) -> DataFrame:

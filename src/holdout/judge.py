@@ -14,15 +14,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import AlreadyAssessedModel, GuardError, PartitionError
+from .errors import AlreadyAssessedModel, ConfigError, GuardError, PartitionError
 from .frame import DataFrame, _take_column, fingerprint
-from .learn import (
-    Model,
-    encode_eval_target,
-    predict_features,
-    predict_values,
-    transform_features,
-)
+from .learn import Model, encode_eval_target, predict_values
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .scoring import PRIMARY_METRIC, score
@@ -157,12 +151,11 @@ def assess(
         raise TypeError("assess expects a DataFrame")
     reg = resolve(registry)
     bypassed = not reg.guards_on
-    # Everything that can reject the frame (target encoding, each fitted
-    # transformer and its checks) runs before the claim, so a frame the
-    # model cannot use never spends the holdout; only the learners run
-    # behind the guard.
+    # Everything that can fail (target encoding, each fitted transformer,
+    # the learners and the scorer) runs before the claim, so the budget is
+    # charged only for delivered Evidence; nothing is released before it.
     y_true = encode_eval_target(m, test)
-    X = transform_features(m, test)
+    values = score(m.task, y_true, predict_values(m, test), metrics)
     if reg.guards_on:
         if m.assess_count > 0:
             raise AlreadyAssessedModel(
@@ -177,8 +170,6 @@ def assess(
         if record is not None and record.role == "test":
             reg.mark_assessed(fingerprint(test))
     m.assess_count += 1
-    preds = predict_features(m, X)
-    values = score(m.task, y_true, preds, metrics)
     return Evidence(
         values=values,
         holdout_fingerprint=fingerprint(test).hex(),
@@ -202,6 +193,8 @@ def explain(
     Available before and after assessment.
     """
     _require_model(m, "explain")
+    if isinstance(repeats, bool) or not isinstance(repeats, (int, np.integer)) or repeats < 1:
+        raise ConfigError(f"repeats must be a whole number >= 1, got {repeats!r}")
     if df is None:
         return _intrinsic_explanation(m)
     if not isinstance(df, DataFrame):
@@ -243,7 +236,6 @@ def explain(
 
 
 def _intrinsic_explanation(m) -> Explanation:
-    from .errors import ConfigError
     from .strategy import StackedModel
 
     if isinstance(m, StackedModel):

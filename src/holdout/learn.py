@@ -18,7 +18,7 @@ import numpy as np
 
 from . import learners
 from .errors import ConfigError, GuardError, PartitionError, SchemaError
-from .frame import DataFrame
+from .frame import DataFrame, _as_floats
 from .prepare import (
     PreparedData,
     Transformer,
@@ -30,6 +30,7 @@ from .prepare import (
     normalize_recipe,
 )
 from .registry import ProvenanceRegistry, resolve
+from .rng import check_seed
 from .rotate import CVResult, _materialize
 from .scoring import CV_METRICS, score
 
@@ -103,7 +104,7 @@ def _fold_seed(seed: int, fold_index: int) -> int:
 def feature_matrix(prepared_frame: DataFrame, feature_names) -> np.ndarray:
     # Keep this (features, rows) stack transposed, not column_stack: BLAS
     # rounding can depend on the memory layout of X.
-    cols = [prepared_frame._col(n) for n in feature_names]
+    cols = [_as_floats(prepared_frame._col(n)) for n in feature_names]
     return np.array(cols, dtype=np.float64).T if cols else np.empty((prepared_frame.row_count, 0))
 
 
@@ -144,7 +145,9 @@ def fit(
     if isinstance(data, CVResult):
         return _fit_rotation(data, target, algorithm, seed, hyperparameters, recipe, reg)
     if isinstance(data, PreparedData):
-        return _fit_prepared(data, algorithm, seed, hyperparameters, reg)
+        # Explicit mode: preparation already happened behind prepare's own guard.
+        record = reg.lookup_quiet(data.data)
+        return _fit_prepared(data, algorithm, seed, hyperparameters, record, not reg.guards_on)
     raise TypeError(
         "fit expects a DataFrame, CVResult, or PreparedData, got "
         f"{type(data).__name__}"
@@ -173,34 +176,17 @@ def _fit_frame(df, target, algorithm, seed, hyperparameters, recipe, reg) -> Mod
         raise ConfigError("fit requires a target column name")
     record, bypassed = _guard_frame(df, reg, "fit")
     prepared = fit_transformer(df, target, recipe)
+    return _fit_prepared(prepared, algorithm, seed, hyperparameters, record, bypassed)
+
+
+def _fit_prepared(prepared: PreparedData, algorithm, seed, hyperparameters, record,
+                  bypassed) -> Model:
     algorithm = _resolve_algorithm(algorithm, prepared.task)
     hp = learners.resolve_hyperparameters(algorithm, hyperparameters)
-    state = _train_on_prepared(prepared, algorithm, hp, seed)
     return Model(
         algorithm=algorithm,
         task=prepared.task,
-        state=state,
-        transformer=prepared.state,
-        target=target,
-        classes=prepared.classes,
-        hyperparameters=hp,
-        seed=seed,
-        source_split_id=record.split_id if record else None,
-        scores_=None,
-        guards_bypassed=bypassed,
-    )
-
-
-def _fit_prepared(prepared: PreparedData, algorithm, seed, hyperparameters, reg) -> Model:
-    # Explicit mode: preparation already happened behind prepare's own guard.
-    algorithm = _resolve_algorithm(algorithm, prepared.task)
-    hp = learners.resolve_hyperparameters(algorithm, hyperparameters)
-    state = _train_on_prepared(prepared, algorithm, hp, seed)
-    record = reg.lookup_quiet(prepared.data)
-    return Model(
-        algorithm=algorithm,
-        task=prepared.task,
-        state=state,
+        state=_train_on_prepared(prepared, algorithm, hp, seed),
         transformer=prepared.state,
         target=prepared.target,
         classes=prepared.classes,
@@ -208,7 +194,7 @@ def _fit_prepared(prepared: PreparedData, algorithm, seed, hyperparameters, reg)
         seed=seed,
         source_split_id=record.split_id if record else None,
         scores_=None,
-        guards_bypassed=not reg.guards_on,
+        guards_bypassed=bypassed,
     )
 
 
@@ -266,6 +252,7 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
             "rotation's source split is not registered in this session; "
             "call split() again"
         )
+    check_seed(seed)
     dev = c._dev_frame
     task = infer_task(dev._col(target))
     classes = None
@@ -385,30 +372,16 @@ def predict(m, df: DataFrame) -> Predictions:
 
 
 def predict_values(m, df: DataFrame) -> np.ndarray:
-    """Raw numeric predictions shared by predict, the scorer and strategies."""
-    return predict_features(m, transform_features(m, df))
-
-
-def transform_features(m, df: DataFrame):
-    """Everything prediction does before a learner runs: apply each fitted
-    transformer and build its feature matrix (one per base model of a
-    StackedModel). Raises for a frame the model cannot use."""
+    """Raw numeric predictions shared by predict, the scorer and strategies:
+    the fitted transformer, its feature matrix, then the learner (each base
+    model's, then the meta learner, for a StackedModel)."""
     from .strategy import StackedModel
 
     if isinstance(m, StackedModel):
-        return tuple(transform_features(base, df) for base in m.base)
-    features = apply(m.transformer, df)
-    return feature_matrix(features, m.transformer.feature_names)
-
-
-def predict_features(m, X) -> np.ndarray:
-    """Run the learners on the output of `transform_features`."""
-    from .strategy import StackedModel
-
-    if isinstance(m, StackedModel):
-        base = np.column_stack([predict_features(b, x) for b, x in zip(m.base, X)])
+        base = np.column_stack([predict_values(b, df) for b in m.base])
         out = np.asarray(m.meta.predict(base), dtype=np.float64)
     else:
+        X = feature_matrix(apply(m.transformer, df), m.transformer.feature_names)
         out = np.asarray(m.state.predict(X), dtype=np.float64)
     if m.task == "classification":
         out = np.clip(out, 0.0, 1.0)

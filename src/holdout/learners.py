@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .rng import generator
+from .rng import check_seed, generator
 
 ALGORITHMS = ("logistic", "linear", "decision_tree", "random_forest", "knn")
 
@@ -27,7 +27,36 @@ DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
 }
 
 
+# Each hyperparameter's domain: (type, lower bound, bound allowed, other
+# choices). An int is a whole number, 6 and 6.0 alike; a float is finite.
+HYPERPARAMETER_DOMAINS: dict[str, tuple[type, float, bool, tuple]] = {
+    "learning_rate": (float, 0.0, False, ()),
+    "max_iter": (int, 1, True, ()),
+    "tol": (float, 0.0, True, ()),
+    "l2": (float, 0.0, True, ()),
+    "ridge": (float, 0.0, True, ()),
+    "max_depth": (int, 0, True, ()),
+    "min_leaf": (int, 1, True, ()),
+    "n_trees": (int, 1, True, ()),
+    "max_features": (int, 1, True, ("sqrt",)),
+    "k": (int, 1, True, ()),
+}
+
+
+def _in_domain(value, kind: type, bound: float, allowed: bool, choices: tuple) -> bool:
+    if isinstance(value, (str, bool)):
+        return value in choices
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return False  # not a number, or int() of inf or NaN
+    whole = kind is float or not isinstance(value, (float, np.floating)) or number == value
+    return whole and math.isfinite(number) and (number >= bound if allowed else number > bound)
+
+
 def resolve_hyperparameters(algorithm: str, overrides) -> dict:
+    """The algorithm's defaults with `overrides` applied, each value checked
+    against its domain before any training."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(
             f"unknown algorithm {algorithm!r}; expected one of {list(ALGORITHMS)}"
@@ -36,6 +65,14 @@ def resolve_hyperparameters(algorithm: str, overrides) -> dict:
     for key, value in (overrides or {}).items():
         if key not in hp:
             raise ConfigError(f"unknown hyperparameter {key!r} for {algorithm!r}")
+        kind, bound, allowed, choices = domain = HYPERPARAMETER_DOMAINS[key]
+        if not _in_domain(value, *domain):
+            expected = f"{'a whole' if kind is int else 'a finite'} number "
+            expected += f"{'>=' if allowed else '>'} {bound}"
+            expected += "".join(f" or {c!r}" for c in choices)
+            raise ConfigError(
+                f"hyperparameter {key!r} for {algorithm!r} must be {expected}, got {value!r}"
+            )
         hp[key] = value
     return hp
 
@@ -356,6 +393,7 @@ def check_task(algorithm: str, task: str) -> None:
 
 
 def train(algorithm: str, X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str):
+    check_seed(seed)
     check_task(algorithm, task)
     if algorithm == "logistic":
         return fit_logistic(X, y, hp, seed)

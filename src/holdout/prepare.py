@@ -9,41 +9,44 @@ Numeric steps run on float64 arrays, and their results equal, bit for bit,
 the per-cell Python arithmetic the statistics are defined by:
 
 - a mean is the left-to-right float sum of the present values in row
-  order, divided by their count (numpy's pairwise `sum`/`mean` round
-  differently, and so does builtin `sum` from Python 3.12);
+  order, divided by their count (numpy's pairwise `sum` rounds otherwise);
 - the population variance sums, left to right, `d ** 2` for each
-  deviation `d = v - mean` with Python's float power, which calls libm
-  `pow`. `np.float_power(d, 2.0)` is numpy's loop of C `pow` calls and
-  equals it bit for bit; `np.power` is not that loop (a SIMD loop, or
-  `x * x` for a scalar 2). On 1M deviations `N(0, 1) * 10**U(-3, 3)`,
-  `d * d` differed in the last bit on 804 (0.08%) and `np.power` with an
-  array exponent on 26,936 (2.7%);
+  deviation `d = v - mean`. Python's float power calls libm `pow`, and so
+  does `np.float_power(d, 2.0)`; `np.power` and `d * d` differ in the last
+  bit on a few values (see the README);
 - a finite column whose sum or squared deviations overflow float64 is a
   data error naming the column; a column holding ±inf keeps inf/NaN
   statistics;
-- elementwise `v - mean`, `/ std` and imputation are single IEEE operations,
-  identical in numpy and Python.
+- elementwise `v - mean`, `/ std` and imputation are single IEEE operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GuardError, PartitionError, SchemaError
-from .frame import Column, DataFrame, _as_cells, _readonly, _store
+from .frame import (
+    Coded,
+    Column,
+    DataFrame,
+    _as_floats,
+    _cell,
+    _first_appearance,
+    _lookup,
+    _missing,
+    _readonly,
+    _recode,
+)
 from .registry import ProvenanceRegistry, resolve
 
 STEP_KINDS = ("impute_mean", "one_hot", "standardize")
 DEFAULT_RECIPE = ("impute_mean", "one_hot", "standardize")
 ONE_HOT_SEPARATOR = "="
 CLASSIFICATION_MAX_CLASSES = 20
-
-_NONE_TYPE = type(None)
 
 
 @dataclass(frozen=True)
@@ -116,43 +119,36 @@ class PreparedData:
 class _Working:
     """Feature columns part-way through a recipe.
 
-    A column is a float64 array or, for int, mixed and text columns, a
-    sequence of cells. Arrays use NaN for missing, and `missing` keeps a
-    mask of the cells that really are missing, because arithmetic on
-    infinities also yields NaN and such a value is present, not missing.
+    A column is a float64 array or a coded column (int, mixed and text).
+    `missing` maps each column to its mask of missing cells, or None when
+    no cell is missing: arithmetic on infinities also yields NaN, and such
+    a value is present.
     """
 
     def __init__(self, df: DataFrame, names: Sequence[str]):
         self.order = list(names)
-        self.values: dict[str, np.ndarray | Sequence] = {}
-        self.missing: dict[str, np.ndarray] = {}
+        self.values: dict[str, Column] = {}
+        self.missing: dict[str, np.ndarray | None] = {}
         for name in names:
-            self._load(name, df._col(name))
-
-    def _load(self, name: str, col: Column) -> None:
-        if not isinstance(col, np.ndarray):
-            cells = col
-            if bool in set(map(type, cells)):
+            col = df._col(name)
+            if isinstance(col, Coded) and bool in set(map(type, col.values)):
                 # Bool cells become 0.0/1.0 before any step runs.
-                cells = [float(v) if isinstance(v, bool) else v for v in cells]
-            if not set(map(type, cells)) <= {float, _NONE_TYPE}:
-                self.values[name] = cells
-                return
-            col = np.array(cells, dtype=np.float64)
-        self.values[name] = col
-        mask = np.isnan(col)
-        if mask.any():
-            self.missing[name] = mask
+                col = _recode(col, lambda v: float(v) if type(v) is bool else v)
+            mask = _missing(col)
+            self.set(name, col, mask if mask.any() else None)
+
+    def set(self, name: str, col: Column, mask: np.ndarray | None) -> None:
+        self.values[name], self.missing[name] = col, mask
 
     def kind(self, name: str) -> str:
-        values = self.values[name]
-        if isinstance(values, np.ndarray):
+        col = self.values[name]
+        if isinstance(col, np.ndarray):
             return "numeric"
-        types = set(map(type, values))
+        types = set(map(type, col.values[:-1]))
         text = {t for t in types if issubclass(t, str)}
         if not text:
             return "numeric"
-        if types - text - {_NONE_TYPE}:
+        if types - text:
             raise ConfigError(
                 f"column {name!r} mixes text and numeric values; "
                 "cannot prepare it coherently"
@@ -160,58 +156,35 @@ class _Working:
         return "categorical"
 
     def floats(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
-        """A numeric column as float64 values plus its missing mask (None
-        when nothing is missing); list cells convert with `float(v)`."""
-        values = self.values[name]
-        if isinstance(values, np.ndarray):
-            return values, self.missing.get(name)
-        mask = np.array([v is None for v in values], dtype=bool)
-        floats = np.array(
-            [math.nan if v is None else float(v) for v in values], dtype=np.float64
-        )
-        return floats, (mask if mask.any() else None)
-
-    def set_floats(self, name: str, values: np.ndarray, mask: np.ndarray | None) -> None:
-        self.values[name] = values
-        if mask is None:
-            self.missing.pop(name, None)
-        else:
-            self.missing[name] = mask
+        """A numeric column as float64 plus its missing mask; a coded column
+        converts each dictionary entry once with `float(v)`."""
+        return _as_floats(self.values[name]), self.missing[name]
 
     def validate(self) -> None:
         """Reject a result that still holds missing or text cells."""
         for name in self.order:
-            values = self.values[name]
-            if name in self.missing:
-                _raise_missing(name)
-            if isinstance(values, np.ndarray):
-                continue
-            for v in values:
-                if v is None:
-                    _raise_missing(name)
-                if isinstance(v, str):
-                    raise ConfigError(
-                        f"recipe leaves categorical column {name!r} unencoded; "
-                        "add a one_hot step"
-                    )
+            if self.missing[name] is not None:
+                raise ConfigError(
+                    f"recipe leaves missing values in column {name!r}; "
+                    "add an impute_mean step"
+                )
+            col = self.values[name]
+            if isinstance(col, Coded) and any(isinstance(v, str) for v in col.values):
+                raise ConfigError(
+                    f"recipe leaves categorical column {name!r} unencoded; "
+                    "add a one_hot step"
+                )
 
     def frame(self, extra: list[tuple[str, np.ndarray]], tag: str) -> DataFrame:
         names = self.order + [name for name, _ in extra]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate column names: {dupes}")
-        columns = [
-            _readonly(v) if isinstance(v, np.ndarray) else _store(v)
-            for v in (self.values[n] for n in self.order)
-        ]
-        columns += [_readonly(v) for _, v in extra]
+        columns = [self.values[n] for n in self.order] + [v for _, v in extra]
+        for col in columns:
+            if isinstance(col, np.ndarray):
+                _readonly(col)
         return DataFrame._from_storage(names, columns, tag)
-
-
-def _raise_missing(name: str):
-    raise ConfigError(
-        f"recipe leaves missing values in column {name!r}; add an impute_mean step"
-    )
 
 
 def _present(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -281,52 +254,6 @@ def normalize_recipe(recipe) -> list[tuple[str, list[str] | None]]:
     return out
 
 
-def _fit_steps(df: DataFrame, target: str, recipe) -> tuple[Transformer, _Working]:
-    """Fit every step in order on the working copy and apply it in place.
-
-    Returns the fitted Transformer and the transformed feature columns.
-    """
-    source = [n for n in df.column_names if n != target]
-    working = _Working(df, source)
-
-    fitted: list[Step] = []
-    for step_name, wanted in normalize_recipe(recipe):
-        kinds = {name: working.kind(name) for name in working.order}
-        wanted_kind = "categorical" if step_name == "one_hot" else "numeric"
-        applicable = [n for n in working.order if kinds[n] == wanted_kind]
-        if wanted is not None:
-            missing = [c for c in wanted if c not in working.order]
-            if missing:
-                raise ConfigError(f"step {step_name!r} names absent columns: {missing}")
-            bad = [c for c in wanted if c not in applicable]
-            if bad:
-                raise ConfigError(
-                    f"step {step_name!r} does not apply to columns {bad}"
-                )
-            applicable = [n for n in working.order if n in wanted]
-        params: dict[str, Any] = {}
-        for col in applicable:
-            if step_name == "one_hot":
-                # Category order: first appearance.
-                categories = dict.fromkeys(working.values[col])
-                categories.pop(None, None)
-                params[col] = tuple(categories)
-            elif step_name == "impute_mean":
-                params[col] = _mean(col, _present(*working.floats(col)))
-            else:
-                params[col] = _mean_std(col, _present(*working.floats(col)))
-        step = Step(kind=step_name, params=params)
-        fitted.append(step)
-        _apply_step(step, working)
-
-    transformer = Transformer(
-        steps=tuple(fitted),
-        source_columns=tuple(source),
-        feature_names=tuple(working.order),
-    )
-    return transformer, working
-
-
 def _apply_step(step: Step, working: _Working) -> None:
     if step.kind == "impute_mean":
         for col, mean in step.params.items():
@@ -334,7 +261,7 @@ def _apply_step(step: Step, working: _Working) -> None:
                 values, mask = working.floats(col)
                 if mask is not None:
                     values = np.where(mask, mean, values)
-                working.set_floats(col, values, None)
+                working.set(col, values, None)
         return
     if step.kind == "standardize":
         for col, (mean, std) in step.params.items():
@@ -348,7 +275,7 @@ def _apply_step(step: Step, working: _Working) -> None:
             else:
                 with np.errstate(all="ignore"):
                     out = (values - mean) / std  # missing stays NaN
-            working.set_floats(col, out, mask)
+            working.set(col, out, mask)
         return
     # one_hot: replace each source column with its indicator block in place;
     # unseen and missing values encode as all zeros. Each column is coded
@@ -359,73 +286,66 @@ def _apply_step(step: Step, working: _Working) -> None:
             new_order.append(name)
             continue
         categories = step.params[name]
-        values = working.values.pop(name)
-        working.missing.pop(name, None)
-        cells = values.tolist() if isinstance(values, np.ndarray) else values
         index: dict = {}
         for k, cat in enumerate(categories):
             index.setdefault(cat, k)
-        codes = np.array(list(map(index.get, cells, repeat(-1))), dtype=np.intp)
+        codes = _lookup(working.values.pop(name), index, -1)
+        del working.missing[name]
         for cat in categories:
             col_name = f"{name}{ONE_HOT_SEPARATOR}{cat}"
-            working.values[col_name] = (codes == index[cat]).astype(np.float64)
+            working.set(col_name, (codes == index[cat]).astype(np.float64), None)
             new_order.append(col_name)
     working.order = new_order
 
 
-def infer_task(values) -> str:
-    if isinstance(values, np.ndarray):
-        distinct = len(np.unique(values[~np.isnan(values)]))
-    else:
-        present = {v for v in values if v is not None}
-        if any(isinstance(v, str) for v in present):
-            return "classification"
-        if all(isinstance(v, bool) for v in present) and present:
+def infer_task(col: Column) -> str:
+    if isinstance(col, Coded):
+        present = set(col.values[:-1])  # 1, 1.0 and True are one class
+        if any(isinstance(v, str) for v in present) or present and all(
+            isinstance(v, bool) for v in present
+        ):
             return "classification"
         distinct = len(present)
+    else:
+        distinct = len(np.unique(col[~np.isnan(col)]))
     return "classification" if 0 < distinct <= CLASSIFICATION_MAX_CLASSES else "regression"
 
 
-def _regression_target(values) -> np.ndarray:
-    if isinstance(values, np.ndarray):
-        if np.isnan(values).any():
-            raise ConfigError("target column has missing values")
-        return values
-    if any(v is None for v in values):
+def _regression_target(col: Column) -> np.ndarray:
+    if _missing(col).any():
         raise ConfigError("target column has missing values")
-    return np.array([float(v) for v in values], dtype=np.float64)
+    return _as_floats(col)
 
 
-def encode_target(values, task: str) -> tuple[np.ndarray, tuple | None]:
+def encode_target(col: Column, task: str) -> tuple[np.ndarray, tuple | None]:
     """Regression targets pass through raw; classification targets map their
-    two classes (sorted by repr) onto 0.0/1.0."""
+    two classes (sorted by repr) onto 0.0/1.0. A class is named by its first
+    cell in row order: 1, 1.0 and True are one class."""
     if task == "regression":
-        return _regression_target(values), None
-    values = _as_cells(values)
-    if any(v is None for v in values):
+        return _regression_target(col), None
+    if _missing(col).any():
         raise ConfigError("target column has missing values")
-    classes = sorted(set(values), key=repr)
+    classes = sorted(set(_first_appearance(col)), key=repr)
     if len(classes) == 1:
         # Degenerate single-class frame: encode everything as class 0.
-        return np.zeros(len(values)), (classes[0], classes[0])
+        return np.zeros(len(col)), (classes[0], classes[0])
     if len(classes) != 2:
         raise ConfigError(
             f"classification supports exactly 2 classes, got {len(classes)}"
         )
-    return encode_target_with_classes(values, tuple(classes)), tuple(classes)
+    return encode_target_with_classes(col, tuple(classes)), tuple(classes)
 
 
-def encode_target_with_classes(values, classes: tuple | None) -> np.ndarray:
+def encode_target_with_classes(col: Column, classes: tuple | None) -> np.ndarray:
     """Encode a target column using a previously fitted class mapping."""
     if classes is None:
-        return _regression_target(values)
-    lookup = {classes[0]: 0.0, classes[1]: 1.0}
-    out = []
-    for v in _as_cells(values):
-        if v not in lookup:
-            raise SchemaError(f"target value {v!r} was not seen at fit time")
-        out.append(lookup[v])
-    return np.array(out, dtype=np.float64)
+        return _regression_target(col)
+    encoded = _lookup(col, {classes[0]: 0.0, classes[1]: 1.0}, math.nan)
+    unseen = np.flatnonzero(np.isnan(encoded))
+    if len(unseen):
+        value = _cell(col, unseen[0])
+        raise SchemaError(f"target value {value!r} was not seen at fit time")
+    return encoded
 
 
 def fit_transformer(
@@ -436,7 +356,35 @@ def fit_transformer(
         raise SchemaError(f"target column {target!r} not in frame")
     if len(df.column_names) < 2:
         raise ConfigError("frame has no feature columns besides the target")
-    transformer, working = _fit_steps(df, target, recipe)
+    # Fit every step in order on the working copy and apply it in place.
+    source = [n for n in df.column_names if n != target]
+    working = _Working(df, source)
+    fitted: list[Step] = []
+    for step_name, wanted in normalize_recipe(recipe):
+        wanted_kind = "categorical" if step_name == "one_hot" else "numeric"
+        applicable = [n for n in working.order if working.kind(n) == wanted_kind]
+        if wanted is not None:
+            missing = [c for c in wanted if c not in working.order]
+            if missing:
+                raise ConfigError(f"step {step_name!r} names absent columns: {missing}")
+            bad = [c for c in wanted if c not in applicable]
+            if bad:
+                raise ConfigError(
+                    f"step {step_name!r} does not apply to columns {bad}"
+                )
+            applicable = [n for n in working.order if n in wanted]
+        params: dict[str, Any] = {}
+        for col in applicable:
+            if step_name == "one_hot":
+                # Category order: first appearance in this frame.
+                params[col] = tuple(_first_appearance(working.values[col]))
+            elif step_name == "impute_mean":
+                params[col] = _mean(col, _present(*working.floats(col)))
+            else:
+                params[col] = _mean_std(col, _present(*working.floats(col)))
+        fitted.append(Step(kind=step_name, params=params))
+        _apply_step(fitted[-1], working)
+    transformer = Transformer(tuple(fitted), tuple(source), tuple(working.order))
     y = df._col(target)
     task = task or infer_task(y)
     encoded, classes = encode_target(y, task)

@@ -2,8 +2,19 @@
 
 import numpy as np
 
+from .errors import ConfigError
+
+
+def check_seed(seed):
+    """A seed is a non-negative int or a SeedSequence, else a ConfigError."""
+    if isinstance(seed, np.random.SeedSequence) or (
+        isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0
+    ):
+        return seed
+    raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
 
 def generator(seed) -> np.random.Generator:
     """Philox: counter-based and platform-stable, so a seed (an int or a
     SeedSequence) gives the same draws bit for bit everywhere."""
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(check_seed(seed)))

@@ -13,6 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     GroupError,
     PartitionError,
@@ -20,7 +22,7 @@ from .errors import (
     StratifyError,
     TemporalTieError,
 )
-from .frame import DataFrame, fingerprint
+from .frame import DataFrame, _first_appearance, _lookup, _missing, fingerprint
 from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
@@ -75,7 +77,7 @@ def _validate_common(df: DataFrame, target: str, ratios) -> None:
     if target not in df.column_names:
         raise SchemaError(f"target column {target!r} not in frame")
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):  # NaN is not > 0
         raise PartitionError(f"ratios must be three positive fractions, got {ratios}")
     if abs(sum(ratios) - 1.0) > RATIO_TOLERANCE:
         raise PartitionError(f"ratios must sum to 1, got {sum(ratios)!r}")
@@ -161,12 +163,13 @@ def split(
         stratify = False
 
     if stratify:
-        y = df.column(target)
-        if any(v is None for v in y):
+        y = df._col(target)
+        if _missing(y).any():
             raise StratifyError("cannot stratify on a target with missing values")
-        classes: dict = {}
-        for i, v in enumerate(y):
-            classes.setdefault(v, []).append(i)
+        # Classes by Python equality, each named by its first cell.
+        index = {v: k for k, v in enumerate(dict.fromkeys(_first_appearance(y)))}
+        ids = _lookup(y, index, -1)
+        classes = {v: np.flatnonzero(ids == k).tolist() for v, k in index.items()}
         buckets: list[list[int]] = [[], [], []]
         for v in sorted(classes, key=repr):
             members = classes[v]

@@ -100,9 +100,6 @@ def screen(
     algorithms = list(algorithms)
     if not algorithms:
         raise ConfigError("screen requires at least one algorithm")
-    for algo in algorithms:
-        if algo not in learners.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
     per_algo = dict(hyperparameters or {})
     cvr = _cross_validate(
         c, target, [(algo, per_algo.get(algo)) for algo in algorithms], seed, None, reg
@@ -116,25 +113,15 @@ def _grid_trials(space: Mapping[str, Sequence], budget: int) -> list[dict]:
     # Lexicographic: sorted parameter names, values in their given order.
     names = sorted(space)
     combos = itertools.product(*(list(space[n]) for n in names))
-    out = []
-    for combo in combos:
-        if len(out) >= budget:
-            break
-        out.append(dict(zip(names, combo)))
-    return out
+    return [dict(zip(names, combo)) for combo in itertools.islice(combos, budget)]
 
 
 def _random_trials(space: Mapping[str, Sequence], budget: int, seed: int) -> list[dict]:
     rng = generator(seed)
-    names = sorted(space)
-    out = []
-    for _ in range(budget):
-        trial = {}
-        for n in names:
-            values = list(space[n])
-            trial[n] = values[int(rng.integers(0, len(values)))]
-        out.append(trial)
-    return out
+    values = {n: list(space[n]) for n in sorted(space)}
+    return [
+        {n: v[int(rng.integers(0, len(v)))] for n, v in values.items()} for _ in range(budget)
+    ]
 
 
 def tune(
@@ -203,9 +190,7 @@ def stack(
     base_algorithms = list(base_algorithms)
     if len(base_algorithms) < 2:
         raise ConfigError("stack requires at least 2 base algorithms")
-    for algo in base_algorithms + [meta_algorithm]:
-        if algo not in learners.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
+    meta_hp = learners.resolve_hyperparameters(meta_algorithm, None)
     learners.check_task(meta_algorithm, infer_task(c._dev_frame._col(c.target)))
     per_algo = dict(hyperparameters or {})
     cvr = _cross_validate(
@@ -214,7 +199,6 @@ def stack(
     )
     covered = ~np.isnan(cvr.oof).any(axis=1)
     y_dev = encode_target_with_classes(c._dev_frame._col(cvr.target), cvr.classes)
-    meta_hp = learners.resolve_hyperparameters(meta_algorithm, None)
     meta_state = learners.train(
         meta_algorithm, cvr.oof[covered], y_dev[covered], meta_hp, seed, cvr.task
     )

@@ -371,3 +371,48 @@ def test_unusable_test_frame_does_not_spend_holdout(registry):
     assert registry.lookup(p.test).assessed is False
     sound = fit(p.train, "y", registry=registry)
     assert isinstance(assess(sound, p.test, registry=registry), Evidence)
+
+
+def _treeless_forest(registry, p):
+    # A forest with no trees predicts one NaN, so the scorer fails.
+    m = fit(p.train, "y", algorithm="random_forest", hyperparameters={"n_trees": 1},
+            registry=registry)
+    m.state.trees = []
+    return m, p.test, {}
+
+
+def _unknown_metric(registry, p):
+    return fit(p.train, "y", registry=registry), p.test, {"metrics": ["accuracy", "nope"]}
+
+
+def _valid_frame(registry, p):
+    return fit(p.train, "y", registry=registry), p.valid, {}
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (_treeless_forest, ConfigError, "shape mismatch"),
+        (_unknown_metric, ConfigError, "unknown metrics"),
+        (_valid_frame, GuardError, "test"),
+    ],
+    ids=["learner", "metric", "role"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the treeless forest's mean
+def test_failing_assess_leaves_registry_unchanged(registry, partition, build, error, message):
+    # Everything that can fail runs before the claim: the budget is charged
+    # only for delivered Evidence.
+    m, frame, kwargs = build(registry, partition)
+    before = registry.dump()
+    with pytest.raises(error, match=message):
+        assess(m, frame, registry=registry, **kwargs)
+    assert registry.dump() == before
+    assert m.assess_count == 0
+    sound = fit(partition.train, "y", registry=registry)
+    assert isinstance(assess(sound, partition.test, registry=registry), Evidence)
+
+
+def test_explain_rejects_non_positive_repeats(registry, partition, model):
+    for repeats in (0, -1, 1.5, True):
+        with pytest.raises(ConfigError, match="repeats"):
+            explain(model, partition.valid, repeats=repeats, registry=registry)

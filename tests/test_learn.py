@@ -262,3 +262,48 @@ def test_model_parameters_fully_determined(registry):
         b = fit(p.train, "y", algorithm=algo, hyperparameters=hp, seed=9,
                 registry=registry)
         assert model_to_json(a) == model_to_json(b)
+
+
+class TestNamedErrorsBeforeTraining:
+    """Bad hyperparameters and seeds fail with ConfigError before any
+    learner trains."""
+
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        import holdout.learners
+
+        trained = []
+        real = holdout.learners.train
+
+        def counting_train(algorithm, *args):
+            state = real(algorithm, *args)
+            trained.append(algorithm)
+            return state
+
+        monkeypatch.setattr(holdout.learners, "train", counting_train)
+        return trained
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"algorithm": "random_forest", "hyperparameters": {"n_trees": 0}}, "n_trees"),
+            ({"algorithm": "knn", "hyperparameters": {"k": 0}}, "'k'"),
+            ({"algorithm": "logistic", "seed": 1.5}, "seed"),
+            ({"algorithm": "logistic", "seed": -1}, "seed"),
+        ],
+        ids=["n_trees", "k", "fractional seed", "negative seed"],
+    )
+    def test_fit_on_frame_and_rotation(self, registry, partition, trained, kwargs, message):
+        c = cv(partition, folds=3, registry=registry)
+        for data in (partition.train, c):
+            with pytest.raises(ConfigError, match=message):
+                fit(data, "y", registry=registry, **kwargs)
+        assert trained == []
+
+    def test_split_and_cv_seeds(self, registry, partition):
+        df = make_classification_frame(30)
+        for seed in (-1, 1.5, "3", True, None):
+            with pytest.raises(ConfigError, match="seed"):
+                split(df, "y", seed=seed, registry=registry)
+            with pytest.raises(ConfigError, match="seed"):
+                cv(partition, folds=3, seed=seed, registry=registry)

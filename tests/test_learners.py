@@ -272,6 +272,55 @@ class TestDispatch:
             assert np.allclose(clone.predict(SEP_X), state.predict(SEP_X))
 
 
+class TestHyperparameterDomains:
+    @pytest.mark.parametrize(
+        "algorithm, overrides",
+        [
+            ("knn", {"k": 0}),
+            ("knn", {"k": -3}),
+            ("knn", {"k": 2.5}),
+            ("knn", {"k": True}),
+            ("knn", {"k": "3"}),
+            ("decision_tree", {"max_depth": -1}),
+            ("decision_tree", {"min_leaf": 0}),
+            ("logistic", {"learning_rate": float("nan")}),
+            ("logistic", {"learning_rate": 0.0}),
+            ("logistic", {"tol": float("inf")}),
+            ("logistic", {"max_iter": 0}),
+            ("linear", {"ridge": -1.0}),
+            ("random_forest", {"n_trees": 0}),
+            ("random_forest", {"max_features": "log2"}),
+            ("random_forest", {"max_features": 0}),
+            ("random_forest", {"max_depth": float("inf")}),
+        ],
+    )
+    def test_out_of_domain_values_rejected(self, algorithm, overrides):
+        (key, value), = overrides.items()
+        with pytest.raises(ConfigError, match=f"hyperparameter '{key}' for '{algorithm}'"):
+            resolve_hyperparameters(algorithm, overrides)
+
+    @pytest.mark.parametrize(
+        "algorithm, overrides",
+        [
+            ("knn", {"k": 1}),
+            ("knn", {"k": np.int64(3)}),
+            ("decision_tree", {"max_depth": 0}),
+            ("decision_tree", {"max_depth": 6.0}),
+            ("logistic", {"learning_rate": 1e-6, "tol": 0.0, "l2": 0, "max_iter": 1}),
+            ("random_forest", {"max_features": "sqrt", "n_trees": 1}),
+            ("random_forest", {"max_features": 3}),
+        ],
+    )
+    def test_in_domain_values_kept_as_given(self, algorithm, overrides):
+        resolved = resolve_hyperparameters(algorithm, overrides)
+        for key, value in overrides.items():
+            assert resolved[key] is value
+
+    def test_every_default_is_in_its_domain(self):
+        for algorithm, defaults in DEFAULT_HYPERPARAMETERS.items():
+            assert resolve_hyperparameters(algorithm, defaults) == defaults
+
+
 def test_capacity_ordering_on_memorization_probe():
     # Duplicated-row synthetic: a tree can carve out every duplicate batch,
     # logistic cannot; train accuracy must order tree >= logistic.

@@ -272,3 +272,10 @@ class TestGroupSplit:
         for m in members(p):
             combined.extend(row_multiset(m))
         assert sorted(combined) == row_multiset(df)
+
+
+def test_nan_ratio_rejected():
+    df = make_classification_frame(30)
+    for ratios in ((float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5)):
+        with pytest.raises(PartitionError, match="positive"):
+            split(df, "y", ratios=ratios)

@@ -349,6 +349,23 @@ class TestCli:
         assert result.exit_code == 2
         assert json.loads(result.stderr)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            ("  seed: 42\ncv:", "  seed: -1\ncv:"),
+            ("  algorithm: logistic\n", "  algorithm: knn\n  hyperparameters: {k: 0}\n"),
+        ],
+        ids=["split.seed", "knn.k"],
+    )
+    def test_out_of_domain_value_exit_2(self, tmp_path, data_csv, line, bad):
+        wf = tmp_path / "bad.yaml"
+        text = workflow_text(data_csv)
+        assert line in text
+        wf.write_text(text.replace(line, bad))
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.stderr)["error"] == "ConfigError"
+
     def test_unreadable_data_exit_4(self, tmp_path):
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes("x,y\n1.0,caf\xe9\n".encode("latin-1"))
