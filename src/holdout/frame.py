@@ -480,30 +480,23 @@ def select_columns(df: DataFrame, names: Sequence[str]) -> DataFrame:
     )
 
 
-_HINT_KINDS = ("float64", "int64", "bool", "text", "categorical")
+# Schema hint kinds, with what a non-empty cell of each kind must be.
+_HINT_KINDS = {
+    "float64": "a float", "int64": "an integer", "bool": "a boolean",
+    "text": None, "categorical": None,
+}
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def _parse_cell(raw: str, kind: str, where: str) -> Cell:
-    if raw == "":
-        return None
-    if kind == "float64":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {raw!r} is not a float") from exc
-    if kind == "int64":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {raw!r} is not an integer") from exc
-    if kind == "bool":
-        low = raw.strip().lower()
-        if low in ("true", "1"):
-            return True
-        if low in ("false", "0"):
-            return False
-        raise ParseError(f"{where}: {raw!r} is not a boolean")
-    return raw  # text / categorical
+    if raw == "" or _HINT_KINDS[kind] is None:
+        return raw or None
+    try:
+        if kind == "bool":
+            return _BOOLS[raw.strip().lower()]
+        return float(raw) if kind == "float64" else int(raw)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"{where}: {raw!r} is not {_HINT_KINDS[kind]}") from exc
 
 
 def _parse_column(cells: Sequence[str], kind: str | None, where: str) -> Column:

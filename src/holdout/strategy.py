@@ -100,6 +100,9 @@ def screen(
     algorithms = list(algorithms)
     if not algorithms:
         raise ConfigError("screen requires at least one algorithm")
+    for algo in algorithms:
+        if algo not in learners.ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {algo!r}")
     per_algo = dict(hyperparameters or {})
     cvr = _cross_validate(
         c, target, [(algo, per_algo.get(algo)) for algo in algorithms], seed, None, reg
@@ -190,7 +193,9 @@ def stack(
     base_algorithms = list(base_algorithms)
     if len(base_algorithms) < 2:
         raise ConfigError("stack requires at least 2 base algorithms")
-    meta_hp = learners.resolve_hyperparameters(meta_algorithm, None)
+    for algo in base_algorithms + [meta_algorithm]:
+        if algo not in learners.ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {algo!r}")
     learners.check_task(meta_algorithm, infer_task(c._dev_frame._col(c.target)))
     per_algo = dict(hyperparameters or {})
     cvr = _cross_validate(
@@ -199,6 +204,7 @@ def stack(
     )
     covered = ~np.isnan(cvr.oof).any(axis=1)
     y_dev = encode_target_with_classes(c._dev_frame._col(cvr.target), cvr.classes)
+    meta_hp = learners.resolve_hyperparameters(meta_algorithm, None)
     meta_state = learners.train(
         meta_algorithm, cvr.oof[covered], y_dev[covered], meta_hp, seed, cvr.task
     )

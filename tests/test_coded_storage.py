@@ -152,3 +152,22 @@ class TestTakenFramesForgetDroppedRows:
         assert prepared.state.steps[0].params["x"][0] == 5.0
         untouched = fit_transformer(df._take([3, 1]), "y", ["one_hot"], task="regression")
         assert _exact(untouched.data.column("x")) == _exact([7, 3])
+
+
+def test_csv_dictionary_holds_parsed_distinct_cells(tmp_path):
+    # Raw strings are coded first and each distinct one parsed once, so
+    # spellings of one value ("1", "01") share a dictionary entry.
+    from holdout import ParseError, from_csv
+
+    path = tmp_path / "d.csv"
+    path.write_text("i,b,t\n1,true,x\n01, TRUE ,\n,0,x\n-3,,y\n")
+    df = from_csv(path, {"i": "int64", "b": "bool"})
+    assert _exact(df.column("i")) == _exact([1, 1, None, -3])
+    assert df._col("i").values == (1, -3, None)
+    assert _exact(df.column("b")) == _exact([True, True, False, None])
+    assert df._col("b").values == (True, False, None)
+    assert df.column("t") == ("x", None, "x", "y")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("i\n1\nx\n2\ny\n")
+    with pytest.raises(ParseError, match="'x' is not an integer"):
+        from_csv(bad, {"i": "int64"})

@@ -274,30 +274,29 @@ class TestDispatch:
 
 class TestHyperparameterDomains:
     @pytest.mark.parametrize(
-        "algorithm, overrides",
+        "algorithm, key, value",
         [
-            ("knn", {"k": 0}),
-            ("knn", {"k": -3}),
-            ("knn", {"k": 2.5}),
-            ("knn", {"k": True}),
-            ("knn", {"k": "3"}),
-            ("decision_tree", {"max_depth": -1}),
-            ("decision_tree", {"min_leaf": 0}),
-            ("logistic", {"learning_rate": float("nan")}),
-            ("logistic", {"learning_rate": 0.0}),
-            ("logistic", {"tol": float("inf")}),
-            ("logistic", {"max_iter": 0}),
-            ("linear", {"ridge": -1.0}),
-            ("random_forest", {"n_trees": 0}),
-            ("random_forest", {"max_features": "log2"}),
-            ("random_forest", {"max_features": 0}),
-            ("random_forest", {"max_depth": float("inf")}),
+            ("knn", "k", 0),
+            ("knn", "k", -3),
+            ("knn", "k", 2.5),
+            ("knn", "k", True),
+            ("knn", "k", "3"),
+            ("decision_tree", "max_depth", -1),
+            ("decision_tree", "min_leaf", 0),
+            ("logistic", "learning_rate", float("nan")),
+            ("logistic", "learning_rate", 0.0),
+            ("logistic", "tol", float("inf")),
+            ("logistic", "max_iter", 0),
+            ("linear", "ridge", -1.0),
+            ("random_forest", "n_trees", 0),
+            ("random_forest", "max_features", "log2"),
+            ("random_forest", "max_features", 0),
+            ("random_forest", "max_depth", float("inf")),
         ],
     )
-    def test_out_of_domain_values_rejected(self, algorithm, overrides):
-        (key, value), = overrides.items()
+    def test_out_of_domain_values_rejected(self, algorithm, key, value):
         with pytest.raises(ConfigError, match=f"hyperparameter '{key}' for '{algorithm}'"):
-            resolve_hyperparameters(algorithm, overrides)
+            resolve_hyperparameters(algorithm, {key: value})
 
     @pytest.mark.parametrize(
         "algorithm, overrides",
