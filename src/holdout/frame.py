@@ -179,10 +179,9 @@ def _as_floats(col: Column) -> np.ndarray:
 def _first_appearance(col: Column) -> list[Cell]:
     """The distinct present cells in order of first appearance; a float
     column's equal cells (0.0 and -0.0) count once."""
-    keys = col.codes if isinstance(col, Coded) else col
-    distinct, first = np.unique(keys, return_index=True)
-    present = (distinct >= 0) if isinstance(col, Coded) else ~np.isnan(distinct)
-    return [_cell(col, i) for i in np.sort(first[present]).tolist()]
+    if isinstance(col, Coded):
+        return [col.values[c] for c in dict.fromkeys(col.codes.tolist()) if c >= 0]
+    return [v for v in dict.fromkeys(col.tolist()) if v == v]  # NaN is missing
 
 
 def _lookup(col: Column, table: Mapping, default) -> np.ndarray:
