@@ -1,5 +1,5 @@
-"""Golden learner vectors: fitted trees and kNN predictions pinned across
-versions.
+"""Golden learner vectors: fitted trees, tree and forest predictions and
+kNN predictions pinned across versions.
 
 The digests below were produced by the per-feature CART split scan and
 the all-pairs kNN distance tensor. Data are Philox draws rounded to one
@@ -31,6 +31,10 @@ Q = np.round(
 )
 # Queries equal to training rows give zero-distance ties.
 Q[:5] = X[10:15]
+# NaN satisfies no `x <= threshold`, so a NaN cell routes a query right.
+Q_NAN = Q.copy()
+Q_NAN[::3, 0] = np.nan
+Q_NAN[1::4, 2:4] = np.nan
 
 
 def _state_digest(state):
@@ -58,6 +62,17 @@ TREES = {
         "e9b3f33fbcd9e33bd70fec1ff0f9968cb4b1dda886f5b0bb4b0f96322d49b4c1",
 }
 
+TREE_PREDICTIONS = {
+    ("decision_tree", "classification"):
+        "05f930271dd9c46f0f8cb847ad48ec85562b906f0118b82219c8d8dc398bf816",
+    ("decision_tree", "regression"):
+        "5d58879bac3e9e5d072d92de3ba8fac8df838ade26abf041226554ca1e4b1c23",
+    ("random_forest", "classification"):
+        "76880c94d92820b64f6f92d3ae99c6d70e3e72b188ba8574d17562b062e66be4",
+    ("random_forest", "regression"):
+        "86887c4494f73d21cf999ae89cdaee3f0ed922b610e458f8e5424b63cf65be23",
+}
+
 KNN = {
     ("classification", 1):
         "f3e857404cd0df58be5524ff70029e278009bed9edba2eb7da49db06f2b0667a",
@@ -74,14 +89,29 @@ def _targets(task):
     return Y_CLASS if task == "classification" else Y_REG
 
 
-@pytest.mark.parametrize("algorithm, task, min_leaf", sorted(TREES))
-def test_tree_state_golden(algorithm, task, min_leaf):
+def _fit_tree(algorithm, task, min_leaf):
     overrides = {"min_leaf": min_leaf}
     if algorithm == "random_forest":
         overrides["n_trees"] = 12
     hp = resolve_hyperparameters(algorithm, overrides)
-    state = train(algorithm, X, _targets(task), hp, 7, task)
+    return train(algorithm, X, _targets(task), hp, 7, task)
+
+
+@pytest.mark.parametrize("algorithm, task, min_leaf", sorted(TREES))
+def test_tree_state_golden(algorithm, task, min_leaf):
+    state = _fit_tree(algorithm, task, min_leaf)
     assert _state_digest(state) == TREES[(algorithm, task, min_leaf)]
+
+
+@pytest.mark.parametrize("algorithm, task", sorted(TREE_PREDICTIONS))
+def test_tree_predict_golden(algorithm, task):
+    state = _fit_tree(algorithm, task, 2)
+    out = np.asarray(state.predict(np.vstack([Q, Q_NAN])), dtype=np.float64)
+    assert out.shape == (2 * len(Q),)
+    digest = hashlib.sha256(out.tobytes()).hexdigest()
+    assert digest == TREE_PREDICTIONS[(algorithm, task)]
+    empty = state.predict(np.empty((0, X.shape[1])))
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 @pytest.mark.parametrize("task, k", sorted(KNN))
