@@ -140,6 +140,7 @@ def fit(
     frames are rejected while guards are on.
     """
     reg = resolve(registry)
+    check_seed(seed)
     if isinstance(data, DataFrame):
         return _fit_frame(data, target, algorithm, seed, hyperparameters, recipe, reg)
     if isinstance(data, CVResult):

@@ -157,98 +157,110 @@ def fit_linear(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> LinearState
 # Trees are nested dicts: {"feature", "threshold", "left", "right"} or {"value"}.
 
 
-def _best_split(X, y, rows, features, criterion, min_leaf):
+def _best_split(Xt, ranks, y, rows, features, criterion, min_leaf):
     """Scan candidate thresholds of every feature at once with cumulative
-    sums down the sorted (rows x features) block.
+    sums along the sorted (features x rows) block.
 
     Returns (cost, feature, threshold) or None. Ties resolve to the first
     feature in `features` order and the lowest threshold, so tree growth is
     deterministic.
     """
     n = len(rows)
-    v = X[np.ix_(rows, features)]
-    order = np.argsort(v, axis=0, kind="mergesort")
-    vs = np.take_along_axis(v, order, axis=0)
-    ys = y[rows][order]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    total, total_sq = csum[-1], csq[-1]
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    features = features[:, None]
+    sorted_rows = rows[np.argsort(ranks[features, rows], axis=1, kind="stable")]
+    vs = Xt[features, sorted_rows]
+    ys = y[sorted_rows]
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    left_n = np.arange(1, n, dtype=np.float64)
     right_n = n - left_n
-    left_mean = csum[:-1] / left_n
-    right_mean = (total - csum[:-1]) / right_n
+    left_mean = csum[:, :-1] / left_n
+    right_mean = (csum[:, -1:] - csum[:, :-1]) / right_n
     if criterion == "gini":
         left_imp = 2.0 * left_mean * (1.0 - left_mean)
         right_imp = 2.0 * right_mean * (1.0 - right_mean)
     else:  # variance
-        left_imp = csq[:-1] / left_n - left_mean**2
-        right_imp = (total_sq - csq[:-1]) / right_n - right_mean**2
+        left_imp = csq[:, :-1] / left_n - left_mean**2
+        right_imp = (csq[:, -1:] - csq[:, :-1]) / right_n - right_mean**2
     cost = (left_n * left_imp + right_n * right_imp) / n
-    allowed = (vs[1:] != vs[:-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    allowed = (vs[:, 1:] != vs[:, :-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
     cost = np.where(allowed, cost, np.inf)
     best = None
-    for j, i in enumerate(np.argmin(cost, axis=0)):
-        if not np.isfinite(cost[i, j]):
+    for j, i in enumerate(np.argmin(cost, axis=1)):
+        if not np.isfinite(cost[j, i]):
             continue
-        if best is None or cost[i, j] < best[0] - 1e-15:
-            threshold = float((vs[i, j] + vs[i + 1, j]) / 2.0)
-            best = (float(cost[i, j]), int(features[j]), threshold)
+        if best is None or cost[j, i] < best[0] - 1e-15:
+            threshold = float((vs[j, i] + vs[j, i + 1]) / 2.0)
+            best = (float(cost[j, i]), int(features[j, 0]), threshold)
     return best
 
 
-def _node_impurity(y_rows: np.ndarray, criterion: str) -> float:
-    mean = float(np.mean(y_rows))
-    if criterion == "gini":
-        return 2.0 * mean * (1.0 - mean)
-    return float(np.mean(y_rows**2) - mean**2)
+def _grow_trees(X, y, hp, task, samples, n_subsample=None) -> list[dict]:
+    """One CART tree per (rng, rows) sample: gini impurity for classification,
+    variance for regression, grown depth first, each node drawing its
+    `n_subsample` features from the tree's rng.
+
+    Columns are ranked once per fit: equal values share a rank (0.0 and -0.0
+    too) and NaN ranks last, so a node's stable sort of its ranks is a stable
+    sort of its values. 16-bit ranks, sorted by radix, hold 65,535 rows.
+    """
+    Xt = np.ascontiguousarray(X.T)  # feature-major
+    ranks = np.empty(Xt.shape, np.uint16 if len(X) <= 65_535 else np.int64)
+    for col, out in zip(Xt, ranks):
+        out[:] = np.unique(col, return_inverse=True)[1]
+    criterion = "gini" if task == "classification" else "variance"
+    fit = (Xt, ranks, y, criterion, int(hp["max_depth"]), int(hp["min_leaf"]), n_subsample)
+    return [_grow_tree(fit, rows, 0, rng) for rng, rows in samples]
 
 
-def _grow_tree(X, y, rows, depth, hp, criterion, rng, n_subsample):
-    leaf_value = float(np.mean(y[rows]))
-    if (
-        depth >= int(hp["max_depth"])
-        or len(rows) < 2 * int(hp["min_leaf"])
-        or np.all(y[rows] == y[rows[0]])
-    ):
+def _grow_tree(fit: tuple, rows: np.ndarray, depth: int, rng) -> dict:
+    Xt, ranks, y, criterion, max_depth, min_leaf, n_subsample = fit
+    y_rows = y[rows]
+    leaf_value = float(y_rows.sum() / len(rows))  # np.mean: NaN when empty
+    if depth >= max_depth or len(rows) < 2 * min_leaf or y_rows.min() == y_rows.max():
         return {"value": leaf_value}
-    p = X.shape[1]
+    p = len(Xt)
+    features = np.arange(p)
     if n_subsample is not None and n_subsample < p:
         features = np.sort(rng.choice(p, size=n_subsample, replace=False))
-    else:
-        features = np.arange(p)
-    found = _best_split(X, y, rows, features, criterion, int(hp["min_leaf"]))
+    found = _best_split(Xt, ranks, y, rows, features, criterion, min_leaf)
     if found is None:
         return {"value": leaf_value}
     cost, feature, threshold = found
-    mask = X[rows, feature] <= threshold
-    left_rows = rows[mask]
-    right_rows = rows[~mask]
-    gain = len(rows) * (_node_impurity(y[rows], criterion) - cost)
+    if criterion == "gini":
+        impurity = 2.0 * leaf_value * (1.0 - leaf_value)
+    else:
+        impurity = float((y_rows**2).sum() / len(rows) - leaf_value**2)
+    left = Xt[feature, rows] <= threshold
     return {
         "feature": feature,
         "threshold": threshold,
-        "gain": max(0.0, float(gain)),
-        "left": _grow_tree(X, y, left_rows, depth + 1, hp, criterion, rng, n_subsample),
-        "right": _grow_tree(X, y, right_rows, depth + 1, hp, criterion, rng, n_subsample),
+        "gain": max(0.0, float(len(rows) * (impurity - cost))),
+        "left": _grow_tree(fit, rows[left], depth + 1, rng),
+        "right": _grow_tree(fit, rows[~left], depth + 1, rng),
     }
 
 
-def _tree_predict_one(node: dict, x: np.ndarray) -> float:
-    while "value" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["value"]
-
-
 def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
-    return np.array([_tree_predict_one(node, x) for x in X])
+    """Route row indices down the tree; NaN fails `<=`, so it goes right."""
+    out = np.empty(len(X))
+    stack = [(node, np.arange(len(X)))]
+    while stack:
+        node, rows = stack.pop()
+        if "value" in node:
+            out[rows] = node["value"]
+        elif len(rows):
+            left = X[rows, node["feature"]] <= node["threshold"]
+            stack += [(node["left"], rows[left]), (node["right"], rows[~left])]
+    return out
 
 
-def _tree_gains(node: dict, gains: dict[int, float]) -> None:
-    if "value" in node:
-        return
-    gains[node["feature"]] = gains.get(node["feature"], 0.0) + node["gain"]
-    _tree_gains(node["left"], gains)
-    _tree_gains(node["right"], gains)
+def _tree_gains(nodes: list[dict], gains: dict[int, float]) -> dict[int, float]:
+    for node in nodes:
+        if "value" not in node:
+            gains[node["feature"]] = gains.get(node["feature"], 0.0) + node["gain"]
+            _tree_gains([node["left"], node["right"]], gains)
+    return gains
 
 
 @dataclass
@@ -260,19 +272,15 @@ class TreeState:
         return _tree_predict(self.root, X)
 
     def feature_gains(self) -> dict[int, float]:
-        gains: dict[int, float] = {}
-        _tree_gains(self.root, gains)
-        return gains
+        return _tree_gains([self.root], {})
 
     def to_dict(self) -> dict:
         return {"root": self.root, "task": self.task}
 
 
 def fit_decision_tree(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> TreeState:
-    """CART with gini impurity (classification) or variance (regression)."""
-    criterion = "gini" if task == "classification" else "variance"
-    rows = np.arange(len(y))
-    root = _grow_tree(X, y, rows, 0, hp, criterion, generator(seed), None)
+    """CART over every row, no feature sampling."""
+    [root] = _grow_trees(X, y, hp, task, [(generator(seed), np.arange(len(y)))])
     return TreeState(root=root, task=task)
 
 
@@ -282,14 +290,10 @@ class ForestState:
     task: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        preds = np.array([_tree_predict(t, X) for t in self.trees])
-        return preds.mean(axis=0)
+        return np.array([_tree_predict(t, X) for t in self.trees]).mean(axis=0)
 
     def feature_gains(self) -> dict[int, float]:
-        gains: dict[int, float] = {}
-        for t in self.trees:
-            _tree_gains(t, gains)
-        return gains
+        return _tree_gains(self.trees, {})
 
     def to_dict(self) -> dict:
         return {"trees": self.trees, "task": self.task}
@@ -297,21 +301,16 @@ class ForestState:
 
 def fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> ForestState:
     """Bagged CART ensemble with per-split feature subsampling (default √p)."""
-    criterion = "gini" if task == "classification" else "variance"
     n, p = X.shape
-    max_features = hp["max_features"]
-    if max_features == "sqrt":
-        n_subsample = max(1, int(round(math.sqrt(p))))
+    # A node samples features only when fewer than p are asked for.
+    if hp["max_features"] == "sqrt":
+        n_subsample = round(math.sqrt(p))
     else:
-        n_subsample = max(1, min(int(max_features), p))
-    seeds = np.random.SeedSequence(seed).spawn(int(hp["n_trees"]))
-    trees = []
-    for tree_seq in seeds:
-        rng = generator(tree_seq)
-        rows = rng.integers(0, n, size=n)  # bootstrap sample
-        root = _grow_tree(X, y, rows, 0, hp, criterion, rng, n_subsample)
-        trees.append(root)
-    return ForestState(trees=trees, task=task)
+        n_subsample = int(hp["max_features"])
+    # Each tree draws its bootstrap rows, then grows, from its own stream.
+    rngs = generator(seed).spawn(int(hp["n_trees"]))
+    samples = ((rng, rng.integers(0, n, size=n)) for rng in rngs)
+    return ForestState(trees=_grow_trees(X, y, hp, task, samples, n_subsample), task=task)
 
 
 # Queries per distance block: bounds the (block x train rows x features)

@@ -157,8 +157,12 @@ class _Working:
 
     def floats(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
         """A numeric column as float64 plus its missing mask; a coded column
-        converts each dictionary entry once with `float(v)`."""
-        return _as_floats(self.values[name]), self.missing[name]
+        converts each dictionary entry once with `float(v)`. Text is refused:
+        it reaches here only in a column that was numeric at fit time."""
+        col = self.values[name]
+        if isinstance(col, Coded) and any(isinstance(v, str) for v in col.values):
+            raise SchemaError(f"column {name!r} was numeric at fit time but holds text")
+        return _as_floats(col), self.missing[name]
 
     def validate(self) -> None:
         """Reject a result that still holds missing or text cells."""

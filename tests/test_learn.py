@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from holdout import (
@@ -302,7 +303,7 @@ class TestNamedErrorsBeforeTraining:
 
     def test_split_and_cv_seeds(self, registry, partition):
         df = make_classification_frame(30)
-        for seed in (-1, 1.5, "3", True, None):
+        for seed in (-1, 1.5, "3", True, None, np.random.SeedSequence(3)):
             with pytest.raises(ConfigError, match="seed"):
                 split(df, "y", seed=seed, registry=registry)
             with pytest.raises(ConfigError, match="seed"):

@@ -396,6 +396,14 @@ class TestApply:
         b = apply(prepared.state, partition.valid)
         assert fingerprint(a) == fingerprint(b)
 
+    @pytest.mark.parametrize("text", ["a", "1"])
+    def test_text_in_column_numeric_at_fit_rejected(self, text):
+        # Every fit row of c is missing, so c is fitted as a numeric column.
+        df = DataFrame({"c": [None, None], "x": [1.0, 2.0], "y": [0, 1]})
+        prepared = fit_transformer(df, "y", None)
+        with pytest.raises(SchemaError, match="'c'.*text"):
+            apply(prepared.state, DataFrame({"c": [None, text], "x": [1.0, 2.0]}))
+
     def test_target_not_required_at_apply(self):
         df = DataFrame({"x": [1.0, 5.0], "y": [0, 1]})
         prepared = fit_transformer(df, "y", ["standardize"])

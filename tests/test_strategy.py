@@ -540,3 +540,34 @@ class TestRunMemo:
         stacked = stack(c, "y", base_algorithms=["knn", "logistic"], seed=1,
                         registry=registry)
         assert stacked.base[0].scores_ == want
+
+
+class TestSeedSequenceSeed:
+    """A public seed is a non-negative int: a SeedSequence fails by name on
+    every path, before anything prepares or trains."""
+
+    SEED = np.random.SeedSequence(3)
+
+    def test_fit_on_frame(self, registry, rotation, calls):
+        p, _ = rotation
+        with pytest.raises(ConfigError, match="seed"):
+            fit(p.dev, "y", algorithm="random_forest", seed=self.SEED, registry=registry)
+        assert calls == {"prepare": 0, "train": 0}
+
+    @pytest.mark.parametrize(
+        "verb, kwargs",
+        [
+            (fit, {"algorithm": "random_forest"}),
+            (screen, {"algorithms": ["logistic", "random_forest"]}),
+            (tune, {"algorithm": "decision_tree", "space": {"max_depth": [2, 4]}}),
+            (tune, {"algorithm": "decision_tree", "space": {"max_depth": [2, 4]},
+                    "method": "random", "budget": 2}),
+            (stack, {"base_algorithms": ["logistic", "knn"]}),
+        ],
+        ids=["fit", "screen", "tune grid", "tune random", "stack"],
+    )
+    def test_rotation_verbs(self, registry, rotation, calls, verb, kwargs):
+        _, c = rotation
+        with pytest.raises(ConfigError, match="seed"):
+            verb(c, "y", seed=self.SEED, registry=registry, **kwargs)
+        assert calls == {"prepare": 0, "train": 0}

@@ -366,6 +366,29 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert json.loads(result.stderr)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("first_text_row", [30, 32], ids=["evaluate", "assess"])
+    def test_text_in_column_numeric_at_fit_exit_4(self, tmp_path, first_text_row):
+        # Temporal 0.6/0.2/0.2 split of 40 rows: train 0-23, valid 24-31,
+        # test 32-39. Column c is empty in every train row, so it is fitted
+        # as numeric; its text then reaches evaluate, or only assess.
+        data = tmp_path / "late_text.csv"
+        data.write_text("t,x,c,y\n" + "".join(
+            f"{i},{i % 5 * 0.5},{'ab'[i % 2] if i >= first_text_row else ''},{i % 2}\n"
+            for i in range(40)
+        ))
+        wf = tmp_path / "wf.yaml"
+        wf.write_text(
+            f"data:\n  path: {data}\n  target: y\n"
+            "split:\n  kind: temporal\n  time_col: t\n"
+            "model:\n  algorithm: logistic\n"
+        )
+        result = CliRunner().invoke(main, ["--registry-dump", "run", str(wf)])
+        assert result.exit_code == 4, result.output
+        dump, error = result.stderr.rsplit("\n{", 1)
+        error = json.loads("{" + error)
+        assert error["error"] == "SchemaError" and "'c'" in error["message"]
+        assert not any(record["assessed"] for record in json.loads(dump).values())
+
     def test_unreadable_data_exit_4(self, tmp_path):
         latin1 = tmp_path / "latin1.csv"
         latin1.write_bytes("x,y\n1.0,caf\xe9\n".encode("latin-1"))
