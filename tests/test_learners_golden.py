@@ -1,10 +1,11 @@
-"""Golden learner vectors: fitted trees, tree and forest predictions and
-kNN predictions pinned across versions.
+"""Golden learner vectors: fitted trees, tree and forest predictions, kNN
+predictions and logistic weights and predictions pinned across versions.
 
-The digests below were produced by the per-feature CART split scan and
-the all-pairs kNN distance tensor. Data are Philox draws rounded to one
-decimal, so feature values and kNN distances tie often. Any faster split
-search or query blocking must reproduce them exactly.
+The digests below were produced by the per-feature CART split scan, the
+all-pairs kNN distance tensor and the masked-sigmoid gradient loop. Data
+are Philox draws rounded to one decimal, so feature values and kNN
+distances tie often. Any faster split search, query blocking or gradient
+loop must reproduce them exactly.
 """
 
 import hashlib
@@ -120,3 +121,60 @@ def test_knn_predict_golden(task, k):
     out = np.asarray(state.predict(Q), dtype=np.float64)
     assert out.shape == (len(Q),)
     assert hashlib.sha256(out.tobytes()).hexdigest() == KNN[(task, k)]
+
+
+# Name -> (hyperparameter overrides, labels), each noted with how it stops.
+LOGISTIC_FITS = {
+    "l2_0": ({}, Y_CLASS),  # stops on tol after 1,245 iterations
+    "l2_0.05": ({"l2": 0.05}, Y_CLASS),  # stops on tol after 498
+    "early_tol": ({"tol": 1e-4, "learning_rate": 0.5}, Y_CLASS),  # tol after 67
+    "max_iter": ({"max_iter": 40, "learning_rate": 2.0}, Y_CLASS),  # all 40
+    "all_zero": ({"max_iter": 300}, np.zeros_like(Y_CLASS)),  # all 300
+}
+
+LOGISTIC_STATES = {
+    "l2_0":
+        "18a473eb029b0afe5ee46e8b463f0bf11e87d52f13a6b655b0fe2a3f32678e2a",
+    "l2_0.05":
+        "b4a3352aa32b03bb61a2dae153bcca0b902c6dbc272ab922d402b36fe031b02e",
+    "early_tol":
+        "9ecb8a78f6d0ce4a202615263f3fd8df250c0ff9e55d252eb57df21f248f9871",
+    "max_iter":
+        "291fdafdce022fb8e30ab3bef68e2c16c8e414d5fa1b270875e2e3c415e2ab06",
+    "all_zero":
+        "d33d538ab5e88d618c6b7b6000f2d12d6b4611d7937bd1328b632cbb982a5650",
+}
+
+LOGISTIC_PREDICTIONS = {
+    "l2_0":
+        "1ec137f8db99fea83d7cc2c312f26f73b86103544b0f85ff3c793e58f8953090",
+    "l2_0.05":
+        "a1bbce82fb61cdc0a75367ee63506599094b7476fb4b86d32877aa581cc94713",
+    "early_tol":
+        "7545332f25c623048e5fb420c2c3b1f8573d6ea5b9b7871b5688d579843cf8c3",
+    "max_iter":
+        "91960b2b96891c263bd27a552d76813b710a3144b29666144c7736b6aca467e1",
+    "all_zero":
+        "2638cd656b5030904a2b38d8805b1ea562d8beec58209f618d88d7cb683361b2",
+}
+
+
+def _fit_logistic(name):
+    overrides, y = LOGISTIC_FITS[name]
+    return train("logistic", X, y, resolve_hyperparameters("logistic", overrides), 0,
+                 "classification")
+
+
+@pytest.mark.parametrize("name", sorted(LOGISTIC_FITS))
+def test_logistic_state_golden(name):
+    state = _fit_logistic(name)
+    coef = np.array(state.weights + [state.bias], dtype=np.float64)
+    assert hashlib.sha256(coef.tobytes()).hexdigest() == LOGISTIC_STATES[name]
+
+
+@pytest.mark.parametrize("name", sorted(LOGISTIC_FITS))
+def test_logistic_predict_golden(name):
+    # 40 * Q saturates the sigmoid on both sides.
+    out = np.asarray(_fit_logistic(name).predict(np.vstack([Q, 40.0 * Q])), dtype=np.float64)
+    assert out.shape == (2 * len(Q),)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == LOGISTIC_PREDICTIONS[name]

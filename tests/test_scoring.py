@@ -2,9 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holdout.errors import ConfigError
-from holdout.scoring import accuracy, log_loss, mae, metric_names, r2, rmse, roc_auc, score
+from holdout.scoring import (
+    _tied_ranks,
+    accuracy,
+    log_loss,
+    mae,
+    metric_names,
+    r2,
+    rmse,
+    roc_auc,
+    score,
+)
 
 
 def brute_force_auc(labels, scores):
@@ -51,6 +63,51 @@ class TestRocAuc:
             got = roc_auc(labels, scores)
             want = brute_force_auc(labels, scores)
             assert abs(got - want) < 1e-12
+
+
+def _reference_tied_ranks(values):
+    """The per-element loop the library first shipped: a run extends while
+    the next sorted value == the run's first, so NaN never ties and ±0.0 do."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+def _reference_auc(labels, scores):
+    t = np.asarray(labels, dtype=np.float64)
+    pos = t >= 0.5
+    n_pos = int(pos.sum())
+    n_neg = len(t) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return 0.5
+    pos_rank_sum = float(_reference_tied_ranks(np.asarray(scores, dtype=np.float64))[pos].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+SCORE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(
+    scores=st.lists(SCORE_CELLS, min_size=0, max_size=60),
+    labels=st.lists(st.sampled_from([0, 1]), min_size=60, max_size=60),
+)
+@settings(max_examples=300, deadline=None)
+def test_tied_ranks_and_auc_equal_reference(scores, labels):
+    values = np.array(scores, dtype=np.float64)
+    assert _tied_ranks(values).tobytes() == _reference_tied_ranks(values).tobytes()
+    if scores:
+        labels = labels[: len(scores)]
+        assert roc_auc(labels, scores).hex() == _reference_auc(labels, scores).hex()
 
 
 class TestOtherMetrics:
