@@ -101,11 +101,23 @@ def _fold_seed(seed: int, fold_index: int) -> int:
     return int(np.random.SeedSequence([int(seed), fold_index]).generate_state(1)[0])
 
 
+def _require_finite(names, values: np.ndarray) -> np.ndarray:
+    """`values`, one column or a (rows, `names`) matrix, when every cell is
+    finite; else SchemaError naming the first column that is not. An inf
+    input cell stays inf, or turns a standardized column into NaN."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+    if len(bad):
+        raise SchemaError(f"column {names[bad[0]]!r} holds a non-finite value after preparation")
+    return values
+
+
 def feature_matrix(prepared_frame: DataFrame, feature_names) -> np.ndarray:
+    """The finite (rows, features) matrix every learner trains and predicts on."""
     # Keep this (features, rows) stack transposed, not column_stack: BLAS
     # rounding can depend on the memory layout of X.
     cols = [_as_floats(prepared_frame._col(n)) for n in feature_names]
-    return np.array(cols, dtype=np.float64).T if cols else np.empty((prepared_frame.row_count, 0))
+    X = np.array(cols, dtype=np.float64).T if cols else np.empty((prepared_frame.row_count, 0))
+    return _require_finite(feature_names, X)
 
 
 def _train_on_prepared(prepared: PreparedData, algorithm: str, hp: dict, seed: int):
@@ -113,6 +125,7 @@ def _train_on_prepared(prepared: PreparedData, algorithm: str, hp: dict, seed: i
     y = np.asarray(prepared.data._col(prepared.target), dtype=np.float64)
     if X.shape[1] == 0:
         raise ConfigError("no feature columns left after preparation")
+    _require_finite([prepared.target], y)
     return learners.train(algorithm, X, y, hp, seed, prepared.task)
 
 
@@ -449,4 +462,4 @@ def model_from_json(text: str) -> Model:
 def encode_eval_target(m, df: DataFrame) -> np.ndarray:
     if m.target not in df.column_names:
         raise SchemaError(f"frame lacks the target column {m.target!r}")
-    return encode_target_with_classes(df._col(m.target), m.classes)
+    return _require_finite([m.target], encode_target_with_classes(df._col(m.target), m.classes))

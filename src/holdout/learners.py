@@ -78,12 +78,10 @@ def resolve_hyperparameters(algorithm: str, overrides) -> dict:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) where z >= 0 and e^z / (1 + e^z) elsewhere: e never
+    overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
@@ -99,25 +97,25 @@ class LogisticState:
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> LogisticState:
-    """Full-batch gradient descent on the log-loss, optional L2 penalty."""
+    """Full-batch gradient descent on the log-loss, optional L2 penalty.
+    Labels are 0.0 or 1.0 (`encode_target`), so a row's loss is the log of
+    its own label's probability. A mean is np.mean's pairwise sum over n."""
     n, p = X.shape
     w = np.zeros(p)
     b = 0.0
     lr = float(hp["learning_rate"])
     l2 = float(hp["l2"])
+    tol = float(hp["tol"])
+    positive = y == 1.0
     prev_loss = math.inf
     for _ in range(int(hp["max_iter"])):
         prob = _sigmoid(X @ w + b)
-        grad_w = X.T @ (prob - y) / n + l2 * w
-        grad_b = float(np.mean(prob - y))
-        w -= lr * grad_w
-        b -= lr * grad_b
-        eps = 1e-12
-        loss = float(
-            -np.mean(y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps))
-            + 0.5 * l2 * float(w @ w)
-        )
-        if abs(prev_loss - loss) < float(hp["tol"]):
+        r = prob - y
+        w -= lr * (X.T @ r / n + l2 * w)
+        b -= lr * (float(np.add.reduce(r)) / n)
+        likelihood = np.where(positive, prob, 1.0 - prob) + 1e-12
+        loss = -float(np.add.reduce(np.log(likelihood))) / n + 0.5 * l2 * float(w @ w)
+        if abs(prev_loss - loss) < tol:
             break
         prev_loss = loss
     return LogisticState(weights=[float(v) for v in w], bias=float(b))

@@ -39,16 +39,14 @@ def accuracy(y_true, y_score) -> float:
 
 
 def _tied_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; runs of equal values share the average of their ranks."""
+    """1-based ranks; runs of equal values share the average of their ranks.
+    A run starts where sorted neighbours differ: NaN never ties, ±0.0 do."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # average of ranks i+1 .. j+1
-        i = j + 1
+    v = values[order]
+    starts = np.flatnonzero(np.concatenate(([len(v) > 0], v[1:] != v[:-1])))
+    counts = np.diff(np.append(starts, len(v)))
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((2 * starts + counts + 1) / 2.0, counts)  # mean of a run's ranks
     return ranks
 
 

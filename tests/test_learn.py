@@ -308,3 +308,34 @@ class TestNamedErrorsBeforeTraining:
                 split(df, "y", seed=seed, registry=registry)
             with pytest.raises(ConfigError, match="seed"):
                 cv(partition, folds=3, seed=seed, registry=registry)
+
+    @staticmethod
+    def _frame_with_inf(task):
+        rng = np.random.Generator(np.random.Philox(0))
+        a = rng.normal(size=200)
+        y = a + rng.normal(size=200)
+        if task == "classification":
+            y = (y > 0).astype(int)
+            a[::10] = np.inf  # inf in every partition and fold
+        else:
+            y[::10] = np.inf
+        return DataFrame({"a": a, "b": rng.normal(size=200), "y": y})
+
+    @pytest.mark.parametrize("recipe", [None, ["impute_mean"]], ids=["standardized", "raw"])
+    @pytest.mark.parametrize("algorithm", ["logistic", "decision_tree"])
+    def test_non_finite_feature(self, registry, trained, algorithm, recipe):
+        # Standardize fits (inf, nan) for 'a', so all its rows turn NaN;
+        # without it the inf cells stay inf.
+        p = split(self._frame_with_inf("classification"), "y", seed=0, registry=registry)
+        c = cv(p, folds=3, registry=registry)
+        before = registry.dump()
+        for data in (p.dev, c):
+            with pytest.raises(SchemaError, match="'a' holds a non-finite value"):
+                fit(data, "y", algorithm=algorithm, recipe=recipe, registry=registry)
+        assert trained == [] and registry.dump() == before
+
+    def test_non_finite_regression_target(self, registry, trained):
+        p = split(self._frame_with_inf("regression"), "y", seed=0, registry=registry)
+        with pytest.raises(SchemaError, match="'y' holds a non-finite value"):
+            fit(p.train, "y", algorithm="linear", registry=registry)
+        assert trained == []

@@ -337,6 +337,22 @@ class TestCli:
         assert error["error"] == "SchemaError" and "'big'" in error["message"]
         assert "sum" in error["message"]
 
+    def test_inf_cell_exit_4_before_assess(self, tmp_path):
+        # One inf cell makes standardize's fitted mean inf, so every
+        # prepared row of 'big' would be NaN.
+        data = tmp_path / "inf.csv"
+        data.write_text("x,big,y\n" + "".join(
+            f"{i * 0.5},{'inf' if i == 3 else i % 7},{i % 2}\n" for i in range(30)
+        ))
+        wf = tmp_path / "wf.yaml"
+        wf.write_text(workflow_text(data))
+        result = CliRunner().invoke(main, ["--registry-dump", "run", str(wf)])
+        assert result.exit_code == 4, result.output
+        dump, error = result.stderr.rsplit("\n{", 1)
+        error = json.loads("{" + error)
+        assert error["error"] == "SchemaError" and "'big'" in error["message"]
+        assert not any(record["assessed"] for record in json.loads(dump).values())
+
     @pytest.mark.parametrize(
         "line, typo",
         [("  k: 3\n", "  k: abc\n"), ("  ratios: [0.6, 0.2, 0.2]\n", "  ratios: 5\n")],
@@ -387,6 +403,36 @@ class TestCli:
         dump, error = result.stderr.rsplit("\n{", 1)
         error = json.loads("{" + error)
         assert error["error"] == "SchemaError" and "'c'" in error["message"]
+        assert not any(record["assessed"] for record in json.loads(dump).values())
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("bad_row", [28, 36], ids=["evaluate", "assess"])
+    def test_inf_cell_at_scoring_exit_4(self, tmp_path, task, bad_row):
+        # Temporal 0.6/0.2/0.2 split of 40 rows, as above. The model trains
+        # on finite rows; a later row holds inf and -inf features (its
+        # logistic score is inf - inf) or an inf regression target.
+        rows = []
+        for i in range(40):
+            x0, x1 = (i * 7 % 11) / 5.0, (i * 3 % 7) / 3.0
+            y = int(x0 + x1 > 3.0) if task == "classification" else x0 + x1
+            if i == bad_row:
+                x0, x1, y = ("inf", "-inf", y) if task == "classification" else (x0, x1, "inf")
+            rows.append(f"{i},{x0},{x1},{y}\n")
+        data = tmp_path / "late_inf.csv"
+        data.write_text("t,x0,x1,y\n" + "".join(rows))
+        wf = tmp_path / "wf.yaml"
+        algorithm = "logistic" if task == "classification" else "linear"
+        wf.write_text(
+            f"data:\n  path: {data}\n  target: y\n"
+            "split:\n  kind: temporal\n  time_col: t\n"
+            f"model:\n  algorithm: {algorithm}\n"
+        )
+        result = CliRunner().invoke(main, ["--registry-dump", "run", str(wf)])
+        assert result.exit_code == 4, result.output
+        dump, error = result.stderr.rsplit("\n{", 1)
+        error = json.loads("{" + error)
+        name = "'x0'" if task == "classification" else "'y'"
+        assert error["error"] == "SchemaError" and name in error["message"]
         assert not any(record["assessed"] for record in json.loads(dump).values())
 
     def test_unreadable_data_exit_4(self, tmp_path):
