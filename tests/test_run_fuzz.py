@@ -1,8 +1,8 @@
 """`holdout run` on small, messy CSVs: every run exits 0, 2, 3 or 4, never
 with a traceback, and a report that exits 0 holds only finite metrics.
 
-Cells are numbers, empty, `nan`, `inf`, `-inf` or short text; the spec's
-algorithm, `cv.k` and split seed are drawn too.
+Cells are numbers, empty, `nan`, `inf`, `-inf`, `1e400` or short text; the
+spec's algorithm, `cv.k` and split seed are drawn too.
 """
 
 import json
@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from holdout.cli import main
 
+ODD_NUMBERS = st.sampled_from(["", "nan", "inf", "-inf", "1e400"])
 CELLS = st.one_of(
     st.integers(min_value=-3, max_value=3).map(str),
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(repr),
-    st.sampled_from(["", "nan", "inf", "-inf", "1e400"]),
+    ODD_NUMBERS,
     st.text(alphabet="abxyz _-", min_size=1, max_size=4),
 )
 # The target is usually two classes, sometimes any cells at all.
@@ -31,9 +32,14 @@ TARGETS = st.sampled_from([BINARY, BINARY, st.sampled_from(["no", "yes"]), CELLS
 def _csv(draw):
     n = draw(st.integers(min_value=0, max_value=60))
     p = draw(st.integers(min_value=1, max_value=3))
-    # Columns are mostly numbers, with a few odd cells mixed in.
+    # Any cells, or mostly numbers with odd cells mixed in. One text cell
+    # makes a column categorical, so one kind mixes in only odd numbers.
     numbers = st.floats(min_value=-10, max_value=10, allow_nan=False).map(repr)
-    feature = draw(st.sampled_from([CELLS, st.one_of(numbers, numbers, numbers, CELLS)]))
+    feature = draw(st.sampled_from([
+        CELLS,
+        st.one_of(numbers, numbers, numbers, CELLS),
+        st.one_of(numbers, numbers, numbers, ODD_NUMBERS),
+    ]))
     target = draw(TARGETS)
     lines = [",".join([f"x{j}" for j in range(p)] + ["y"])]
     for _ in range(n):
