@@ -11,9 +11,10 @@ import math
 
 from .errors import GuardError, HoldoutSpent, PartitionError
 from .frame import DataFrame, select_columns
-from .judge import Evidence, Metrics, assess, evaluate
-from .learn import Model, fit
-from .registry import ProvenanceRegistry
+from .judge import Evidence, Metrics, assess, evaluate, explain
+from .learn import fit
+from .prepare import PreparedData, apply, prepare
+from .registry import ADMITS, ROLES, ProvenanceRegistry
 from .rng import generator
 from .rotate import cv
 from .split import Partition, split
@@ -43,23 +44,49 @@ def _check_1_split_produces_partition():
     return "Partition with tagged, registered members"
 
 
-def _check_2_fit_requires_provenance():
-    reg = ProvenanceRegistry()
+_VERBS = {
+    "prepare": lambda m, df, reg: prepare(df, "y", registry=reg),
+    "fit": lambda m, df, reg: fit(df, "y", registry=reg),
+    "evaluate": lambda m, df, reg: evaluate(m, df, registry=reg),
+    "explain": lambda m, df, reg: explain(m, df, repeats=1, registry=reg),
+    "assess": lambda m, df, reg: assess(m, df, registry=reg),
+}
+
+
+def _check_2_verbs_admit_declared_roles():
     df = _toy_frame()
-    s = split(df, "y", seed=1, registry=reg)
+    for verb, admitted in ADMITS.items():
+        # A fresh session per verb: assess spends the one holdout it admits.
+        reg = ProvenanceRegistry()
+        s = split(df, "y", seed=1, registry=reg)
+        model = fit(s.train, "y", registry=reg)
+        try:
+            _VERBS[verb](model, df, reg)
+            raise AssertionError(f"{verb} accepted unregistered data")
+        except PartitionError as exc:
+            assert "split" in str(exc), "rejection must direct the user to split"
+        for role in sorted(ROLES, key=lambda r: r in admitted):  # rejections first
+            member = getattr(s, role)
+            if role in admitted:
+                _VERBS[verb](model, member, reg)
+                continue
+            try:
+                _VERBS[verb](model, member, reg)
+                raise AssertionError(f"{verb} accepted {role}-role data")
+            except GuardError:
+                pass
+    # prepare's output is admitted by content too (in the last session): a
+    # hand-built PreparedData over transformed test rows has no provenance.
+    t = prepare(s.train, "y", registry=reg).state
+    cols = apply(t, s.test).columns()
+    cols["y"] = [float(v) for v in s.test.column("y")]
+    forged = PreparedData(DataFrame(cols), t, "y", "classification", (0, 1))
     try:
-        fit(df, "y", registry=reg)
-        raise AssertionError("fit accepted unregistered data")
-    except PartitionError as exc:
-        assert "split" in str(exc), "rejection must direct the user to split"
-    try:
-        fit(s.test, "y", registry=reg)
-        raise AssertionError("fit accepted test-tagged data")
-    except GuardError:
+        fit(forged, registry=reg)
+        raise AssertionError("fit accepted a hand-built PreparedData")
+    except PartitionError:
         pass
-    model = fit(s.train, "y", registry=reg)
-    assert isinstance(model, Model)
-    return "fit admits train/valid/dev only, rejects unregistered and test data"
+    return "every verb admits exactly its ADMITS roles; unregistered and forged data rejected"
 
 
 def _check_3_judgment_requires_model():
@@ -167,7 +194,7 @@ def _check_8_rotation_blocks_partitions():
 
 CONDITIONS = (
     (1, "split produces a Partition", _check_1_split_produces_partition),
-    (2, "fit requires train/valid/dev provenance", _check_2_fit_requires_provenance),
+    (2, "each verb admits only its declared roles", _check_2_verbs_admit_declared_roles),
     (3, "evaluate and assess require a Model", _check_3_judgment_requires_model),
     (4, "assess is terminal, once per holdout", _check_4_assess_once_per_holdout),
     (5, "preparation runs per fold in declarative mode", _check_5_per_fold_preparation),

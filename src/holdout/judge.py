@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import AlreadyAssessedModel, ConfigError, GuardError, PartitionError
+from .errors import AlreadyAssessedModel, ConfigError
 from .frame import DataFrame, _take_column, fingerprint
 from .learn import Model, encode_eval_target, predict_values
 from .registry import ProvenanceRegistry, resolve
@@ -112,27 +112,11 @@ def evaluate(
     _require_model(m, "evaluate")
     if not isinstance(df, DataFrame):
         raise TypeError("evaluate expects a DataFrame")
-    reg = resolve(registry)
-    role = "unknown"
-    bypassed = not reg.guards_on
-    if reg.guards_on:
-        record = reg.lookup(df)
-        if record is None:
-            raise PartitionError(
-                "evaluate requires data registered by split; call split() first"
-            )
-        if record.role == "test":
-            raise GuardError(
-                "evaluate rejects test-role data: test data is reserved for assess"
-            )
-        role = record.role
-    else:
-        record = reg.lookup_quiet(df)
-        if record is not None:
-            role = record.role
+    record, bypassed = resolve(registry).admit(df, "evaluate")
     y_true = encode_eval_target(m, df)
     preds = predict_values(m, df)
     values = score(m.task, y_true, preds, metrics)
+    role = "unknown" if record is None else record.role
     return Metrics(values=values, partition_role=role, guards_bypassed=bypassed)
 
 
@@ -150,25 +134,17 @@ def assess(
     if not isinstance(test, DataFrame):
         raise TypeError("assess expects a DataFrame")
     reg = resolve(registry)
-    bypassed = not reg.guards_on
     # Everything that can fail (target encoding, each fitted transformer,
     # the learners and the scorer) runs before the claim, so the budget is
     # charged only for delivered Evidence; nothing is released before it.
     y_true = encode_eval_target(m, test)
     values = score(m.task, y_true, predict_values(m, test), metrics)
-    if reg.guards_on:
-        if m.assess_count > 0:
-            raise AlreadyAssessedModel(
-                "this model has already been assessed; assessment is terminal: "
-                "once per holdout"
-            )
-        reg.claim_assessment(test, m.source_split_id)
-    else:
-        # Escape hatch: no checks, but spend the budget where it exists so
-        # switching guards back on keeps the session's history honest.
-        record = reg.lookup_quiet(test)
-        if record is not None and record.role == "test":
-            reg.mark_assessed(fingerprint(test))
+    if reg.guards_on and m.assess_count > 0:
+        raise AlreadyAssessedModel(
+            "this model has already been assessed; assessment is terminal: "
+            "once per holdout"
+        )
+    _, bypassed = reg.admit(test, "assess", m.source_split_id)
     m.assess_count += 1
     return Evidence(
         values=values,
@@ -199,18 +175,7 @@ def explain(
         return _intrinsic_explanation(m)
     if not isinstance(df, DataFrame):
         raise TypeError("explain expects a DataFrame or None")
-    reg = resolve(registry)
-    bypassed = not reg.guards_on
-    if reg.guards_on:
-        record = reg.lookup(df)
-        if record is None:
-            raise PartitionError(
-                "explain requires data registered by split; call split() first"
-            )
-        if record.role == "test":
-            raise GuardError(
-                "explain rejects test-role data: test data is reserved for assess"
-            )
+    _, bypassed = resolve(registry).admit(df, "explain")
     primary = PRIMARY_METRIC[m.task]
     y_true = encode_eval_target(m, df)
     baseline = score(m.task, y_true, predict_values(m, df), [primary])[primary]

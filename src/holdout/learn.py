@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import learners
-from .errors import ConfigError, GuardError, PartitionError, SchemaError
+from .errors import ConfigError, SchemaError
 from .frame import DataFrame, _as_floats
 from .prepare import (
     PreparedData,
@@ -35,8 +35,6 @@ from .rotate import CVResult, _materialize
 from .scoring import CV_METRICS, score
 
 MODEL_FORMAT_VERSION = 1
-
-FIT_ROLES = ("train", "valid", "dev")
 
 
 @dataclass(frozen=True)
@@ -159,36 +157,19 @@ def fit(
     if isinstance(data, CVResult):
         return _fit_rotation(data, target, algorithm, seed, hyperparameters, recipe, reg)
     if isinstance(data, PreparedData):
-        # Explicit mode: preparation already happened behind prepare's own guard.
-        record = reg.lookup_quiet(data.data)
-        return _fit_prepared(data, algorithm, seed, hyperparameters, record, not reg.guards_on)
+        # Explicit mode: prepare registered its output under the source's role.
+        record, bypassed = reg.admit(data.data, "fit")
+        return _fit_prepared(data, algorithm, seed, hyperparameters, record, bypassed)
     raise TypeError(
         "fit expects a DataFrame, CVResult, or PreparedData, got "
         f"{type(data).__name__}"
     )
 
 
-def _guard_frame(df: DataFrame, reg: ProvenanceRegistry, verb: str):
-    """Resolve provenance for a guarded verb; returns (record, bypassed)."""
-    if not reg.guards_on:
-        return reg.lookup_quiet(df), True
-    record = reg.lookup(df)
-    if record is None:
-        raise PartitionError(
-            f"{verb} requires data registered by split; call split() first"
-        )
-    if record.role not in FIT_ROLES:
-        raise GuardError(
-            f"{verb} rejects test-role data: partition role 'test' is not in "
-            "{'train', 'valid', 'dev'}; test data is reserved for assess"
-        )
-    return record, False
-
-
 def _fit_frame(df, target, algorithm, seed, hyperparameters, recipe, reg) -> Model:
     if target is None:
         raise ConfigError("fit requires a target column name")
-    record, bypassed = _guard_frame(df, reg, "fit")
+    record, bypassed = reg.admit(df, "fit")
     prepared = fit_transformer(df, target, recipe)
     return _fit_prepared(prepared, algorithm, seed, hyperparameters, record, bypassed)
 
@@ -261,13 +242,9 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
         raise ConfigError(
             f"rotation was built for target {c.target!r}, not {target!r}"
         )
-    if reg.guards_on and not reg.has_split(c.source_split_id):
-        raise PartitionError(
-            "rotation's source split is not registered in this session; "
-            "call split() again"
-        )
-    check_seed(seed)
     dev = c._dev_frame
+    reg.admit(dev, "fit")
+    check_seed(seed)
     task = infer_task(dev._col(target))
     classes = None
     if task == "classification":

@@ -28,7 +28,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GuardError, PartitionError, SchemaError
+from .errors import ConfigError, SchemaError
 from .frame import (
     Coded,
     Column,
@@ -40,6 +40,7 @@ from .frame import (
     _missing,
     _readonly,
     _recode,
+    fingerprint,
 )
 from .registry import ProvenanceRegistry, resolve
 
@@ -317,7 +318,7 @@ def infer_task(col: Column) -> str:
 
 def _regression_target(col: Column) -> np.ndarray:
     if _missing(col).any():
-        raise ConfigError("target column has missing values")
+        raise SchemaError("target column has missing values")
     return _as_floats(col)
 
 
@@ -328,7 +329,7 @@ def encode_target(col: Column, task: str) -> tuple[np.ndarray, tuple | None]:
     if task == "regression":
         return _regression_target(col), None
     if _missing(col).any():
-        raise ConfigError("target column has missing values")
+        raise SchemaError("target column has missing values")
     classes = sorted(set(_first_appearance(col)), key=repr)
     if len(classes) == 1:
         # Degenerate single-class frame: encode everything as class 0.
@@ -409,23 +410,18 @@ def prepare(
 
     The default recipe imputes numeric missing values with the column mean,
     one-hot encodes categoricals in first-appearance order, then
-    standardizes numerics with the population stddev.
+    standardizes numerics with the population stddev. With guards on, the
+    prepared frame is registered under its source's role and split, so
+    `fit` admits it, and carries its lineage, like any partition.
     """
     if not isinstance(df, DataFrame):
         raise TypeError("prepare expects a DataFrame")
     reg = resolve(registry)
-    if reg.guards_on:
-        record = reg.lookup(df)
-        if record is None:
-            raise PartitionError(
-                "prepare requires data registered by split; call split() first"
-            )
-        if record.role == "test":
-            raise GuardError(
-                "prepare rejects test-role data: partition role 'test' is not "
-                "in {'train', 'valid', 'dev'}"
-            )
-    return fit_transformer(df, target, recipe)
+    record, bypassed = reg.admit(df, "prepare")
+    prepared = fit_transformer(df, target, recipe)
+    if not bypassed:
+        reg.register(fingerprint(prepared.data), record.role, record.split_id)
+    return prepared
 
 
 def apply(t: Transformer, df: DataFrame) -> DataFrame:

@@ -1,10 +1,11 @@
 """Session-scoped provenance registry: the oracle every guard consults.
 
 Split registers the content fingerprint of each partition it produces;
-guards later resolve incoming frames back to a role by content, not by
-metadata, so provenance survives column selection and tag erasure but dies
-on any value edit. The registry also owns the per-holdout assessed flag and
-the guards-on/off switch.
+`admit`, the one guard of every verb, resolves incoming frames back to a
+role by content, not by metadata, so provenance survives column selection
+and tag erasure but dies on any value edit, and checks the role against
+`ADMITS`. The registry also owns the per-holdout assessed flag and the
+guards-on/off switch.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ from .errors import (
 from .frame import DataFrame, FrameFingerprint, fingerprint
 
 ROLES = ("train", "valid", "test", "dev")
+
+# The paper's typed DAG as data: the partition roles each guarded verb may
+# consume. Every guard decision in the package is read from this table.
+ADMITS = {
+    "prepare": ("train", "valid", "dev"),
+    "fit": ("train", "valid", "dev"),
+    "evaluate": ("train", "valid", "dev"),
+    "explain": ("train", "valid", "dev"),
+    "assess": ("test",),
+}
 
 
 @dataclass
@@ -83,12 +94,32 @@ class ProvenanceRegistry:
         with self._lock:
             return self._resolve_locked(fp)
 
-    def lookup_quiet(self, df: DataFrame) -> ProvenanceRecord | None:
-        """Best-effort lookup for off-mode bookkeeping: never raises."""
+    def admit(
+        self, df: DataFrame, verb: str, split_id: str | None = None
+    ) -> tuple[ProvenanceRecord | None, bool]:
+        """The one admission point of every guarded verb: (record, bypassed).
+
+        With guards on, the frame must resolve to a registered partition
+        whose role `ADMITS[verb]` lists; `assess` also claims the holdout
+        through `claim_assessment`, checking lineage against `split_id`.
+        With guards off nothing raises: the record is resolved when it can
+        be, and `assess` still spends a test holdout it resolves to, so
+        switching guards back on keeps the session's history honest.
+        """
+        if self.guards_on:
+            if verb == "assess":
+                return self.claim_assessment(df, split_id), False
+            record = self.lookup(df)
+            _check(record, verb)
+            return record, False
         try:
-            return self.lookup(df)
+            record = self.lookup(df)
         except AmbiguousProvenance:
-            return None
+            return None, True
+        if verb == "assess" and record is not None and record.role == "test":
+            with self._lock:
+                record.assessed = True
+        return record, True
 
     def _resolve_locked(self, fp: FrameFingerprint) -> ProvenanceRecord | None:
         exact = self._entries.get(fp)
@@ -101,47 +132,30 @@ class ProvenanceRegistry:
         ]
         if not matches:
             return None
-        if len(matches) > 1:
+        # A prepared frame shares its source's role and split, so matching
+        # both is not ambiguous; matching two partitions is.
+        if len({(rec.role, rec.split_id) for _, rec in matches}) > 1:
             raise AmbiguousProvenance(
                 f"frame content matches {len(matches)} registered partitions; "
                 "refusing to guess provenance"
             )
         return matches[0][1]
 
-    def mark_assessed(self, fp: FrameFingerprint) -> None:
-        """Set the assessed flag on a registered test fingerprint."""
-        with self._lock:
-            rec = self._entries.get(fp)
-            if rec is None:
-                raise RegistryError("fingerprint is not registered")
-            if rec.role != "test":
-                raise RegistryError(
-                    f"assessed flag applies to test partitions, not role {rec.role!r}"
-                )
-            rec.assessed = True
-
     def claim_assessment(
         self, df: DataFrame, expected_split_id: str | None
     ) -> ProvenanceRecord:
         """Atomically verify and spend a test holdout.
 
-        Checks, in order and under one lock: the frame is registered; its
-        role is test; its lineage matches `expected_split_id`; the holdout
-        has not been assessed. On success the assessed flag is set and the
-        record returned, so concurrent claims on one holdout yield exactly
-        one winner.
+        Checks, in order and under one lock: the frame is admitted to
+        `assess` (registered, test role); its lineage matches
+        `expected_split_id`; the holdout has not been assessed. On success
+        the assessed flag is set and the record returned, so concurrent
+        claims on one holdout yield exactly one winner.
         """
         fp = fingerprint(df)
         with self._lock:
             rec = self._resolve_locked(fp)
-            if rec is None:
-                raise PartitionError(
-                    "assess requires data registered by split; call split() first"
-                )
-            if rec.role != "test":
-                raise GuardError(
-                    f"assess requires test-role data, got role {rec.role!r}"
-                )
+            _check(rec, "assess")
             if expected_split_id is not None and rec.split_id != expected_split_id:
                 raise LineageMismatch(
                     "test data comes from a different split than the model "
@@ -181,6 +195,18 @@ class ProvenanceRegistry:
 
     def dump_json(self) -> str:
         return json.dumps(self.dump(), indent=2, sort_keys=True)
+
+
+def _check(record: ProvenanceRecord | None, verb: str) -> None:
+    """Raise unless `record` is registered under a role `verb` admits."""
+    if record is None:
+        raise PartitionError(f"{verb} requires data registered by split; call split() first")
+    admitted = ADMITS[verb]
+    if record.role not in admitted:
+        raise GuardError(
+            f"{verb} admits only {'/'.join(admitted)}-role data, got role "
+            f"{record.role!r}: test data is reserved for assess"
+        )
 
 
 _default = ProvenanceRegistry()

@@ -115,11 +115,18 @@ def _build_partition(
     valid = df._take(idx_valid, tag="valid")
     test = df._take(idx_test, tag="test")
     dev = df._take(list(idx_train) + list(idx_valid), tag="dev")
+    members = {"train": train, "valid": valid, "test": test, "dev": dev}
+    roles_by_content: dict = {}
+    for role, member in members.items():
+        twin = roles_by_content.setdefault(fingerprint(member), role)
+        if twin != role:
+            raise PartitionError(
+                f"{twin} and {role} partitions have identical content, so "
+                "provenance cannot tell them apart; deduplicate the rows"
+            )
     split_id = _split_id(kind, seed, (train, valid, test))
-    registry.register(fingerprint(train), "train", split_id)
-    registry.register(fingerprint(valid), "valid", split_id)
-    registry.register(fingerprint(test), "test", split_id)
-    registry.register(fingerprint(dev), "dev", split_id)
+    for role, member in members.items():
+        registry.register(fingerprint(member), role, split_id)
     return Partition(
         train=train,
         valid=valid,

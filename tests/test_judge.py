@@ -126,6 +126,15 @@ class TestAssess:
             assess(fit(partition.train, "y", registry=registry), partition.test,
                    registry=registry)
 
+    def test_guards_off_assess_on_projection_spends_holdout(self, registry, partition):
+        from holdout import select_columns
+
+        m = fit(select_columns(partition.train, ["x0", "y"]), "y", registry=registry)
+        registry.set_guards("off")
+        ev = assess(m, select_columns(partition.test, ["x0", "y"]), registry=registry)
+        assert isinstance(ev, Evidence) and ev.guards_bypassed
+        assert registry.lookup(partition.test).assessed is True
+
     def test_guards_off_double_assess(self, registry, partition, model):
         registry.set_guards("off")
         a = assess(model, partition.test, registry=registry)

@@ -5,16 +5,21 @@ from holdout import (
     ConfigError,
     DataFrame,
     GuardError,
+    LineageMismatch,
     Model,
     PartitionError,
+    PreparedData,
     Predictions,
     SchemaError,
+    apply,
+    assess,
     cv,
     fit,
     model_from_json,
     model_to_json,
     predict,
     prepare,
+    select_columns,
     split,
 )
 
@@ -145,6 +150,46 @@ class TestFitPrepared:
         m = fit(prepared, algorithm="decision_tree", seed=1, registry=registry)
         assert m.algorithm == "decision_tree"
         assert m.transformer == prepared.state
+
+    def test_hand_built_prepared_data_rejected(self, registry, partition):
+        # Transformed test rows wrapped by hand carry no provenance.
+        t = prepare(partition.train, "y", registry=registry).state
+        cols = apply(t, partition.test).columns()
+        cols["y"] = [float(v) for v in partition.test.column("y")]
+        forged = PreparedData(DataFrame(cols), t, "y", "classification", (0, 1))
+        with pytest.raises(PartitionError, match="call split"):
+            fit(forged, algorithm="logistic", registry=registry)
+
+    def test_prepared_fit_keeps_lineage(self, registry, partition):
+        m = fit(prepare(partition.train, "y", registry=registry), registry=registry)
+        assert m.source_split_id == partition.split_id
+        assert m.guards_bypassed is False
+        other = split(make_classification_frame(60, seed=2), "y", seed=9, registry=registry)
+        with pytest.raises(LineageMismatch):
+            assess(m, other.test, registry=registry)
+
+    def test_projection_resolves_after_prepare(self, registry):
+        # one_hot rewrites c and leaves x1 and y as they are, so a projection
+        # onto x1 and y matches both the source and its prepared frame.
+        df = DataFrame({"x1": [float(i) for i in range(30)], "c": ["a", "b", "c"] * 10,
+                        "y": [i % 2 for i in range(30)]})
+        p = split(df, "y", seed=1, registry=registry)
+        prepare(p.train, "y", recipe=["one_hot"], registry=registry)
+        assert len(registry.dump()) == 5
+        m = fit(select_columns(p.train, ["x1", "y"]), "y", registry=registry)
+        assert m.source_split_id == p.split_id
+
+    @pytest.mark.parametrize(
+        "target",
+        [[i % 2 for i in range(60)], [1.5 * i for i in range(60)]],
+        ids=["classification", "regression"],
+    )
+    def test_missing_target_is_a_data_error(self, registry, target):
+        y = [None if i % 3 == 0 else v for i, v in enumerate(target)]
+        p = split(DataFrame({"x": [float(i) for i in range(60)], "y": y}), "y",
+                  seed=1, registry=registry)
+        with pytest.raises(SchemaError, match="target column has missing values"):
+            fit(p.train, "y", registry=registry)
 
     def test_multiclass_rejected(self, registry):
         df = DataFrame(

@@ -126,7 +126,7 @@ class TestSteps:
 
     def test_target_missing_rejected(self):
         df = DataFrame({"x": [1.0, 2.0], "y": [None, 1]})
-        with pytest.raises(ConfigError, match="target"):
+        with pytest.raises(SchemaError, match="target"):
             fit_transformer(df, "y", None)
 
 

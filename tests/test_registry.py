@@ -3,6 +3,8 @@ import pytest
 from holdout import (
     AmbiguousProvenance,
     DataFrame,
+    GuardError,
+    PartitionError,
     RegistryError,
     default_registry,
     fingerprint,
@@ -10,6 +12,7 @@ from holdout import (
     select_columns,
     set_guards,
 )
+from holdout.registry import ADMITS, ROLES
 
 
 @pytest.fixture
@@ -27,7 +30,7 @@ def test_register_and_lookup(registry, frame):
 def test_reregister_latest_wins(registry, frame):
     fp = fingerprint(frame)
     registry.register(fp, "test", "s1")
-    registry.mark_assessed(fp)
+    registry.claim_assessment(frame, None)
     registry.register(fp, "test", "s2")  # re-split: resets assessed
     rec = registry.lookup(frame)
     assert rec.split_id == "s2" and rec.assessed is False
@@ -73,6 +76,18 @@ def test_ambiguous_subset_match_raises(registry):
         registry.lookup(probe)
 
 
+def test_subset_matches_of_one_role_and_split_are_not_ambiguous(registry):
+    a = DataFrame({"x": [1.0, 2.0], "u": [5.0, 6.0]})
+    b = DataFrame({"x": [1.0, 2.0], "v": [7.0, 8.0]})
+    registry.register(fingerprint(a), "train", "s1")
+    registry.register(fingerprint(b), "train", "s1")  # as prepare registers
+    probe = select_columns(a, ["x"])
+    assert registry.lookup(probe).role == "train"
+    registry.register(fingerprint(b), "train", "s2")
+    with pytest.raises(AmbiguousProvenance):
+        registry.lookup(probe)
+
+
 def test_exact_match_beats_subset_ambiguity(registry):
     a = DataFrame({"x": [1.0, 2.0], "u": [5.0, 6.0]})
     b = DataFrame({"x": [1.0, 2.0], "v": [7.0, 8.0]})
@@ -91,23 +106,25 @@ def test_lookup_is_pure_content_function(registry, frame):
     assert registry.lookup(retagged).role == "valid"
 
 
-def test_mark_assessed_requires_test_role(registry, frame):
-    fp = fingerprint(frame)
-    registry.register(fp, "train", "s1")
-    with pytest.raises(RegistryError):
-        registry.mark_assessed(fp)
+def test_guards_off_assess_marks_only_test_role(registry, frame):
+    registry.register(fingerprint(frame), "train", "s1")
+    registry.set_guards("off")
+    record, bypassed = registry.admit(frame, "assess")
+    assert record.role == "train" and bypassed is True
+    assert registry.lookup(frame).assessed is False
 
 
-def test_mark_assessed_unregistered(registry, frame):
-    with pytest.raises(RegistryError):
-        registry.mark_assessed(fingerprint(frame))
+def test_guards_off_assess_unregistered(registry, frame):
+    registry.set_guards("off")
+    assert registry.admit(frame, "assess") == (None, True)
+    assert registry.dump() == {}
 
 
-def test_mark_assessed_idempotent(registry, frame):
-    fp = fingerprint(frame)
-    registry.register(fp, "test", "s1")
-    registry.mark_assessed(fp)
-    registry.mark_assessed(fp)  # registry-level no-op; guards reject earlier
+def test_guards_off_assess_idempotent(registry, frame):
+    registry.register(fingerprint(frame), "test", "s1")
+    registry.set_guards("off")
+    registry.admit(frame, "assess")
+    registry.admit(frame, "assess")  # off-mode never raises; guards-on rejects
     assert registry.lookup(frame).assessed is True
 
 
@@ -157,7 +174,7 @@ def test_default_registry_session_helpers(frame):
     assert default_registry().guards_on
 
 
-def test_lookup_quiet_swallows_ambiguity(registry):
+def test_guards_off_admit_swallows_ambiguity(registry):
     a = DataFrame({"x": [1.0, 2.0], "u": [5.0, 6.0]})
     b = DataFrame({"x": [1.0, 2.0], "v": [7.0, 8.0]})
     registry.register(fingerprint(a), "train", "s1")
@@ -165,7 +182,8 @@ def test_lookup_quiet_swallows_ambiguity(registry):
     probe = select_columns(a, ["x"])
     with pytest.raises(AmbiguousProvenance):
         registry.lookup(probe)
-    assert registry.lookup_quiet(probe) is None
+    registry.set_guards("off")
+    assert registry.admit(probe, "fit") == (None, True)
 
 
 def test_guards_off_never_raises_on_ambiguous_content(registry):
@@ -183,3 +201,29 @@ def test_guards_off_never_raises_on_ambiguous_content(registry):
     registry.set_guards("off")
     model = fit(probe, "y", registry=registry)
     assert model.guards_bypassed is True
+
+
+@pytest.mark.parametrize("guards", ["on", "off"])
+@pytest.mark.parametrize(
+    "verb, role", [(verb, role) for verb in ADMITS for role in ROLES + (None,)]
+)
+def test_admission_matrix(registry, frame, guards, verb, role):
+    # Every verb against every role and unregistered content, in both modes.
+    if role is not None:
+        registry.register(fingerprint(frame), role, "s1")
+    registry.set_guards(guards)
+    if guards == "off":
+        record, bypassed = registry.admit(frame, verb)
+        assert bypassed is True
+        assert (record is None) == (role is None)
+    elif role is None:
+        with pytest.raises(PartitionError, match="call split"):
+            registry.admit(frame, verb)
+    elif role in ADMITS[verb]:
+        record, bypassed = registry.admit(frame, verb, "s1")
+        assert record.role == role and bypassed is False
+    else:
+        with pytest.raises(GuardError, match="reserved for assess"):
+            registry.admit(frame, verb, "s1")
+    spent = [entry["assessed"] for entry in registry.dump().values()]
+    assert spent == ([] if role is None else [verb == "assess" and role == "test"])

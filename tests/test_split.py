@@ -104,10 +104,18 @@ class TestRandomSplit:
         with pytest.raises(SchemaError):
             split(df, "label", registry=registry)
 
+    def test_identical_partitions_rejected(self, registry):
+        # Ten equal rows: valid and test would share one fingerprint, and
+        # provenance by content could not tell them apart.
+        df = DataFrame({"x": [0] * 10, "y": [0] * 10})
+        with pytest.raises(PartitionError, match="valid and test"):
+            split(df, "y", seed=0, registry=registry)
+        assert registry.dump() == {}
+
     def test_resplit_resets_assessed(self, registry):
         df = make_classification_frame(20)
         p = split(df, "y", seed=1, registry=registry)
-        registry.mark_assessed(fingerprint(p.test))
+        registry.claim_assessment(p.test, None)
         split(df, "y", seed=1, registry=registry)  # same content re-registered
         assert registry.lookup(p.test).assessed is False
 

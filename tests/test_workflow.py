@@ -353,6 +353,28 @@ class TestCli:
         assert error["error"] == "SchemaError" and "'big'" in error["message"]
         assert not any(record["assessed"] for record in json.loads(dump).values())
 
+    def test_identical_partitions_exit_3(self, tmp_path):
+        data = tmp_path / "same.csv"
+        data.write_text("x,y\n" + "0,0\n" * 10)
+        wf = tmp_path / "wf.yaml"
+        wf.write_text(workflow_text(data))
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 3, result.output
+        error = json.loads(result.stderr)
+        assert error["error"] == "PartitionError" and "valid and test" in error["message"]
+
+    def test_missing_target_exit_4(self, tmp_path):
+        data = tmp_path / "gaps.csv"
+        data.write_text("x,y\n" + "".join(
+            f"{i * 0.5},{'' if i % 3 == 0 else i % 2}\n" for i in range(30)
+        ))
+        wf = tmp_path / "wf.yaml"
+        wf.write_text(workflow_text(data))
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 4, result.output
+        error = json.loads(result.stderr)
+        assert error["error"] == "SchemaError" and "missing values" in error["message"]
+
     @pytest.mark.parametrize(
         "line, typo",
         [("  k: 3\n", "  k: abc\n"), ("  ratios: [0.6, 0.2, 0.2]\n", "  ratios: 5\n")],
