@@ -521,7 +521,7 @@ def from_csv(path, schema_hints: Mapping[str, str] | None = None) -> DataFrame:
     """
     hints = dict(schema_hints or {})
     for name, kind in hints.items():
-        if kind not in _HINT_KINDS:
+        if not isinstance(kind, str) or kind not in _HINT_KINDS:
             raise ConfigError(f"unknown schema hint kind {kind!r} for column {name!r}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(filter(None, csv.reader(fh)))  # blank lines dropped

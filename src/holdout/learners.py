@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -60,6 +61,10 @@ def resolve_hyperparameters(algorithm: str, overrides) -> dict:
     if algorithm not in ALGORITHMS:
         raise ConfigError(
             f"unknown algorithm {algorithm!r}; expected one of {list(ALGORITHMS)}"
+        )
+    if overrides is not None and not isinstance(overrides, Mapping):
+        raise ConfigError(
+            f"hyperparameters for {algorithm!r} must be a mapping, got {overrides!r}"
         )
     hp = dict(DEFAULT_HYPERPARAMETERS[algorithm])
     for key, value in (overrides or {}).items():

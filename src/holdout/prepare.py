@@ -243,15 +243,23 @@ def normalize_recipe(recipe) -> list[tuple[str, list[str] | None]]:
     out = []
     for entry in recipe:
         if isinstance(entry, str):
-            name, cols = entry, None
+            entry = (entry, None)
         elif isinstance(entry, Mapping):
-            name = entry.get("step")
-            cols = entry.get("columns")
-        else:
-            name, cols = entry
+            stray = [key for key in entry if key not in ("step", "columns")]
+            if stray:
+                raise ConfigError(f"a recipe step takes 'step' and 'columns', not {stray[0]!r}")
+            entry = (entry.get("step"), entry.get("columns"))
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise ConfigError(
+                "a recipe entry is a step name, a (step, columns) pair or a "
+                f"mapping with 'step' and 'columns', got {entry!r}"
+            )
+        name, cols = entry
         if name not in STEP_KINDS:
             raise ConfigError(f"unknown preparation step {name!r}")
         if cols is not None:
+            if not isinstance(cols, (list, tuple)):
+                raise ConfigError(f"columns of step {name!r} must be a list, got {cols!r}")
             cols = [str(c) for c in cols]
         out.append((name, cols))
     if not out:

@@ -111,7 +111,7 @@ def _chunk_sizes(total: int, k: int) -> list[int]:
 
 def cv(
     p: Partition,
-    folds: int,
+    folds: int = 5,
     seed: int = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:
@@ -137,7 +137,7 @@ def cv(
 
 def cv_temporal(
     p: Partition,
-    folds: int,
+    folds: int = 5,
     window: str = "expanding",
     min_train: int = 1,
     embargo: int = 0,
@@ -179,7 +179,7 @@ def cv_temporal(
 
 def cv_group(
     p: Partition,
-    folds: int,
+    folds: int = 5,
     seed: int = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:

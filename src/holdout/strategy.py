@@ -149,8 +149,11 @@ def tune(
     reg = resolve(registry)
     if not space:
         raise ConfigError("tune requires a nonempty search space")
-    if any(len(list(v)) == 0 for v in space.values()):
-        raise ConfigError("every search dimension needs at least one value")
+    for name, values in space.items():
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(
+                f"search dimension {name!r} must be a nonempty list of values, got {values!r}"
+            )
     if budget < 1:
         raise ConfigError(f"budget must be at least 1, got {budget}")
     if method == "grid":

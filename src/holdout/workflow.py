@@ -1,9 +1,10 @@
 """Declarative workflows: a YAML file drives split → rotate → fit/strategy →
 evaluate → assess, and the run emits a JSON report.
 
-The file format is a YAML subset: maps, lists and scalars only. Validation
-errors carry the line of the offending block where the parser can anchor
-one.
+The file format is a YAML subset: maps, lists and scalars only. One table
+declares each block's keys and the verb it calls; a key the block does not
+take fails when the file is parsed. Validation errors carry the line of the
+offending block where the parser can anchor one.
 """
 
 from __future__ import annotations
@@ -57,6 +58,34 @@ def _strip_lines(obj):
 
 MODE_BLOCKS = ("model", "screen", "tune", "stack")
 
+# Every block a workflow may hold. Each kind of a block (None for a block
+# without kinds; the first kind is the default) names the verb it calls and
+# the keys it takes. The runner passes a block's keys to the verb as keyword
+# arguments, so every default is the verb's own. Verbs are named, not
+# referenced, so a wrapper swapped into this module's namespace (as
+# perfbench's tracer does) sees every call.
+_BLOCKS = {
+    "data": {None: (None, ("path", "target", "schema_hints"))},
+    "split": {
+        "random": ("split", ("ratios", "seed", "stratify")),
+        "temporal": ("split_temporal", ("time_col", "ratios", "embargo")),
+        "group": ("split_group", ("group_col", "ratios", "seed")),
+    },
+    "cv": {
+        "kfold": ("cv", ("k", "seed")),
+        "temporal": ("cv_temporal", ("k", "window", "min_train", "embargo")),
+        "group": ("cv_group", ("k", "seed")),
+    },
+    "model": {None: ("fit", ("algorithm", "seed", "hyperparameters", "recipe"))},
+    "screen": {None: ("screen", ("algorithms", "seed", "hyperparameters"))},
+    "tune": {None: ("tune", ("algorithm", "space", "budget", "method", "seed"))},
+    "stack": {None: ("stack", ("base", "meta", "seed", "hyperparameters"))},
+    "report": {None: (None, ("metrics",))},
+}
+
+# Keys whose verb keyword has another name.
+_KEYWORDS = {"k": "folds", "base": "base_algorithms", "meta": "meta_algorithm"}
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -75,60 +104,63 @@ _VALUE_CHECKS = {
     "a mapping": lambda v: isinstance(v, dict),
     "a list": lambda v: isinstance(v, list),
     "a list of numbers": _is_number_list,
+    "a list of names": lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
 }
 
-# Expected type of each value the runner reads, per block. A value of the
-# wrong type would otherwise fail deep inside a verb with a bare
+# Expected type of every key, the same in each block that takes it. A value
+# of the wrong type would otherwise fail deep inside a verb with a bare
 # TypeError/ValueError instead of a spec error.
-_VALUE_TYPES = {
-    "data": {"path": "a string", "target": "a string", "schema_hints": "a mapping"},
-    "split": {
-        "kind": "a string", "ratios": "a list of numbers", "seed": "an integer",
-        "stratify": "a boolean", "embargo": "an integer",
-        "time_col": "a string", "group_col": "a string",
-    },
-    "cv": {
-        "kind": "a string", "k": "an integer", "seed": "an integer",
-        "window": "a string", "min_train": "an integer", "embargo": "an integer",
-    },
-    "model": {
-        "algorithm": "a string", "seed": "an integer",
-        "hyperparameters": "a mapping", "recipe": "a list",
-    },
-    "screen": {"algorithms": "a list", "seed": "an integer", "hyperparameters": "a mapping"},
-    "tune": {
-        "algorithm": "a string", "space": "a mapping", "budget": "an integer",
-        "method": "a string", "seed": "an integer",
-    },
-    "stack": {
-        "base": "a list", "meta": "a string", "seed": "an integer",
-        "hyperparameters": "a mapping",
-    },
+_KEY_TYPES = {
+    "path": "a string", "target": "a string", "schema_hints": "a mapping",
+    "ratios": "a list of numbers", "seed": "an integer",
+    "stratify": "a boolean", "embargo": "an integer", "time_col": "a string",
+    "group_col": "a string", "k": "an integer", "window": "a string",
+    "min_train": "an integer", "algorithm": "a string", "hyperparameters": "a mapping",
+    "recipe": "a list", "algorithms": "a list", "space": "a mapping",
+    "budget": "an integer", "method": "a string", "base": "a list", "meta": "a string",
+    "metrics": "a list of names",
 }
 
-# Values that may be null: the runner passes None on and the verb applies
-# its default.
-_NULLABLE = {
-    ("data", "schema_hints"),
-    ("model", "algorithm"),
-    ("model", "hyperparameters"),
-    ("model", "recipe"),
-    ("screen", "hyperparameters"),
-    ("stack", "hyperparameters"),
-}
+# Keys a block that takes them must give, and keys that may be null (the
+# verb then applies its default).
+_REQUIRED = {"path", "target", "time_col", "group_col"}
+_MAY_BE_NULL = {"schema_hints", "algorithm", "hyperparameters", "recipe", "metrics"}
 
 
-def _check_values(block: dict, name: str, source: str) -> None:
-    for key, expected in _VALUE_TYPES[name].items():
+def _check_block(name: str, block: Any, source: str) -> dict:
+    """Check a block against the table: its kind, that its kind takes every
+    key given, the keys it requires and each value's type."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{source}: {name!r} must be a mapping")
+    kinds = _BLOCKS[name]
+    kind = next(iter(kinds))
+    if kind is not None:
+        kind = block.get("kind", kind)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(
+                f"{source}: {name} kind must be one of {list(kinds)}, "
+                f"got {kind!r}{_line(block)}"
+            )
+    keys = kinds[kind][1]
+    taken = set(keys) if kind is None else {"kind", *keys}
+    stray = [key for key in block if key not in taken and key != _LINE_KEY]
+    if stray:
+        where = name if kind is None else f"{name} kind {kind!r}"
+        raise ConfigError(
+            f"{source}: {where} takes no key {stray[0]!r}{_line(block)}; "
+            f"it takes {sorted(taken)}"
+        )
+    for key in keys:
         if key not in block:
+            if key in _REQUIRED:
+                raise ConfigError(f"{source}: {name} block requires {key!r}{_line(block)}")
             continue
         value = block[key]
-        if value is None and (name, key) in _NULLABLE:
-            continue
-        if not _VALUE_CHECKS[expected](value):
+        if not (value is None and key in _MAY_BE_NULL or _VALUE_CHECKS[_KEY_TYPES[key]](value)):
             raise ConfigError(
-                f"{source}: {name}.{key} must be {expected}, got {value!r}{_line(block)}"
+                f"{source}: {name}.{key} must be {_KEY_TYPES[key]}, got {value!r}{_line(block)}"
             )
+    return _strip_lines(block)
 
 
 @dataclass(frozen=True)
@@ -146,14 +178,9 @@ class WorkflowSpec:
     assess_repeats: int
 
 
-def _require(block: dict, key: str, context: str):
-    if key not in block:
-        raise ConfigError(f"workflow {context} block requires {key!r}{_line(block)}")
-    return block[key]
-
-
 def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
-    """Parse and validate a workflow document."""
+    """Parse and validate a workflow document. Every block is checked
+    against the table before any data is read."""
     try:
         raw = yaml.load(text, Loader=_LineLoader)
     except yaml.YAMLError as exc:
@@ -161,33 +188,14 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: workflow must be a mapping at the top level")
 
-    known = {"data", "split", "cv", "report", "guards", "assess", _LINE_KEY}
-    known.update(MODE_BLOCKS)
-    unknown = sorted(set(raw) - known)
+    unknown = [k for k in raw if k not in _BLOCKS and k not in ("guards", "assess", _LINE_KEY)]
     if unknown:
         raise ConfigError(f"{source}: unknown workflow keys {unknown}{_line(raw)}")
-
-    data = _require(raw, "data", "top-level")
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: 'data' must be a mapping")
-    _require(data, "path", "data")
-    _require(data, "target", "data")
-    _check_values(data, "data", source)
-
-    split_block = _require(raw, "split", "top-level")
-    if not isinstance(split_block, dict):
-        raise ConfigError(f"{source}: 'split' must be a mapping")
-    _check_values(split_block, "split", source)
-    split_kind = split_block.get("kind", "random")
-    if split_kind not in ("random", "temporal", "group"):
-        raise ConfigError(
-            f"{source}: split kind must be random, temporal or group, "
-            f"got {split_kind!r}{_line(split_block)}"
-        )
-    if split_kind == "temporal":
-        _require(split_block, "time_col", "split")
-    if split_kind == "group":
-        _require(split_block, "group_col", "split")
+    for name in ("data", "split"):
+        if name not in raw:
+            raise ConfigError(f"{source}: workflow requires a {name!r} block{_line(raw)}")
+    data = _check_block("data", raw["data"], source)
+    split_block = _check_block("split", raw["split"], source)
 
     modes = [m for m in MODE_BLOCKS if m in raw]
     if len(modes) != 1:
@@ -196,32 +204,20 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
             f"got {modes or 'none'}{_line(raw)}"
         )
     mode = modes[0]
-    mode_block = raw[mode]
-    if not isinstance(mode_block, dict):
-        raise ConfigError(f"{source}: {mode!r} must be a mapping")
-    _check_values(mode_block, mode, source)
+    mode_block = _check_block(mode, raw[mode], source)
 
     cv_block = raw.get("cv")
     if cv_block is not None:
-        if not isinstance(cv_block, dict):
-            raise ConfigError(f"{source}: 'cv' must be a mapping")
-        _check_values(cv_block, "cv", source)
-    if mode in ("screen", "tune", "stack") and cv_block is None:
+        cv_block = _check_block("cv", cv_block, source)
+    elif mode != "model":
         raise ConfigError(
-            f"{source}: the {mode!r} strategy requires a 'cv' block{_line(mode_block)}"
+            f"{source}: the {mode!r} strategy requires a 'cv' block{_line(raw[mode])}"
         )
 
     report = raw.get("report")
-    metrics = None
-    if report is not None:
-        if isinstance(report, dict):
-            metrics = report.get("metrics")
-        else:
-            metrics = report
-        if metrics is not None and (
-            not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics)
-        ):
-            raise ConfigError(f"{source}: report metrics must be a list of names")
+    if not isinstance(report, dict):  # the metric names alone, or nothing
+        report = {"metrics": report}
+    metrics = _check_block("report", report, source).get("metrics")
 
     guards = raw.get("guards", "on")
     if isinstance(guards, bool):  # YAML 1.1 reads bare on/off as booleans
@@ -241,11 +237,11 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
         )
 
     return WorkflowSpec(
-        data=_strip_lines(data),
-        split=_strip_lines(split_block),
-        cv=_strip_lines(cv_block) if cv_block is not None else None,
+        data=data,
+        split=split_block,
+        cv=cv_block,
         mode=mode,
-        mode_block=_strip_lines(mode_block),
+        mode_block=mode_block,
         report_metrics=list(metrics) if metrics else None,
         guards=guards,
         assess_repeats=repeats,
@@ -300,57 +296,21 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
 
-def _do_split(spec: WorkflowSpec, df, registry):
-    block = dict(spec.split)
-    kind = block.pop("kind", "random")
-    target = spec.data["target"]
-    ratios = tuple(block.pop("ratios", (0.6, 0.2, 0.2)))
-    if kind == "random":
-        return split(
-            df,
-            target,
-            ratios=ratios,
-            seed=int(block.pop("seed", 0)),
-            stratify=bool(block.pop("stratify", False)),
-            registry=registry,
-        )
-    if kind == "temporal":
-        return split_temporal(
-            df,
-            target,
-            time_col=block.pop("time_col"),
-            ratios=ratios,
-            embargo=int(block.pop("embargo", 0)),
-            registry=registry,
-        )
-    return split_group(
-        df,
-        target,
-        group_col=block.pop("group_col"),
-        ratios=ratios,
-        seed=int(block.pop("seed", 0)),
-        registry=registry,
-    )
+def _call(name: str, block: dict, first, **context):
+    """Call the verb the table names for the block's kind, with the block's
+    keys as keyword arguments."""
+    kinds = _BLOCKS[name]
+    verb = kinds[block.get("kind", next(iter(kinds)))][0]
+    keys = {_KEYWORDS.get(k, k): v for k, v in block.items() if k != "kind"}
+    return globals()[verb](first, **context, **keys)
 
 
-def _do_cv(spec: WorkflowSpec, partition, registry):
-    block = dict(spec.cv)
-    kind = block.get("kind", "kfold")
-    k = int(block.get("k", 5))
-    if kind == "kfold":
-        return cv(partition, k, seed=int(block.get("seed", 0)), registry=registry)
-    if kind == "temporal":
-        return cv_temporal(
-            partition,
-            k,
-            window=block.get("window", "expanding"),
-            min_train=int(block.get("min_train", 1)),
-            embargo=int(block.get("embargo", 0)),
-            registry=registry,
-        )
-    if kind == "group":
-        return cv_group(partition, k, seed=int(block.get("seed", 0)), registry=registry)
-    raise ConfigError(f"unknown cv kind {kind!r}")
+def _ranking(result, rows: str) -> dict:
+    return {
+        rows: [list(row) for row in getattr(result, rows)],
+        "best": result.best,
+        "metric": result.metric,
+    }
 
 
 def execute_workflow(
@@ -361,108 +321,50 @@ def execute_workflow(
     reg.set_guards(spec.guards)
     report = RunReport(guards_bypassed=not reg.guards_on)
     events = report.guard_events
+    target = spec.data["target"]
+    metrics = spec.report_metrics
 
     df = from_csv(spec.data["path"], spec.data.get("schema_hints"))
     events.append(["load", "ok"])
 
-    partition = _do_split(spec, df, reg)
+    partition = _call("split", spec.split, df, target=target, registry=reg)
     events.append(["split", "ok"])
 
     rotation = None
     if spec.cv is not None:
-        rotation = _do_cv(spec, partition, reg)
+        rotation = _call("cv", spec.cv, partition, registry=reg)
         events.append(["cv", "ok"])
 
-    target = spec.data["target"]
-    metrics = spec.report_metrics
+    block = spec.mode_block
 
     def committed_model():
-        """Fit the model this workflow commits to assessment."""
-        block = spec.mode_block
-        seed = int(block.get("seed", 0))
-        if spec.mode == "model":
-            algorithm = block.get("algorithm")
-            hp = block.get("hyperparameters")
-            recipe = block.get("recipe")
-            if rotation is not None:
-                m = fit(
-                    rotation, target, algorithm=algorithm, seed=seed,
-                    hyperparameters=hp, recipe=recipe, registry=reg,
-                )
-            else:
-                m = fit(
-                    partition.train, target, algorithm=algorithm, seed=seed,
-                    hyperparameters=hp, recipe=recipe, registry=reg,
-                )
-            return m, ("fit", m.scores_)
+        """Run the mode's verb; return the model this workflow commits to
+        assessment and the verb's result."""
+        first = partition.train if rotation is None else rotation
+        result = _call(spec.mode, block, first, target=target, registry=reg)
+        # screen and tune rank candidates; the winner is refit on dev.
         if spec.mode == "screen":
-            board = screen(
-                rotation,
-                target,
-                algorithms=block.get("algorithms", []),
-                seed=seed,
-                hyperparameters=block.get("hyperparameters"),
-                registry=reg,
-            )
-            winner = fit(
-                partition.dev,
-                target,
-                algorithm=board.best,
-                seed=seed,
-                hyperparameters=(block.get("hyperparameters") or {}).get(board.best),
-                registry=reg,
-            )
-            payload = {
-                "rows": [[algo, scores] for algo, scores in board.rows],
-                "best": board.best,
-                "metric": board.metric,
-            }
-            return winner, ("screen", payload)
-        if spec.mode == "tune":
-            result = tune(
-                rotation,
-                target,
-                algorithm=block.get("algorithm", "logistic"),
-                space=block.get("space"),
-                budget=int(block.get("budget", 10)),
-                method=block.get("method", "grid"),
-                seed=seed,
-                registry=reg,
-            )
-            winner = fit(
-                partition.dev,
-                target,
-                algorithm=block.get("algorithm", "logistic"),
-                seed=seed,
-                hyperparameters=result.best,
-                registry=reg,
-            )
-            payload = {
-                "trials": [[params, scores] for params, scores in result.trials],
-                "best": result.best,
-                "metric": result.metric,
-            }
-            return winner, ("tune", payload)
-        # stack
-        model = stack(
-            rotation,
-            target,
-            base_algorithms=block.get("base", []),
-            meta_algorithm=block.get("meta", "logistic"),
-            seed=seed,
-            hyperparameters=block.get("hyperparameters"),
-            registry=reg,
+            algorithm = result.best
+            hp = (block.get("hyperparameters") or {}).get(algorithm)
+        elif spec.mode == "tune":
+            algorithm, hp = block.get("algorithm"), result.best
+        else:
+            return result, result
+        seed = {"seed": block["seed"]} if "seed" in block else {}
+        winner = fit(
+            partition.dev, target, algorithm=algorithm, hyperparameters=hp,
+            registry=reg, **seed,
         )
-        return model, ("stack", None)
+        return winner, result
 
-    model, (verb, payload) = committed_model()
-    events.append([verb, "ok"])
-    if verb == "fit" and payload is not None:
-        report.cv_scores = payload
-    elif verb == "screen":
-        report.leaderboard = payload
-    elif verb == "tune":
-        report.tuning = payload
+    model, result = committed_model()
+    events.append([_BLOCKS[spec.mode][None][0], "ok"])
+    if spec.mode == "model":
+        report.cv_scores = model.scores_
+    elif spec.mode == "screen":
+        report.leaderboard = _ranking(result, "rows")
+    elif spec.mode == "tune":
+        report.tuning = _ranking(result, "trials")
 
     valid = evaluate(model, partition.valid, metrics=metrics, registry=reg)
     events.append(["evaluate", "ok"])

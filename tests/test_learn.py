@@ -334,10 +334,12 @@ class TestNamedErrorsBeforeTraining:
         [
             ({"algorithm": "random_forest", "hyperparameters": {"n_trees": 0}}, "n_trees"),
             ({"algorithm": "knn", "hyperparameters": {"k": 0}}, "'k'"),
+            ({"algorithm": "knn", "hyperparameters": 3}, "mapping"),
             ({"algorithm": "logistic", "seed": 1.5}, "seed"),
             ({"algorithm": "logistic", "seed": -1}, "seed"),
         ],
-        ids=["n_trees", "k", "fractional seed", "negative seed"],
+        ids=["n_trees", "k", "hyperparameters not a mapping", "fractional seed",
+             "negative seed"],
     )
     def test_fit_on_frame_and_rotation(self, registry, partition, trained, kwargs, message):
         c = cv(partition, folds=3, registry=registry)

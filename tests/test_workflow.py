@@ -1,9 +1,31 @@
 import json
 
+import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
-from holdout import ConfigError, ParseError, RunReport, run_workflow
+from holdout import (
+    ConfigError,
+    DataFrame,
+    ParseError,
+    ProvenanceRegistry,
+    RunReport,
+    assess,
+    cv,
+    cv_group,
+    cv_temporal,
+    evaluate,
+    fit,
+    from_csv,
+    run_workflow,
+    screen,
+    split,
+    split_group,
+    split_temporal,
+    stack,
+    tune,
+)
 from holdout.cli import main
 from holdout.workflow import parse_workflow
 
@@ -26,7 +48,10 @@ def data_csv(tmp_path):
     return p
 
 
-def workflow_text(data_path, extra="", mode_block="model:\n  algorithm: logistic\n  seed: 42\n"):
+MODEL_BLOCK = "model:\n  algorithm: logistic\n  seed: 42\n"
+
+
+def workflow_text(data_path, extra="", mode_block=MODEL_BLOCK):
     return (
         "data:\n"
         f"  path: {data_path}\n"
@@ -128,6 +153,37 @@ class TestParsing:
         text = workflow_text(data_csv).replace("kind: random", "kind: sideways", 1)
         with pytest.raises(ConfigError, match=r"line \d+"):
             parse_workflow(text)
+
+    def test_bad_cv_kind_cites_line(self, data_csv):
+        text = workflow_text(data_csv).replace("kind: kfold", "kind: rolling", 1)
+        with pytest.raises(ConfigError, match=r"'rolling' \(line \d+\)"):
+            parse_workflow(text)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("  target: y\n", "  target: y\n  schema_hint: {x0: text}\n", "schema_hint"),
+            ("  seed: 42\ncv:", "  seeed: 42\ncv:", "seeed"),
+            ("  k: 3\n", "  folds: 3\n", "folds"),
+            (MODEL_BLOCK, "model:\n  algoritm: knn\n", "algoritm"),
+            (MODEL_BLOCK, "screen:\n  algorithms: [knn]\n  hyperparameter: {knn: {k: 3}}\n",
+             "hyperparameter"),
+            (MODEL_BLOCK, "tune:\n  algorithm: knn\n  space: {k: [1, 3]}\n  budjet: 2\n",
+             "budjet"),
+            (MODEL_BLOCK, "stack:\n  base: [logistic, knn]\n  meta_algorithm: knn\n",
+             "meta_algorithm"),
+            ("  metrics: [accuracy, roc_auc]\n", "  metric: [accuracy]\n", "metric"),
+            ("  kind: random\n", "  kind: random\n  group_col: x0\n", "group_col"),
+            ("  kind: kfold\n", "  kind: kfold\n  window: sliding\n", "window"),
+        ],
+        ids=["data", "split", "cv", "model", "screen", "tune", "stack", "report",
+             "group_col under random", "window under kfold"],
+    )
+    def test_key_the_block_does_not_take_cites_line(self, data_csv, old, new, key):
+        text = workflow_text(data_csv)
+        assert old in text
+        with pytest.raises(ConfigError, match=rf"'{key}' \(line \d+\)"):
+            parse_workflow(text.replace(old, new, 1))
 
 
 class TestExecution:
@@ -404,6 +460,33 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert json.loads(result.stderr)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (MODEL_BLOCK, "screen:\n  algorithms: [logistic, knn]\n  hyperparameters: {knn: 3}\n"),
+            (MODEL_BLOCK, "stack:\n  base: [logistic, knn]\n  hyperparameters: {knn: 3}\n"),
+            (MODEL_BLOCK, "tune:\n  algorithm: knn\n  space: {k: 3}\n"),
+            (MODEL_BLOCK, "tune:\n  algorithm: knn\n  space: {k: {3: 1}}\n"),
+            (MODEL_BLOCK, "model:\n  recipe: [5]\n"),
+            (MODEL_BLOCK, "model:\n  recipe: [[standardize, null, x0]]\n"),
+            (MODEL_BLOCK, "model:\n  recipe: [{step: impute_mean, columns: 5}]\n"),
+            (MODEL_BLOCK, "model:\n  recipe: [{step: impute_mean, colums: [x0]}]\n"),
+            ("  target: y\n", "  target: y\n  schema_hints: {x0: [1]}\n"),
+        ],
+        ids=["screen hyperparameters", "stack hyperparameters", "tune dimension",
+             "tune mapping dimension", "recipe entry", "recipe triple",
+             "recipe columns", "recipe step key", "schema hint"],
+    )
+    def test_malformed_value_exit_2_without_traceback(self, tmp_path, data_csv, old, new):
+        wf = tmp_path / "bad.yaml"
+        text = workflow_text(data_csv)
+        assert old in text
+        wf.write_text(text.replace(old, new, 1))
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.stderr)["error"] == "ConfigError"
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("first_text_row", [30, 32], ids=["evaluate", "assess"])
     def test_text_in_column_numeric_at_fit_exit_4(self, tmp_path, first_text_row):
         # Temporal 0.6/0.2/0.2 split of 40 rows: train 0-23, valid 24-31,
@@ -534,3 +617,139 @@ def test_unknown_recipe_step_exit_2(tmp_path, data_csv):
     )
     result = CliRunner().invoke(main, ["run", str(wf)])
     assert result.exit_code == 2
+
+
+
+def _every_key_csv(tmp_path):
+    rng = np.random.Generator(np.random.Philox(11))
+    y = [i % 2 for i in range(90)]
+    df = DataFrame(
+        {
+            "t": list(range(90)),
+            "g": [f"g{i % 10}" for i in range(90)],
+            "c": [i % 3 for i in range(90)],
+            "x0": [round(float(rng.normal(1.5 * v)), 4) for v in y],
+            "x1": [round(float(rng.normal(0.5 * v)), 4) for v in y],
+            "y": y,
+        }
+    )
+    path = tmp_path / "every_key.csv"
+    write_csv(path, df)
+    return path
+
+
+def _ranking(result, rows):
+    return {rows: [list(row) for row in getattr(result, rows)], "best": result.best,
+            "metric": result.metric}
+
+
+def _model_calls(df, reg):
+    p = split(df, "y", ratios=[0.5, 0.3, 0.2], seed=3, stratify=True, registry=reg)
+    c = cv(p, 4, seed=5, registry=reg)
+    m = fit(c, "y", algorithm="random_forest", seed=7, hyperparameters={"n_trees": 4},
+            recipe=["one_hot", {"step": "standardize", "columns": ["x0"]}], registry=reg)
+    return p, m, ("fit", {"cv_scores": m.scores_})
+
+
+def _screen_calls(df, reg):
+    p = split_temporal(df, "y", time_col="t", ratios=[0.5, 0.3, 0.2], embargo=2, registry=reg)
+    c = cv_temporal(p, 3, window="sliding", min_train=10, embargo=2, registry=reg)
+    hps = {"random_forest": {"n_trees": 4}, "knn": {"k": 3}}
+    board = screen(c, "y", algorithms=["random_forest", "knn"], seed=5, hyperparameters=hps,
+                   registry=reg)
+    m = fit(p.dev, "y", algorithm=board.best, seed=5, hyperparameters=hps[board.best],
+            registry=reg)
+    return p, m, ("screen", {"leaderboard": _ranking(board, "rows")})
+
+
+def _tune_calls(df, reg):
+    p = split_group(df, "y", group_col="g", ratios=[0.5, 0.3, 0.2], seed=4, registry=reg)
+    c = cv_group(p, 3, seed=6, registry=reg)
+    result = tune(c, "y", algorithm="random_forest",
+                  space={"max_depth": [2, 3, 4], "n_trees": [3, 4]}, budget=3, method="random",
+                  seed=2, registry=reg)
+    m = fit(p.dev, "y", algorithm="random_forest", seed=2, hyperparameters=result.best,
+            registry=reg)
+    return p, m, ("tune", {"tuning": _ranking(result, "trials")})
+
+
+def _stack_calls(df, reg):
+    p = split(df, "y", registry=reg)
+    c = cv(p, registry=reg)
+    m = stack(c, "y", base_algorithms=["random_forest", "knn"], meta_algorithm="decision_tree",
+              seed=4, hyperparameters={"random_forest": {"n_trees": 4}, "knn": {"k": 3}},
+              registry=reg)
+    return p, m, ("stack", {})
+
+
+# One spec per block variant, every key set away from its default, with the
+# public API calls the workflow must make for it.
+EVERY_KEY = {
+    "random-kfold-model": (
+        "split:\n  kind: random\n  ratios: [0.5, 0.3, 0.2]\n  seed: 3\n  stratify: true\n"
+        "cv:\n  kind: kfold\n  k: 4\n  seed: 5\n"
+        "model:\n  algorithm: random_forest\n  seed: 7\n  hyperparameters: {n_trees: 4}\n"
+        "  recipe: [one_hot, {step: standardize, columns: [x0]}]\n",
+        _model_calls,
+    ),
+    "temporal-temporal-screen": (
+        "split:\n  kind: temporal\n  time_col: t\n  ratios: [0.5, 0.3, 0.2]\n  embargo: 2\n"
+        "cv:\n  kind: temporal\n  k: 3\n  window: sliding\n  min_train: 10\n  embargo: 2\n"
+        "screen:\n  algorithms: [random_forest, knn]\n  seed: 5\n"
+        "  hyperparameters: {random_forest: {n_trees: 4}, knn: {k: 3}}\n",
+        _screen_calls,
+    ),
+    "group-group-tune": (
+        "split:\n  kind: group\n  group_col: g\n  ratios: [0.5, 0.3, 0.2]\n  seed: 4\n"
+        "cv:\n  kind: group\n  k: 3\n  seed: 6\n"
+        "tune:\n  algorithm: random_forest\n  space: {max_depth: [2, 3, 4], n_trees: [3, 4]}\n"
+        "  budget: 3\n  method: random\n  seed: 2\n",
+        _tune_calls,
+    ),
+    "stack": (
+        "split:\n  kind: random\n"
+        "cv:\n  kind: kfold\n"
+        "stack:\n  base: [random_forest, knn]\n  meta: decision_tree\n  seed: 4\n"
+        "  hyperparameters: {random_forest: {n_trees: 4}, knn: {k: 3}}\n",
+        _stack_calls,
+    ),
+}
+DATA_BLOCK = "data:\n  path: {}\n  target: y\n  schema_hints: {{c: text}}\n"
+REPORT_BLOCK = "report:\n  metrics: [accuracy, log_loss]\n"
+
+
+def test_every_table_key_is_set_by_a_variant():
+    from holdout.workflow import _BLOCKS
+
+    declared = {
+        (name, kind, key)
+        for name, kinds in _BLOCKS.items()
+        for kind, (_, keys) in kinds.items()
+        for key in keys
+    }
+    used = set()
+    for blocks, _ in EVERY_KEY.values():
+        doc = yaml.safe_load(DATA_BLOCK.format("x.csv") + blocks + REPORT_BLOCK)
+        for name, block in doc.items():
+            kind = block.get("kind", next(iter(_BLOCKS[name])))
+            used.update((name, kind, key) for key in block if key != "kind")
+    assert used == declared
+
+
+@pytest.mark.parametrize("variant", list(EVERY_KEY))
+def test_every_key_reaches_its_verb(tmp_path, variant):
+    blocks, api_calls = EVERY_KEY[variant]
+    path = _every_key_csv(tmp_path)
+    wf = tmp_path / "every_key.yaml"
+    wf.write_text(DATA_BLOCK.format(path) + blocks + REPORT_BLOCK)
+
+    reg = ProvenanceRegistry()
+    partition, model, (verb, fields) = api_calls(from_csv(path, {"c": "text"}), reg)
+    metrics = ["accuracy", "log_loss"]
+    expected = RunReport(
+        **fields,
+        valid_metrics=evaluate(model, partition.valid, metrics=metrics, registry=reg).to_dict(),
+        evidence=assess(model, partition.test, metrics=metrics, registry=reg).to_dict(),
+        guard_events=[[v, "ok"] for v in ("load", "split", "cv", verb, "evaluate", "assess")],
+    )
+    assert run_workflow(wf).to_json() == expected.to_json()
