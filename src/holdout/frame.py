@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
@@ -37,6 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, ParseError, SchemaError
+from .signatures import check_arguments
 
 PARTITION_TAGS = ("none", "train", "valid", "test", "dev")
 
@@ -511,7 +513,7 @@ def _parse_column(cells: Sequence[str], kind: str | None, where: str) -> Column:
     return _recode(_store(cells), lambda c: _parse_cell(c, kind, where))
 
 
-def from_csv(path, schema_hints: Mapping[str, str] | None = None) -> DataFrame:
+def from_csv(path: str | os.PathLike, schema_hints: Mapping[str, str] | None = None) -> DataFrame:
     """Load an RFC-4180-style CSV (UTF-8, header row required) as an untagged frame.
 
     Unhinted columns where every non-empty cell parses as a float are read
@@ -519,6 +521,7 @@ def from_csv(path, schema_hints: Mapping[str, str] | None = None) -> DataFrame:
     int64, bool, text/categorical) override inference. Empty cells are
     missing.
     """
+    check_arguments(from_csv, locals())
     hints = dict(schema_hints or {})
     for name, kind in hints.items():
         if not isinstance(kind, str) or kind not in _HINT_KINDS:

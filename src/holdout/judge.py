@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .learn import Model, encode_eval_target, predict_values
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .scoring import PRIMARY_METRIC, score
+from .signatures import check_arguments
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ def _model_source_columns(m) -> tuple[str, ...]:
 
 
 def evaluate(
-    m, df: DataFrame, metrics=None, registry: ProvenanceRegistry | None = None
+    m, df: DataFrame, metrics: Sequence[str] | None = None,
+    registry: ProvenanceRegistry | None = None,
 ) -> Metrics:
     """Score a fitted model on a registered train/valid/dev frame.
 
@@ -109,6 +111,7 @@ def evaluate(
     standard overfitting diagnosis); test-role data is rejected because the
     iterate loop must never see test feedback.
     """
+    check_arguments(evaluate, locals())
     _require_model(m, "evaluate")
     if not isinstance(df, DataFrame):
         raise TypeError("evaluate expects a DataFrame")
@@ -121,7 +124,8 @@ def evaluate(
 
 
 def assess(
-    m, test: DataFrame, metrics=None, registry: ProvenanceRegistry | None = None
+    m, test: DataFrame, metrics: Sequence[str] | None = None,
+    registry: ProvenanceRegistry | None = None,
 ) -> Evidence:
     """Spend a test holdout: terminal judgment, once per holdout per session.
 
@@ -130,6 +134,7 @@ def assess(
     matches the model's split, and the holdout's assessed flag is still
     clear. Success flips both the model counter and the registry flag.
     """
+    check_arguments(assess, locals())
     _require_model(m, "assess")
     if not isinstance(test, DataFrame):
         raise TypeError("assess expects a DataFrame")
@@ -168,8 +173,9 @@ def explain(
     for the linear family, total split gain for trees and forests).
     Available before and after assessment.
     """
+    check_arguments(explain, locals())
     _require_model(m, "explain")
-    if isinstance(repeats, bool) or not isinstance(repeats, (int, np.integer)) or repeats < 1:
+    if repeats < 1:
         raise ConfigError(f"repeats must be a whole number >= 1, got {repeats!r}")
     if df is None:
         return _intrinsic_explanation(m)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .registry import ProvenanceRegistry, resolve
 from .rng import check_seed
 from .rotate import CVResult, _materialize
 from .scoring import CV_METRICS, score
+from .signatures import check_arguments
 
 MODEL_FORMAT_VERSION = 1
 
@@ -139,7 +140,7 @@ def fit(
     algorithm: str | None = None,
     seed: int = 0,
     hyperparameters: Mapping | None = None,
-    recipe=None,
+    recipe: Sequence | None = None,
     registry: ProvenanceRegistry | None = None,
 ) -> Model:
     """Train a model on registered non-test data.
@@ -150,6 +151,7 @@ def fit(
     whose parameters come from a final refit on all dev rows. Unregistered
     frames are rejected while guards are on.
     """
+    check_arguments(fit, locals())
     reg = resolve(registry)
     check_seed(seed)
     if isinstance(data, DataFrame):

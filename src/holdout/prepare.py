@@ -43,6 +43,7 @@ from .frame import (
     fingerprint,
 )
 from .registry import ProvenanceRegistry, resolve
+from .signatures import check_arguments
 
 STEP_KINDS = ("impute_mean", "one_hot", "standardize")
 DEFAULT_RECIPE = ("impute_mean", "one_hot", "standardize")
@@ -422,6 +423,7 @@ def prepare(
     prepared frame is registered under its source's role and split, so
     `fit` admits it, and carries its lineage, like any partition.
     """
+    check_arguments(prepare, locals())
     if not isinstance(df, DataFrame):
         raise TypeError("prepare expects a DataFrame")
     reg = resolve(registry)

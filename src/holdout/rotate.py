@@ -11,6 +11,7 @@ from .errors import ConfigError, CVError, GuardError
 from .frame import DataFrame
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
+from .signatures import check_arguments
 from .split import Partition, largest_remainder
 
 _BLOCKED_ATTRS = ("train", "valid", "test", "dev")
@@ -116,6 +117,7 @@ def cv(
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:
     """Shuffled k-fold rotation over dev; valid-set sizes differ by at most one."""
+    check_arguments(cv, locals())
     reg = resolve(registry)
     _check_partition(p, "random", reg, "cv")
     n = p.dev.row_count
@@ -149,6 +151,7 @@ def cv_temporal(
     Expanding windows grow from the start of dev; sliding windows keep a
     fixed length of `min_train` rows.
     """
+    check_arguments(cv_temporal, locals())
     reg = resolve(registry)
     _check_partition(p, "temporal", reg, "cv_temporal")
     if window not in ("expanding", "sliding"):
@@ -185,6 +188,7 @@ def cv_group(
 ) -> CVResult:
     """Grouped rotation: whole groups rotate; no group appears in both the
     train and valid side of any fold."""
+    check_arguments(cv_group, locals())
     reg = resolve(registry)
     _check_partition(p, "group", reg, "cv_group")
     groups_col = p.dev.column(p.group_col)

@@ -107,10 +107,15 @@ def metric_names(task: str) -> tuple[str, ...]:
     return CLASSIFICATION_METRICS if task == "classification" else REGRESSION_METRICS
 
 
+def unknown_metrics(names) -> list[str]:
+    """The names that neither task's metric table holds."""
+    return [n for n in names if n not in _METRIC_FUNCS]
+
+
 def score(task: str, y_true, y_pred, metrics=None) -> dict[str, float]:
     """Compute the named metrics (default set depends on the task)."""
     names = tuple(metrics) if metrics else metric_names(task)
-    unknown = [n for n in names if n not in _METRIC_FUNCS]
+    unknown = unknown_metrics(names)
     if unknown:
         raise ConfigError(f"unknown metrics: {unknown}")
     return {name: _METRIC_FUNCS[name](y_true, y_pred) for name in names}

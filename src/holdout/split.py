@@ -12,6 +12,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .frame import DataFrame, _first_appearance, _lookup, _missing, fingerprint
 from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
+from .signatures import check_arguments
 
 RATIO_TOLERANCE = 1e-9
 
@@ -144,7 +146,7 @@ def _build_partition(
 def split(
     df: DataFrame,
     target: str,
-    ratios=(0.6, 0.2, 0.2),
+    ratios: Sequence[float] = (0.6, 0.2, 0.2),
     seed: int = 0,
     stratify: bool = False,
     registry: ProvenanceRegistry | None = None,
@@ -157,6 +159,7 @@ def split(
     proportions in every member match the global proportions to within one
     row per class.
     """
+    check_arguments(split, locals())
     reg = resolve(registry)
     _validate_common(df, target, ratios)
     n = df.row_count
@@ -207,7 +210,7 @@ def split_temporal(
     df: DataFrame,
     target: str,
     time_col: str,
-    ratios=(0.6, 0.2, 0.2),
+    ratios: Sequence[float] = (0.6, 0.2, 0.2),
     embargo: int = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> Partition:
@@ -218,11 +221,12 @@ def split_temporal(
     straddle a member boundary are rejected: assigning them to either side
     would leak future information.
     """
+    check_arguments(split_temporal, locals())
     reg = resolve(registry)
     _validate_common(df, target, ratios)
     if time_col not in df.column_names:
         raise SchemaError(f"time column {time_col!r} not in frame")
-    if not isinstance(embargo, int) or embargo < 0:
+    if embargo < 0:
         raise PartitionError(f"embargo must be a nonnegative integer, got {embargo!r}")
     times = df.column(time_col)
     if any(t is None for t in times):
@@ -264,7 +268,7 @@ def split_group(
     df: DataFrame,
     target: str,
     group_col: str,
-    ratios=(0.6, 0.2, 0.2),
+    ratios: Sequence[float] = (0.6, 0.2, 0.2),
     seed: int = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> Partition:
@@ -273,6 +277,7 @@ def split_group(
     Group-count shares approximate the ratios by largest remainder over
     groups; rows keep their input order within each member.
     """
+    check_arguments(split_group, locals())
     reg = resolve(registry)
     _validate_common(df, target, ratios)
     if group_col not in df.column_names:

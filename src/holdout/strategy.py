@@ -21,6 +21,7 @@ from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .rotate import CVResult
 from .scoring import PRIMARY_METRIC
+from .signatures import check_arguments
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,18 @@ def _check_rotation(c, verb: str):
         raise TypeError(f"{verb} expects a CVResult; build one with cv() first")
 
 
+def _runs(algorithms: list, hyperparameters) -> list[tuple[str, Mapping | None]]:
+    """One (algorithm, hyperparameters) run per algorithm. A hyperparameters
+    key that names no algorithm in the list would be ignored, so it fails."""
+    per_algo = dict(hyperparameters or {})
+    stray = [name for name in per_algo if name not in algorithms]
+    if stray:
+        raise ConfigError(
+            f"hyperparameters key {stray[0]!r} is not one of {algorithms}; nothing would use it"
+        )
+    return [(algo, per_algo.get(algo)) for algo in algorithms]
+
+
 def screen(
     c: CVResult,
     target: str | None = None,
@@ -95,18 +108,13 @@ def screen(
     none is refit on dev. Every candidate's hyperparameters are checked
     before any training, so an unknown one fails fast.
     """
+    check_arguments(screen, locals())
     _check_rotation(c, "screen")
     reg = resolve(registry)
     algorithms = list(algorithms)
     if not algorithms:
         raise ConfigError("screen requires at least one algorithm")
-    for algo in algorithms:
-        if algo not in learners.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
-    per_algo = dict(hyperparameters or {})
-    cvr = _cross_validate(
-        c, target, [(algo, per_algo.get(algo)) for algo in algorithms], seed, None, reg
-    )
+    cvr = _cross_validate(c, target, _runs(algorithms, hyperparameters), seed, None, reg)
     metric = PRIMARY_METRIC[cvr.task]
     ranked = sorted(zip(algorithms, cvr.scores), key=lambda row: (-row[1][metric], row[0]))
     return Leaderboard(rows=tuple(ranked), best=ranked[0][0], metric=metric)
@@ -130,7 +138,7 @@ def _random_trials(space: Mapping[str, Sequence], budget: int, seed: int) -> lis
 def tune(
     c: CVResult,
     target: str | None = None,
-    algorithm: str = "logistic",
+    algorithm: str | None = "logistic",
     space: Mapping[str, Sequence] | None = None,
     budget: int = 10,
     method: str = "grid",
@@ -145,6 +153,7 @@ def tune(
     over the folds and none is refit on dev. Every trial's hyperparameters
     are checked before any training, so an unknown one fails fast.
     """
+    check_arguments(tune, locals())
     _check_rotation(c, "tune")
     reg = resolve(registry)
     if not space:
@@ -189,25 +198,21 @@ def stack(
     base model made for rows its fold excluded from training.
 
     Final base models are refit on the full dev set; the meta learner keeps
-    the out-of-fold fit.
+    the out-of-fold fit and trains on its defaults, so `hyperparameters`
+    names base algorithms only.
     """
+    check_arguments(stack, locals())
     _check_rotation(c, "stack")
     reg = resolve(registry)
     base_algorithms = list(base_algorithms)
     if len(base_algorithms) < 2:
         raise ConfigError("stack requires at least 2 base algorithms")
-    for algo in base_algorithms + [meta_algorithm]:
-        if algo not in learners.ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {algo!r}")
+    runs = _runs(base_algorithms, hyperparameters)
+    meta_hp = learners.resolve_hyperparameters(meta_algorithm, None)
     learners.check_task(meta_algorithm, infer_task(c._dev_frame._col(c.target)))
-    per_algo = dict(hyperparameters or {})
-    cvr = _cross_validate(
-        c, target, [(algo, per_algo.get(algo)) for algo in base_algorithms],
-        seed, None, reg,
-    )
+    cvr = _cross_validate(c, target, runs, seed, None, reg)
     covered = ~np.isnan(cvr.oof).any(axis=1)
     y_dev = encode_target_with_classes(c._dev_frame._col(cvr.target), cvr.classes)
-    meta_hp = learners.resolve_hyperparameters(meta_algorithm, None)
     meta_state = learners.train(
         meta_algorithm, cvr.oof[covered], y_dev[covered], meta_hp, seed, cvr.task
     )

@@ -1,26 +1,32 @@
 """Declarative workflows: a YAML file drives split → rotate → fit/strategy →
 evaluate → assess, and the run emits a JSON report.
 
-The file format is a YAML subset: maps, lists and scalars only. One table
-declares each block's keys and the verb it calls; a key the block does not
-take fails when the file is parsed. Validation errors carry the line of the
-offending block where the parser can anchor one.
+The file format is a YAML subset: maps, lists and scalars only. Each block
+names the verb it calls, and the verb's signature declares the keys it
+takes and their types; a key the block does not take, or a value of the
+wrong type, fails when the file is parsed. Validation errors carry the line
+of the offending block where the parser can anchor one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import yaml
 
-from .errors import ConfigError, ParseError, WorkflowError
+from .errors import (
+    ConfigError, CVError, GuardError, ParseError, PartitionError, RegistryError, SchemaError,
+    WorkflowError,
+)
 from .frame import from_csv
 from .judge import assess, evaluate
 from .learn import fit
 from .registry import ProvenanceRegistry
 from .rotate import cv, cv_group, cv_temporal
+from .scoring import unknown_metrics
+from .signatures import check_arguments, signature
 from .split import split, split_group, split_temporal
 from .strategy import screen, stack, tune
 
@@ -58,77 +64,45 @@ def _strip_lines(obj):
 
 MODE_BLOCKS = ("model", "screen", "tune", "stack")
 
-# Every block a workflow may hold. Each kind of a block (None for a block
-# without kinds; the first kind is the default) names the verb it calls and
-# the keys it takes. The runner passes a block's keys to the verb as keyword
-# arguments, so every default is the verb's own. Verbs are named, not
+# Every block a workflow may hold and the verb each kind of it calls (None
+# for a block without kinds; the first kind is the default). The verb's
+# signature declares the block's keys: see _keys. Verbs are named, not
 # referenced, so a wrapper swapped into this module's namespace (as
 # perfbench's tracer does) sees every call.
 _BLOCKS = {
-    "data": {None: (None, ("path", "target", "schema_hints"))},
-    "split": {
-        "random": ("split", ("ratios", "seed", "stratify")),
-        "temporal": ("split_temporal", ("time_col", "ratios", "embargo")),
-        "group": ("split_group", ("group_col", "ratios", "seed")),
-    },
-    "cv": {
-        "kfold": ("cv", ("k", "seed")),
-        "temporal": ("cv_temporal", ("k", "window", "min_train", "embargo")),
-        "group": ("cv_group", ("k", "seed")),
-    },
-    "model": {None: ("fit", ("algorithm", "seed", "hyperparameters", "recipe"))},
-    "screen": {None: ("screen", ("algorithms", "seed", "hyperparameters"))},
-    "tune": {None: ("tune", ("algorithm", "space", "budget", "method", "seed"))},
-    "stack": {None: ("stack", ("base", "meta", "seed", "hyperparameters"))},
-    "report": {None: (None, ("metrics",))},
+    "data": {None: "from_csv"},
+    "split": {"random": "split", "temporal": "split_temporal", "group": "split_group"},
+    "cv": {"kfold": "cv", "temporal": "cv_temporal", "group": "cv_group"},
+    "model": {None: "fit"},
+    "screen": {None: "screen"},
+    "tune": {None: "tune"},
+    "stack": {None: "stack"},
+    "report": {None: "evaluate"},
 }
 
 # Keys whose verb keyword has another name.
 _KEYWORDS = {"k": "folds", "base": "base_algorithms", "meta": "meta_algorithm"}
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    )
+# Parameters the runner passes itself, never block keys.
+_CONTEXT = {"df", "test", "target", "registry"}
 
 
-_VALUE_CHECKS = {
-    "an integer": _is_int,
-    "a string": lambda v: isinstance(v, str),
-    "a boolean": lambda v: isinstance(v, bool),
-    "a mapping": lambda v: isinstance(v, dict),
-    "a list": lambda v: isinstance(v, list),
-    "a list of numbers": _is_number_list,
-    "a list of names": lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
-}
-
-# Expected type of every key, the same in each block that takes it. A value
-# of the wrong type would otherwise fail deep inside a verb with a bare
-# TypeError/ValueError instead of a spec error.
-_KEY_TYPES = {
-    "path": "a string", "target": "a string", "schema_hints": "a mapping",
-    "ratios": "a list of numbers", "seed": "an integer",
-    "stratify": "a boolean", "embargo": "an integer", "time_col": "a string",
-    "group_col": "a string", "k": "an integer", "window": "a string",
-    "min_train": "an integer", "algorithm": "a string", "hyperparameters": "a mapping",
-    "recipe": "a list", "algorithms": "a list", "space": "a mapping",
-    "budget": "an integer", "method": "a string", "base": "a list", "meta": "a string",
-    "metrics": "a list of names",
-}
-
-# Keys a block that takes them must give, and keys that may be null (the
-# verb then applies its default).
-_REQUIRED = {"path", "target", "time_col", "group_col"}
-_MAY_BE_NULL = {"schema_hints", "algorithm", "hyperparameters", "recipe", "metrics"}
+def _keys(name: str, kind) -> dict:
+    """key -> (verb, parameter) for each key a block of this kind takes. A
+    verb's first argument is what an earlier block made, so it is no key,
+    except from_csv's file; the data block also names the target."""
+    verb = globals()[_BLOCKS[name][kind]]
+    first, *params = signature(verb).parameters.values()
+    renamed = {param: key for key, param in _KEYWORDS.items()}
+    keys = {renamed.get(p.name, p.name): (verb, p) for p in params if p.name not in _CONTEXT}
+    if name == "data":
+        target = signature(split).parameters["target"]
+        return {"path": (verb, first), **keys, "target": (split, target)}
+    return keys
 
 
 def _check_block(name: str, block: Any, source: str) -> dict:
-    """Check a block against the table: its kind, that its kind takes every
+    """Check a block against its verb: its kind, that its kind takes every
     key given, the keys it requires and each value's type."""
     if not isinstance(block, dict):
         raise ConfigError(f"{source}: {name!r} must be a mapping")
@@ -141,7 +115,7 @@ def _check_block(name: str, block: Any, source: str) -> dict:
                 f"{source}: {name} kind must be one of {list(kinds)}, "
                 f"got {kind!r}{_line(block)}"
             )
-    keys = kinds[kind][1]
+    keys = _keys(name, kind)
     taken = set(keys) if kind is None else {"kind", *keys}
     stray = [key for key in block if key not in taken and key != _LINE_KEY]
     if stray:
@@ -150,16 +124,12 @@ def _check_block(name: str, block: Any, source: str) -> dict:
             f"{source}: {where} takes no key {stray[0]!r}{_line(block)}; "
             f"it takes {sorted(taken)}"
         )
-    for key in keys:
-        if key not in block:
-            if key in _REQUIRED:
-                raise ConfigError(f"{source}: {name} block requires {key!r}{_line(block)}")
-            continue
-        value = block[key]
-        if not (value is None and key in _MAY_BE_NULL or _VALUE_CHECKS[_KEY_TYPES[key]](value)):
-            raise ConfigError(
-                f"{source}: {name}.{key} must be {_KEY_TYPES[key]}, got {value!r}{_line(block)}"
-            )
+    for key, (verb, param) in keys.items():
+        if key in block:
+            check_arguments(verb, {param.name: block[key]},
+                            lambda _: f"{source}: {name}.{key}", _line(block))
+        elif param.default is param.empty:
+            raise ConfigError(f"{source}: {name} block requires {key!r}{_line(block)}")
     return _strip_lines(block)
 
 
@@ -218,6 +188,9 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
     if not isinstance(report, dict):  # the metric names alone, or nothing
         report = {"metrics": report}
     metrics = _check_block("report", report, source).get("metrics")
+    unknown = unknown_metrics(metrics or ())
+    if unknown:  # checked here so the names fail before the data is read
+        raise ConfigError(f"{source}: unknown metrics: {unknown}{_line(report)}")
 
     guards = raw.get("guards", "on")
     if isinstance(guards, bool):  # YAML 1.1 reads bare on/off as booleans
@@ -225,15 +198,10 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
     if guards not in ("on", "off"):
         raise ConfigError(f"{source}: guards must be 'on' or 'off', got {guards!r}")
 
-    assess_value = raw.get("assess", True)
-    if isinstance(assess_value, bool):
-        repeats = 1 if assess_value else 0
-    elif isinstance(assess_value, int) and assess_value >= 0:
-        repeats = assess_value
-    else:
+    repeats = raw.get("assess", True)
+    if not isinstance(repeats, int) or repeats < 0:  # a boolean is 0 or 1
         raise ConfigError(
-            f"{source}: assess must be a boolean or nonnegative integer, "
-            f"got {assess_value!r}"
+            f"{source}: assess must be a boolean or nonnegative integer, got {repeats!r}"
         )
 
     return WorkflowSpec(
@@ -244,7 +212,7 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
         mode_block=mode_block,
         report_metrics=list(metrics) if metrics else None,
         guards=guards,
-        assess_repeats=repeats,
+        assess_repeats=int(repeats),
     )
 
 
@@ -266,30 +234,14 @@ class RunReport:
     guards_bypassed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "cv_scores": self.cv_scores,
-            "valid_metrics": self.valid_metrics,
-            "evidence": self.evidence,
-            "leaderboard": self.leaderboard,
-            "tuning": self.tuning,
-            "guard_events": self.guard_events,
-            "guards_bypassed": self.guards_bypassed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            cv_scores=d.get("cv_scores"),
-            valid_metrics=d.get("valid_metrics"),
-            evidence=d.get("evidence"),
-            leaderboard=d.get("leaderboard"),
-            tuning=d.get("tuning"),
-            guard_events=list(d.get("guard_events", [])),
-            guards_bypassed=bool(d.get("guards_bypassed", False)),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -300,7 +252,7 @@ def _call(name: str, block: dict, first, **context):
     """Call the verb the table names for the block's kind, with the block's
     keys as keyword arguments."""
     kinds = _BLOCKS[name]
-    verb = kinds[block.get("kind", next(iter(kinds)))][0]
+    verb = kinds[block.get("kind", next(iter(kinds)))]
     keys = {_KEYWORDS.get(k, k): v for k, v in block.items() if k != "kind"}
     return globals()[verb](first, **context, **keys)
 
@@ -358,7 +310,7 @@ def execute_workflow(
         return winner, result
 
     model, result = committed_model()
-    events.append([_BLOCKS[spec.mode][None][0], "ok"])
+    events.append([_BLOCKS[spec.mode][None], "ok"])
     if spec.mode == "model":
         report.cv_scores = model.scores_
     elif spec.mode == "screen":
@@ -394,15 +346,6 @@ def classify_exit(exc: BaseException) -> int:
     2: workflow file problems; 3: guard rejections; 4: data problems,
     including files that cannot be opened or decoded.
     """
-    from .errors import (
-        CVError,
-        GuardError,
-        ParseError,
-        PartitionError,
-        RegistryError,
-        SchemaError,
-    )
-
     if isinstance(exc, ConfigError):
         return 2
     if isinstance(exc, (GuardError, PartitionError, RegistryError, CVError)):

@@ -1,0 +1,164 @@
+"""Every public verb type-checks its settings from its own signature."""
+
+import importlib
+import re
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from holdout import (
+    ConfigError,
+    DataFrame,
+    ProvenanceRegistry,
+    assess,
+    cv,
+    cv_group,
+    cv_temporal,
+    evaluate,
+    explain,
+    fit,
+    from_csv,
+    prepare,
+    screen,
+    split,
+    split_group,
+    split_temporal,
+    stack,
+    tune,
+)
+from holdout.signatures import _checked, signature
+
+from conftest import make_classification_frame
+
+
+@pytest.fixture(scope="module")
+def session(tmp_path_factory):
+    base = make_classification_frame(60, seed=2)
+    df = DataFrame({
+        **base.columns(),
+        "t": [float(i) for i in range(60)],
+        "g": [f"g{i % 10}" for i in range(60)],
+    })
+    path = tmp_path_factory.mktemp("signatures") / "data.csv"
+    path.write_text("x,y\n" + "".join(f"{i * 0.5},{i % 2}\n" for i in range(20)))
+    reg = ProvenanceRegistry()
+    p = split(df, "y", seed=1, registry=reg)
+    temporal = split_temporal(df, "y", time_col="t", registry=reg)
+    grouped = split_group(df, "y", group_col="g", registry=reg)
+    return SimpleNamespace(
+        path=path, df=df, reg=reg, p=p, temporal=temporal, grouped=grouped,
+        c=cv(p, 3, registry=reg), model=fit(p.train, "y", registry=reg),
+    )
+
+
+# Each verb that takes settings, with keyword arguments it accepts.
+VERBS = {
+    from_csv: lambda s: {"path": s.path},
+    split: lambda s: {"df": s.df, "target": "y", "registry": s.reg},
+    split_temporal: lambda s: {"df": s.df, "target": "y", "time_col": "t", "registry": s.reg},
+    split_group: lambda s: {"df": s.df, "target": "y", "group_col": "g", "registry": s.reg},
+    cv: lambda s: {"p": s.p, "registry": s.reg},
+    cv_temporal: lambda s: {"p": s.temporal, "registry": s.reg},
+    cv_group: lambda s: {"p": s.grouped, "folds": 3, "registry": s.reg},
+    prepare: lambda s: {"df": s.p.train, "target": "y", "registry": s.reg},
+    fit: lambda s: {"data": s.p.train, "target": "y", "registry": s.reg},
+    evaluate: lambda s: {"m": s.model, "df": s.p.valid, "registry": s.reg},
+    assess: lambda s: {"m": s.model, "test": s.p.test, "registry": s.reg},
+    explain: lambda s: {"m": s.model, "df": s.p.valid, "repeats": 1, "registry": s.reg},
+    screen: lambda s: {"c": s.c, "target": "y", "algorithms": ["knn"], "registry": s.reg},
+    tune: lambda s: {"c": s.c, "target": "y", "space": {"max_iter": [5]}, "registry": s.reg},
+    stack: lambda s: {"c": s.c, "target": "y", "base_algorithms": ["logistic", "knn"],
+                      "registry": s.reg},
+}
+
+# Values of the wrong type for some setting or other: a bool for an int, a
+# truthy string for a bool, None where no None is declared, a str for a list,
+# a list of pairs for a mapping.
+WRONG = [True, None, 2.5, "3", "knn", ["x"], [0.5], [("x", "text")], {"k": 1}, object()]
+
+# What a verb checks itself: the frame, rotation or model it works on, and
+# the registry.
+UNCHECKED = {"df", "test", "p", "c", "m", "data", "registry"}
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    learners = importlib.import_module("holdout.learners")
+    calls = []
+    real = learners.train
+    monkeypatch.setattr(learners, "train", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("verb", list(VERBS), ids=lambda verb: verb.__name__)
+def test_every_setting_is_annotated(verb):
+    assert set(signature(verb).parameters) - set(_checked(verb)) <= UNCHECKED
+
+
+@pytest.mark.parametrize(
+    "verb, param",
+    [(verb, param) for verb in VERBS for param in _checked(verb)],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_wrongly_typed_setting_names_its_parameter(session, train_calls, verb, param):
+    kind, accepts = _checked(verb)[param]
+    wrong = [value for value in WRONG if not accepts(value)]
+    assert wrong
+    before = session.reg.dump()
+    for value in wrong:
+        kwargs = {**VERBS[verb](session), param: value}
+        with pytest.raises(ConfigError, match=rf"^{param} must be {re.escape(kind)}, got "):
+            verb(**kwargs)
+    assert session.reg.dump() == before
+    assert train_calls == []
+
+
+@pytest.mark.parametrize(
+    "call, param",
+    [
+        # Each used to be accepted, or to fail with a bare TypeError.
+        (lambda s: split(s.df, "y", stratify="no", registry=ProvenanceRegistry()),
+         "stratify"),
+        (lambda s: tune(s.c, "y", space={"max_iter": [5, 9]}, budget=True, registry=s.reg),
+         "budget"),
+        (lambda s: tune(s.c, "y", space={"max_iter": [5, 9]}, budget="2", registry=s.reg),
+         "budget"),
+        (lambda s: cv(s.p, True, registry=s.reg), "folds"),
+        (lambda s: cv(s.p, "3", registry=s.reg), "folds"),
+        (lambda s: screen(s.c, "y", algorithms=["knn"], hyperparameters=3, registry=s.reg),
+         "hyperparameters"),
+        (lambda s: tune(s.c, "y", algorithm="knn", space=[1, 2], registry=s.reg), "space"),
+        (lambda s: from_csv(s.path, [("x", "text")]), "schema_hints"),
+        (lambda s: from_csv(None), "path"),
+        # A string where a list is expected used to be split into characters.
+        (lambda s: screen(s.c, "y", algorithms="knn", registry=s.reg), "algorithms"),
+        (lambda s: evaluate(s.model, s.p.valid, metrics="accuracy", registry=s.reg),
+         "metrics"),
+        (lambda s: fit(s.p.train, "y", recipe="standardize", registry=s.reg), "recipe"),
+    ],
+    ids=["stratify 'no'", "budget True", "budget '2'", "folds True", "folds '3'",
+         "hyperparameters 3", "space list", "schema_hints pairs", "path None", "algorithms str",
+         "metrics str", "recipe str"],
+)
+def test_regressions(session, train_calls, call, param):
+    with pytest.raises(ConfigError, match=rf"^{param} must be"):
+        call(session)
+    assert train_calls == []
+
+
+def test_numpy_scalars_and_none_where_declared(session):
+    p = split(session.df, "y", ratios=[np.float64(0.6), 0.2, 0.2], seed=np.int64(3),
+              stratify=np.bool_(True), registry=ProvenanceRegistry())
+    assert p.train.row_count == 36
+    assert tune(session.c, "y", algorithm=None, space={"max_iter": [5]}, budget=1,
+                registry=session.reg).trials
+
+
+# Last: it registers more splits in the session.
+def test_valid_settings_pass(session):
+    # The matrix fails at entry; the same arguments without the wrong
+    # value must work, or it would prove nothing.
+    for verb, kwargs in VERBS.items():
+        if verb is not assess:  # assess would spend the session's holdout
+            verb(**kwargs(session))

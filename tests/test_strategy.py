@@ -314,6 +314,27 @@ class TestCrossValidationEngine:
                    registry=registry)
         assert calls["train"] == 0
 
+    @pytest.mark.parametrize(
+        "verb, kwargs",
+        [
+            (screen, {"algorithms": ["logistic", "knn"],
+                      "hyperparameters": {"kn": {"k": 1}}}),
+            (stack, {"base_algorithms": ["logistic", "knn"],
+                     "hyperparameters": {"knn": {"k": 3}, "kn": {"k": 1}}}),
+            # The meta learner trains on its defaults.
+            (stack, {"base_algorithms": ["logistic", "knn"], "meta_algorithm": "decision_tree",
+                     "hyperparameters": {"decision_tree": {"max_depth": 1}}}),
+        ],
+        ids=["screen misspelt", "stack misspelt", "stack meta only"],
+    )
+    def test_hyperparameters_for_an_algorithm_not_trained(
+        self, registry, rotation, calls, verb, kwargs
+    ):
+        _, c = rotation
+        with pytest.raises(ConfigError, match="hyperparameters key '(kn|decision_tree)'"):
+            verb(c, "y", registry=registry, **kwargs)
+        assert calls == {"prepare": 0, "train": 0}
+
     def test_screen_checks_every_candidate_task_before_training(
         self, registry, rotation, calls
     ):

@@ -49,6 +49,7 @@ def data_csv(tmp_path):
 
 
 MODEL_BLOCK = "model:\n  algorithm: logistic\n  seed: 42\n"
+SPLIT_BLOCK = "split:\n  kind: random\n  ratios: [0.6, 0.2, 0.2]\n  seed: 42\n"
 
 
 def workflow_text(data_path, extra="", mode_block=MODEL_BLOCK):
@@ -184,6 +185,28 @@ class TestParsing:
         assert old in text
         with pytest.raises(ConfigError, match=rf"'{key}' \(line \d+\)"):
             parse_workflow(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("  target: y\n", "", "target"),
+            (SPLIT_BLOCK, "split:\n  kind: temporal\n", "time_col"),
+            (SPLIT_BLOCK, "split:\n  kind: group\n", "group_col"),
+        ],
+    )
+    def test_parameter_without_default_is_a_required_key(self, data_csv, old, new, key):
+        text = workflow_text(data_csv)
+        assert old in text
+        with pytest.raises(ConfigError, match=rf"requires '{key}' \(line \d+\)"):
+            parse_workflow(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize(
+        "new", ["  metrics: [accuracy, acuracy]\n", "  metrics: [rsme]\n"]
+    )
+    def test_unknown_metric_name_cites_line(self, data_csv, new):
+        text = workflow_text(data_csv).replace("  metrics: [accuracy, roc_auc]\n", new)
+        with pytest.raises(ConfigError, match=r"unknown metrics: \['\w+'\] \(line \d+\)"):
+            parse_workflow(text)
 
 
 class TestExecution:
@@ -487,6 +510,34 @@ class TestCli:
         assert json.loads(result.stderr)["error"] == "ConfigError"
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "block",
+        [
+            "screen:\n  algorithms: [logistic, knn]\n  hyperparameters: {kn: {k: 1}}\n",
+            "stack:\n  base: [logistic, knn]\n  meta: decision_tree\n"
+            "  hyperparameters: {decision_tree: {max_depth: 1}}\n",
+        ],
+        ids=["screen", "stack meta"],
+    )
+    def test_hyperparameters_for_an_algorithm_not_trained_exit_2(
+        self, tmp_path, data_csv, block
+    ):
+        wf = tmp_path / "bad.yaml"
+        wf.write_text(workflow_text(data_csv, mode_block=block))
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 2, result.output
+        error = json.loads(result.stderr)
+        assert error["error"] == "ConfigError" and "hyperparameters key" in error["message"]
+
+    def test_unknown_metric_exit_2_before_data_is_read(self, tmp_path):
+        wf = tmp_path / "metric.yaml"
+        # The data file does not exist: reading it would exit 4.
+        text = workflow_text(tmp_path / "nope.csv")
+        wf.write_text(text.replace("[accuracy, roc_auc]", "[acuracy]"))
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 2, result.output
+        assert "'acuracy'" in json.loads(result.stderr)["message"]
+
     @pytest.mark.parametrize("first_text_row", [30, 32], ids=["evaluate", "assess"])
     def test_text_in_column_numeric_at_fit_exit_4(self, tmp_path, first_text_row):
         # Temporal 0.6/0.2/0.2 split of 40 rows: train 0-23, valid 24-31,
@@ -719,13 +770,14 @@ REPORT_BLOCK = "report:\n  metrics: [accuracy, log_loss]\n"
 
 
 def test_every_table_key_is_set_by_a_variant():
-    from holdout.workflow import _BLOCKS
+    from holdout.workflow import _BLOCKS, _keys
 
+    # The keys each block and kind takes, as its verb's signature declares them.
     declared = {
         (name, kind, key)
         for name, kinds in _BLOCKS.items()
-        for kind, (_, keys) in kinds.items()
-        for key in keys
+        for kind in kinds
+        for key in _keys(name, kind)
     }
     used = set()
     for blocks, _ in EVERY_KEY.values():
@@ -734,6 +786,18 @@ def test_every_table_key_is_set_by_a_variant():
             kind = block.get("kind", next(iter(_BLOCKS[name])))
             used.update((name, kind, key) for key in block if key != "kind")
     assert used == declared
+
+
+def test_every_block_key_is_typed_by_its_verb():
+    from holdout.signatures import _checked
+    from holdout.workflow import _BLOCKS, _keys
+
+    # A key whose parameter has no annotation the checks cover would reach
+    # its verb unchecked.
+    for name, kinds in _BLOCKS.items():
+        for kind in kinds:
+            for key, (verb, param) in _keys(name, kind).items():
+                assert param.name in _checked(verb), (name, kind, key, param)
 
 
 @pytest.mark.parametrize("variant", list(EVERY_KEY))
