@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AlreadyAssessedModel, ConfigError
 from .frame import DataFrame, _take_column, fingerprint
-from .learn import Model, encode_eval_target, predict_values
+from .learn import encode_eval_target, predict_values, require_model
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .scoring import PRIMARY_METRIC, score
@@ -88,19 +88,6 @@ class Explanation:
         return {"kind": "explanation", "method": self.method, "values": dict(self.values)}
 
 
-def _require_model(m, verb: str):
-    from .strategy import StackedModel
-
-    if not isinstance(m, (Model, StackedModel)):
-        raise TypeError(f"{verb} requires a fitted Model, got {type(m).__name__}")
-
-
-def _model_source_columns(m) -> tuple[str, ...]:
-    from .strategy import StackedModel
-
-    return m.source_columns if isinstance(m, StackedModel) else m.transformer.source_columns
-
-
 def evaluate(
     m, df: DataFrame, metrics: Sequence[str] | None = None,
     registry: ProvenanceRegistry | None = None,
@@ -112,7 +99,7 @@ def evaluate(
     iterate loop must never see test feedback.
     """
     check_arguments(evaluate, locals())
-    _require_model(m, "evaluate")
+    require_model(m, "evaluate")
     if not isinstance(df, DataFrame):
         raise TypeError("evaluate expects a DataFrame")
     record, bypassed = resolve(registry).admit(df, "evaluate")
@@ -135,7 +122,7 @@ def assess(
     clear. Success flips both the model counter and the registry flag.
     """
     check_arguments(assess, locals())
-    _require_model(m, "assess")
+    require_model(m, "assess")
     if not isinstance(test, DataFrame):
         raise TypeError("assess expects a DataFrame")
     reg = resolve(registry)
@@ -174,7 +161,7 @@ def explain(
     Available before and after assessment.
     """
     check_arguments(explain, locals())
-    _require_model(m, "explain")
+    require_model(m, "explain")
     if repeats < 1:
         raise ConfigError(f"repeats must be a whole number >= 1, got {repeats!r}")
     if df is None:
@@ -189,7 +176,7 @@ def explain(
     names = df.column_names
     stored = [df._col(name) for name in names]
     importances = {}
-    feature_cols = [c for c in _model_source_columns(m) if c in names]
+    feature_cols = [c for c in m.source_columns if c in names]
     for col in feature_cols:
         drops = []
         position = names.index(col)

@@ -88,6 +88,10 @@ class Model:
     def feature_names(self) -> tuple[str, ...]:
         return self.transformer.feature_names
 
+    @property
+    def source_columns(self) -> tuple[str, ...]:
+        return self.transformer.source_columns
+
     def __repr__(self) -> str:
         return (
             f"Model(algorithm={self.algorithm!r}, task={self.task!r}, "
@@ -348,16 +352,21 @@ def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> M
     return _refit_on_dev(c, cvr, 0, seed, reg)
 
 
+def require_model(m, verb: str) -> None:
+    """TypeError unless `m` is a fitted Model or StackedModel."""
+    from .strategy import StackedModel  # circular at import time only
+
+    if not isinstance(m, (Model, StackedModel)):
+        raise TypeError(f"{verb} requires a fitted Model, got {type(m).__name__}")
+
+
 def predict(m, df: DataFrame) -> Predictions:
     """Apply a fitted model to any frame covering its fitted features.
 
     The only guard is that the model is fitted; predictions carry no
     provenance and feed no guarded verb.
     """
-    from .strategy import StackedModel  # circular at import time only
-
-    if not isinstance(m, (Model, StackedModel)):
-        raise TypeError(f"predict requires a fitted Model, got {type(m).__name__}")
+    require_model(m, "predict")
     if not isinstance(df, DataFrame):
         raise TypeError("predict expects a DataFrame")
     values = predict_values(m, df)

@@ -193,7 +193,10 @@ def _best_split(Xt, ranks, y, rows, features, criterion, min_leaf):
         if not np.isfinite(cost[j, i]):
             continue
         if best is None or cost[j, i] < best[0] - 1e-15:
-            threshold = float((vs[j, i] + vs[j, i + 1]) / 2.0)
+            lower, upper = vs[j, i], vs[j, i + 1]
+            # Between adjacent doubles the midpoint can round onto `upper`.
+            midpoint = (lower + upper) / 2.0
+            threshold = float(lower if midpoint == upper else midpoint)
             best = (float(cost[j, i]), int(features[j, 0]), threshold)
     return best
 

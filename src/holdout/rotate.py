@@ -7,12 +7,14 @@ stays on the originating Partition and is reachable only through assess.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ConfigError, CVError, GuardError
 from .frame import DataFrame
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .signatures import check_arguments
-from .split import Partition, largest_remainder
+from .split import Partition, deal, groups, largest_remainder
 
 _BLOCKED_ATTRS = ("train", "valid", "test", "dev")
 
@@ -105,9 +107,10 @@ def _check_partition(p: Partition, expected_kind: str, registry: ProvenanceRegis
         )
 
 
-def _chunk_sizes(total: int, k: int) -> list[int]:
-    # First (total mod k) chunks get one extra row.
-    return largest_remainder(total, [1.0 / k] * k)
+def _pair_with_rest(n: int, valid_sides) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Pair each sorted valid side with the other dev rows as its train side."""
+    rows = np.arange(n)
+    return [(tuple(np.delete(rows, v).tolist()), tuple(v)) for v in valid_sides]
 
 
 def cv(
@@ -123,17 +126,10 @@ def cv(
     n = p.dev.row_count
     if not 2 <= folds <= n:
         raise CVError(f"folds must be between 2 and {n} (dev rows), got {folds}")
-    rng = generator(seed)
-    perm = [int(i) for i in rng.permutation(n)]
-    sizes = _chunk_sizes(n, folds)
-    out = []
-    start = 0
-    for size in sizes:
-        valid_idx = sorted(perm[start : start + size])
-        valid_set = set(valid_idx)
-        train_idx = [i for i in range(n) if i not in valid_set]
-        out.append((tuple(train_idx), tuple(valid_idx)))
-        start += size
+    # Equal shares tie on every remainder, so the last (n mod folds) folds
+    # get one extra row: 7 rows in 3 folds give [2, 2, 3].
+    parts = deal(n, [1.0 / folds] * folds, generator(seed))
+    out = _pair_with_rest(n, [sorted(part) for part in parts])
     return CVResult(out, folds, p.target, p.split_id, "kfold", p.dev)
 
 
@@ -167,7 +163,7 @@ def cv_temporal(
             f"cannot cut {folds} validation blocks from {n} dev rows with "
             f"min_train={min_train} and embargo={embargo}"
         )
-    sizes = _chunk_sizes(span, folds)
+    sizes = largest_remainder(span, [1.0 / folds] * folds)  # extra rows go last
     out = []
     start = min_train + embargo
     for size in sizes:
@@ -191,29 +187,13 @@ def cv_group(
     check_arguments(cv_group, locals())
     reg = resolve(registry)
     _check_partition(p, "group", reg, "cv_group")
-    groups_col = p.dev.column(p.group_col)
-    group_rows: dict = {}
-    for i, g in enumerate(groups_col):
-        group_rows.setdefault(g, []).append(i)
-    names = list(group_rows)
-    if folds < 2 or folds > len(names):
+    group_rows = list(groups(p.dev.column(p.group_col)).values())
+    if folds < 2 or folds > len(group_rows):
         raise CVError(
-            f"folds must be between 2 and {len(names)} (dev groups), got {folds}"
+            f"folds must be between 2 and {len(group_rows)} (dev groups), got {folds}"
         )
-    rng = generator(seed)
-    order = rng.permutation(len(names))
-    shuffled = [names[i] for i in order]
-    sizes = _chunk_sizes(len(names), folds)
-    out = []
-    start = 0
-    n = p.dev.row_count
-    for size in sizes:
-        valid_idx: list[int] = []
-        for g in shuffled[start : start + size]:
-            valid_idx.extend(group_rows[g])
-        valid_idx.sort()
-        valid_set = set(valid_idx)
-        train_idx = [i for i in range(n) if i not in valid_set]
-        out.append((tuple(train_idx), tuple(valid_idx)))
-        start += size
+    parts = deal(len(group_rows), [1.0 / folds] * folds, generator(seed))
+    out = _pair_with_rest(
+        p.dev.row_count, [sorted(r for i in part for r in group_rows[i]) for part in parts]
+    )
     return CVResult(out, folds, p.target, p.split_id, "group", p.dev)

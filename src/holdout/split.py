@@ -12,6 +12,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +67,23 @@ def largest_remainder(n: int, ratios) -> list[int]:
     for i in order[:leftover]:
         base[i] += 1
     return base
+
+
+def deal(count: int, shares, rng) -> list[list[int]]:
+    """Positions 0..count-1 in one seeded shuffle, cut into consecutive parts
+    sized by `largest_remainder(count, shares)`: every seeded split and
+    rotation places its rows, a class's rows, or its groups this way."""
+    perm = rng.permutation(count).tolist()
+    ends = [0, *accumulate(largest_remainder(count, shares))]
+    return [perm[start:end] for start, end in zip(ends, ends[1:])]
+
+
+def groups(cells) -> dict:
+    """Each distinct cell mapped to its row positions, in first-appearance order."""
+    rows: dict = {}
+    for i, cell in enumerate(cells):
+        rows.setdefault(cell, []).append(i)
+    return rows
 
 
 def _validate_common(df: DataFrame, target: str, ratios) -> None:
@@ -182,26 +200,17 @@ def split(
         classes = {v: np.flatnonzero(ids == k).tolist() for v, k in index.items()}
         buckets: list[list[int]] = [[], [], []]
         for v in sorted(classes, key=repr):
-            members = classes[v]
-            if len(members) < 3:
+            rows = classes[v]
+            if len(rows) < 3:
                 raise StratifyError(
-                    f"target class {v!r} has {len(members)} rows; "
+                    f"target class {v!r} has {len(rows)} rows; "
                     "stratification needs at least one row per partition"
                 )
-            order = rng.permutation(len(members))
-            shuffled = [members[i] for i in order]
-            sizes = largest_remainder(len(members), ratios)
-            start = 0
-            for b, size in zip(buckets, sizes):
-                b.extend(shuffled[start : start + size])
-                start += size
+            for bucket, part in zip(buckets, deal(len(rows), ratios, rng)):
+                bucket.extend(rows[i] for i in part)
         idx_train, idx_valid, idx_test = buckets
     else:
-        perm = [int(i) for i in rng.permutation(n)]
-        n_train, n_valid, _ = largest_remainder(n, ratios)
-        idx_train = perm[:n_train]
-        idx_valid = perm[n_train : n_train + n_valid]
-        idx_test = perm[n_train + n_valid :]
+        idx_train, idx_valid, idx_test = deal(n, ratios, rng)
 
     return _build_partition(df, target, idx_train, idx_valid, idx_test, seed, "random", reg)
 
@@ -282,36 +291,21 @@ def split_group(
     _validate_common(df, target, ratios)
     if group_col not in df.column_names:
         raise SchemaError(f"group column {group_col!r} not in frame")
-    groups_col = df.column(group_col)
-    if any(g is None for g in groups_col):
+    cells = df.column(group_col)
+    if any(g is None for g in cells):
         raise GroupError("group column has missing values")
-    group_rows: dict = {}
-    for i, g in enumerate(groups_col):
-        group_rows.setdefault(g, []).append(i)
-    group_names = list(group_rows)
-    if len(group_names) < 3:
-        raise GroupError(
-            f"need at least 3 distinct groups to split, got {len(group_names)}"
-        )
-
-    rng = generator(seed)
-    order = rng.permutation(len(group_names))
-    shuffled = [group_names[i] for i in order]
-    counts = largest_remainder(len(group_names), ratios)
-    if any(c == 0 for c in counts):
+    group_rows = list(groups(cells).values())
+    if len(group_rows) < 3:
+        raise GroupError(f"need at least 3 distinct groups to split, got {len(group_rows)}")
+    parts = deal(len(group_rows), ratios, generator(seed))
+    if not all(parts):
         raise GroupError(
             f"ratios {tuple(ratios)} allocate zero groups to a partition "
-            f"(group counts {tuple(counts)})"
+            f"(group counts {tuple(map(len, parts))})"
         )
-    members: list[list[int]] = []
-    start = 0
-    for count in counts:
-        rows: list[int] = []
-        for g in shuffled[start : start + count]:
-            rows.extend(group_rows[g])
-        members.append(sorted(rows))
-        start += count
-    idx_train, idx_valid, idx_test = members
+    idx_train, idx_valid, idx_test = (
+        sorted(r for i in part for r in group_rows[i]) for part in parts
+    )
 
     return _build_partition(
         df, target, idx_train, idx_valid, idx_test, seed, "group", reg, group_col=group_col

@@ -66,7 +66,7 @@ class StackedModel:
 
     @property
     def source_columns(self) -> tuple[str, ...]:
-        return self.base[0].transformer.source_columns
+        return self.base[0].source_columns
 
     def __repr__(self) -> str:
         return (

@@ -46,7 +46,8 @@ def _reference_best_split(X, y, rows, features, criterion, min_leaf):
         if not np.isfinite(cost[i, j]):
             continue
         if best is None or cost[i, j] < best[0] - 1e-15:
-            threshold = float((vs[i, j] + vs[i + 1, j]) / 2.0)
+            midpoint = (vs[i, j] + vs[i + 1, j]) / 2.0
+            threshold = float(vs[i, j] if midpoint == vs[i + 1, j] else midpoint)
             best = (float(cost[i, j]), int(features[j]), threshold)
     return best
 

@@ -394,6 +394,10 @@ def _unknown_metric(registry, p):
     return fit(p.train, "y", registry=registry), p.test, {"metrics": ["accuracy", "nope"]}
 
 
+def _regression_metric(registry, p):
+    return fit(p.train, "y", registry=registry), p.test, {"metrics": ["rmse"]}
+
+
 def _valid_frame(registry, p):
     return fit(p.train, "y", registry=registry), p.valid, {}
 
@@ -403,9 +407,10 @@ def _valid_frame(registry, p):
     [
         (_treeless_forest, ConfigError, "shape mismatch"),
         (_unknown_metric, ConfigError, "unknown metrics"),
+        (_regression_metric, ConfigError, "do not apply to a classification task"),
         (_valid_frame, GuardError, "test"),
     ],
-    ids=["learner", "metric", "role"],
+    ids=["learner", "metric", "cross-task metric", "role"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the treeless forest's mean
 def test_failing_assess_leaves_registry_unchanged(registry, partition, build, error, message):

@@ -134,6 +134,19 @@ class TestDecisionTree:
         pred = state.predict(X)
         assert abs(pred[0] - 1.0) < 0.2 and abs(pred[-1] - 5.0) < 0.2
 
+    def test_threshold_between_adjacent_doubles_splits_them(self):
+        # The midpoint of two adjacent doubles rounds onto the upper one;
+        # a threshold there would send every row left.
+        low = 0.9607666666666667
+        high = np.nextafter(low, np.inf)
+        X = np.array([[low]] * 3 + [[high]] * 3)
+        y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        state = fit_decision_tree(X, y, hp("decision_tree"), seed=0, task="regression")
+        assert state.root["threshold"] == low
+        assert state.root["left"] == {"value": 0.0}
+        assert state.root["right"] == {"value": 1.0}
+        assert list(state.predict(X)) == list(y)
+
     def test_deterministic(self):
         a = fit_decision_tree(SEP_X, SEP_Y, hp("decision_tree"), seed=0, task="classification")
         b = fit_decision_tree(SEP_X, SEP_Y, hp("decision_tree"), seed=0, task="classification")

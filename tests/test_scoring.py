@@ -156,6 +156,19 @@ class TestScoreDispatch:
         with pytest.raises(ConfigError, match="unknown"):
             score("classification", [0, 1], [0.1, 0.9], ["f1"])
 
+    @pytest.mark.parametrize(
+        "task, name",
+        [("classification", "rmse"), ("classification", "r2"),
+         ("regression", "accuracy"), ("regression", "roc_auc"), ("regression", "log_loss")],
+    )
+    def test_metric_of_the_other_task_rejected(self, task, name):
+        with pytest.raises(ConfigError, match=f"'{name}'.* {task} task"):
+            score(task, [0, 1, 1], [0.2, 0.8, 0.4], [name])
+
+    def test_unknown_metric_named_before_the_other_task(self):
+        with pytest.raises(ConfigError, match=r"unknown metrics: \['f1'\]"):
+            score("classification", [0, 1], [0.1, 0.9], ["rmse", "f1"])
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ConfigError):
             score("classification", [], [])

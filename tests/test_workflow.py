@@ -538,6 +538,16 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "'acuracy'" in json.loads(result.stderr)["message"]
 
+    def test_metric_of_the_other_task_exit_2_holdout_unspent(self, tmp_path, data_csv):
+        wf = tmp_path / "metric.yaml"
+        wf.write_text(workflow_text(data_csv).replace("[accuracy, roc_auc]", "[rmse]"))
+        result = CliRunner().invoke(main, ["--registry-dump", "run", str(wf)])
+        assert result.exit_code == 2, result.output
+        dump, error = result.stderr.rsplit("\n{", 1)
+        error = json.loads("{" + error)
+        assert error["error"] == "ConfigError" and "classification task" in error["message"]
+        assert not any(record["assessed"] for record in json.loads(dump).values())
+
     @pytest.mark.parametrize("first_text_row", [30, 32], ids=["evaluate", "assess"])
     def test_text_in_column_numeric_at_fit_exit_4(self, tmp_path, first_text_row):
         # Temporal 0.6/0.2/0.2 split of 40 rows: train 0-23, valid 24-31,
