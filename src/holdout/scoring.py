@@ -115,14 +115,14 @@ def unknown_metrics(names) -> list[str]:
 def score(task: str, y_true, y_pred, metrics=None) -> dict[str, float]:
     """Compute the named metrics (default set depends on the task); a name
     of the other task's table is rejected, not computed."""
-    names = tuple(metrics) if metrics else metric_names(task)
+    allowed = metric_names(task)
+    names = tuple(metrics) if metrics else allowed
     unknown = unknown_metrics(names)
     if unknown:
         raise ConfigError(f"unknown metrics: {unknown}")
-    foreign = [n for n in names if n not in metric_names(task)]
+    foreign = [n for n in names if n not in allowed]
     if foreign:
         raise ConfigError(
-            f"metrics {foreign} do not apply to a {task} task; "
-            f"choose from {list(metric_names(task))}"
+            f"metrics {foreign} do not apply to a {task} task; choose from {list(allowed)}"
         )
     return {name: _METRIC_FUNCS[name](y_true, y_pred) for name in names}
