@@ -24,10 +24,9 @@ from .prepare import (
     Transformer,
     apply,
     encode_target,
-    encode_target_with_classes,
     fit_transformer,
-    infer_task,
     normalize_recipe,
+    target_encoding,
 )
 from .registry import ProvenanceRegistry, resolve
 from .rng import check_seed
@@ -165,7 +164,8 @@ def fit(
     if isinstance(data, PreparedData):
         # Explicit mode: prepare registered its output under the source's role.
         record, bypassed = reg.admit(data.data, "fit")
-        return _fit_prepared(data, algorithm, seed, hyperparameters, record, bypassed)
+        return _fit_prepared(data, algorithm, seed, hyperparameters,
+                             getattr(record, "split_id", None), bypassed)
     raise TypeError(
         "fit expects a DataFrame, CVResult, or PreparedData, got "
         f"{type(data).__name__}"
@@ -177,11 +177,13 @@ def _fit_frame(df, target, algorithm, seed, hyperparameters, recipe, reg) -> Mod
         raise ConfigError("fit requires a target column name")
     record, bypassed = reg.admit(df, "fit")
     prepared = fit_transformer(df, target, recipe)
-    return _fit_prepared(prepared, algorithm, seed, hyperparameters, record, bypassed)
+    return _fit_prepared(prepared, algorithm, seed, hyperparameters,
+                         getattr(record, "split_id", None), bypassed)
 
 
-def _fit_prepared(prepared: PreparedData, algorithm, seed, hyperparameters, record,
-                  bypassed) -> Model:
+def _fit_prepared(prepared: PreparedData, algorithm, seed, hyperparameters, split_id,
+                  bypassed, scores=None, fold_transformers=()) -> Model:
+    """The one place a trained Model is built."""
     algorithm = _resolve_algorithm(algorithm, prepared.task)
     hp = learners.resolve_hyperparameters(algorithm, hyperparameters)
     return Model(
@@ -193,9 +195,10 @@ def _fit_prepared(prepared: PreparedData, algorithm, seed, hyperparameters, reco
         classes=prepared.classes,
         hyperparameters=hp,
         seed=seed,
-        source_split_id=record.split_id if record else None,
-        scores_=None,
+        source_split_id=split_id,
+        scores_=scores,
         guards_bypassed=bypassed,
+        fold_transformers_=fold_transformers,
     )
 
 
@@ -205,6 +208,7 @@ class _CrossValidation(NamedTuple):
     target: str
     task: str
     classes: tuple | None
+    y: np.ndarray  # dev rows' labels under (task, classes)
     recipe: tuple  # normalised preparation steps
     runs: list[tuple[str, dict]]  # resolved (algorithm, hyperparameters)
     scores: list[dict[str, float]]  # mean fold metrics per run
@@ -251,12 +255,10 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
     dev = c._dev_frame
     reg.admit(dev, "fit")
     check_seed(seed)
-    task = infer_task(dev._col(target))
-    classes = None
-    if task == "classification":
-        # Class mapping comes from all dev rows so every fold encodes
-        # consistently even when a fold-train slice misses a class.
-        _, classes = encode_target(dev._col(target), task)
+    # Every fold trains and validates under the dev rows' mapping, even
+    # when its training rows miss a class.
+    task, classes = target_encoding(dev._col(target))
+    y = encode_target(dev._col(target), classes)
     resolved = []
     for algorithm, hyperparameters in runs:
         algorithm = _resolve_algorithm(algorithm, task)
@@ -279,7 +281,7 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
     fresh: dict = {}
     if pending:
         scores, oof, fold_transformers = _fold_pass(
-            c, target, task, classes, recipe, [resolved[r] for r in pending.values()], seed
+            c, target, task, classes, y, recipe, [resolved[r] for r in pending.values()], seed
         )
         for j, key in enumerate(pending):
             fresh[key] = (scores[j], oof[:, j].copy())
@@ -288,14 +290,14 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
     found = ChainMap(fresh, memo)
     picked = [found[r if key is None else key] for r, key in enumerate(keys)]
     return _CrossValidation(
-        target, task, classes, recipe, resolved,
+        target, task, classes, y, recipe, resolved,
         [dict(run_scores) for run_scores, _ in picked],
         found[(target, recipe)],
         np.column_stack([column for _, column in picked]),
     )
 
 
-def _fold_pass(c, target, task, classes, recipe, runs, seed):
+def _fold_pass(c, target, task, classes, y, recipe, runs, seed):
     """Train every run on each fold in turn, each fold prepared once, with
     the fold's seed, so a run scores exactly as it would alone.
 
@@ -306,12 +308,12 @@ def _fold_pass(c, target, task, classes, recipe, runs, seed):
     fold_transformers: list[Transformer] = []
     oof = np.full((c._dev_frame.row_count, len(runs)), np.nan)
     for fold_index, (train_idx, valid_idx) in enumerate(c.folds):
-        prepared = fit_transformer(_materialize(c, train_idx), target, recipe, task=task)
+        prepared = fit_transformer(_materialize(c, train_idx), target, recipe, (task, classes))
         fold_valid = _materialize(c, valid_idx)
         X_valid = feature_matrix(
             apply(prepared.state, fold_valid), prepared.state.feature_names
         )
-        y_valid = encode_target_with_classes(fold_valid._col(target), classes)
+        y_valid = y[list(valid_idx)]
         fold_seed = _fold_seed(seed, fold_index)
         for r, (algorithm, hp) in enumerate(runs):
             preds = _train_on_prepared(prepared, algorithm, hp, fold_seed).predict(X_valid)
@@ -330,21 +332,9 @@ def _refit_on_dev(c, cvr: _CrossValidation, run: int, seed, reg) -> Model:
     """The deployable model of one cross-validated run: refit on every
     non-test row with dev-fitted preparation, carrying the run's scores."""
     algorithm, hp = cvr.runs[run]
-    prepared_dev = fit_transformer(c._dev_frame, cvr.target, cvr.recipe, task=cvr.task)
-    return Model(
-        algorithm=algorithm,
-        task=cvr.task,
-        state=_train_on_prepared(prepared_dev, algorithm, hp, seed),
-        transformer=prepared_dev.state,
-        target=cvr.target,
-        classes=cvr.classes,
-        hyperparameters=hp,
-        seed=seed,
-        source_split_id=c.source_split_id,
-        scores_=cvr.scores[run],
-        guards_bypassed=not reg.guards_on,
-        fold_transformers_=cvr.fold_transformers,
-    )
+    prepared = fit_transformer(c._dev_frame, cvr.target, cvr.recipe, (cvr.task, cvr.classes))
+    return _fit_prepared(prepared, algorithm, seed, hp, c.source_split_id, not reg.guards_on,
+                         cvr.scores[run], cvr.fold_transformers)
 
 
 def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> Model:
@@ -450,4 +440,4 @@ def model_from_json(text: str) -> Model:
 def encode_eval_target(m, df: DataFrame) -> np.ndarray:
     if m.target not in df.column_names:
         raise SchemaError(f"frame lacks the target column {m.target!r}")
-    return _require_finite([m.target], encode_target_with_classes(df._col(m.target), m.classes))
+    return _require_finite([m.target], encode_target(df._col(m.target), m.classes))

@@ -193,10 +193,12 @@ def _best_split(Xt, ranks, y, rows, features, criterion, min_leaf):
         if not np.isfinite(cost[j, i]):
             continue
         if best is None or cost[j, i] < best[0] - 1e-15:
-            lower, upper = vs[j, i], vs[j, i + 1]
-            # Between adjacent doubles the midpoint can round onto `upper`.
+            lower, upper = float(vs[j, i]), float(vs[j, i + 1])
+            # Between adjacent doubles the midpoint can round onto `upper`;
+            # near the float64 limit it overflows, silently for Python floats.
             midpoint = (lower + upper) / 2.0
-            threshold = float(lower if midpoint == upper else midpoint)
+            overflowed = math.isinf(midpoint) and math.isfinite(lower)
+            threshold = lower if midpoint == upper or overflowed else midpoint
             best = (float(cost[j, i]), int(features[j, 0]), threshold)
     return best
 

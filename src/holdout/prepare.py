@@ -325,36 +325,30 @@ def infer_task(col: Column) -> str:
     return "classification" if 0 < distinct <= CLASSIFICATION_MAX_CLASSES else "regression"
 
 
-def _regression_target(col: Column) -> np.ndarray:
-    if _missing(col).any():
-        raise SchemaError("target column has missing values")
-    return _as_floats(col)
-
-
-def encode_target(col: Column, task: str) -> tuple[np.ndarray, tuple | None]:
-    """Regression targets pass through raw; classification targets map their
-    two classes (sorted by repr) onto 0.0/1.0. A class is named by its first
-    cell in row order: 1, 1.0 and True are one class."""
+def target_encoding(col: Column) -> tuple[str, tuple | None]:
+    """The one decision of a target's encoding: its task and, for
+    classification, its class mapping. Classes sort by repr, each named by
+    its first cell in row order (1, 1.0 and True are one class); a lone
+    class fills both places."""
+    task = infer_task(col)
     if task == "regression":
-        return _regression_target(col), None
-    if _missing(col).any():
-        raise SchemaError("target column has missing values")
+        return task, None
     classes = sorted(set(_first_appearance(col)), key=repr)
-    if len(classes) == 1:
-        # Degenerate single-class frame: encode everything as class 0.
-        return np.zeros(len(col)), (classes[0], classes[0])
-    if len(classes) != 2:
+    if len(classes) > 2:
         raise ConfigError(
             f"classification supports exactly 2 classes, got {len(classes)}"
         )
-    return encode_target_with_classes(col, tuple(classes)), tuple(classes)
+    return task, (classes[0], classes[-1])
 
 
-def encode_target_with_classes(col: Column, classes: tuple | None) -> np.ndarray:
-    """Encode a target column using a previously fitted class mapping."""
+def encode_target(col: Column, classes: tuple | None) -> np.ndarray:
+    """A target column's labels under a `target_encoding` mapping: regression
+    values raw, `classes[0]` 0.0 and `classes[1]` 1.0, so a lone class 0.0."""
+    if _missing(col).any():
+        raise SchemaError("target column has missing values")
     if classes is None:
-        return _regression_target(col)
-    encoded = _lookup(col, {classes[0]: 0.0, classes[1]: 1.0}, math.nan)
+        return _as_floats(col)
+    encoded = _lookup(col, {classes[1]: 1.0, classes[0]: 0.0}, math.nan)
     unseen = np.flatnonzero(np.isnan(encoded))
     if len(unseen):
         value = _cell(col, unseen[0])
@@ -363,9 +357,10 @@ def encode_target_with_classes(col: Column, classes: tuple | None) -> np.ndarray
 
 
 def fit_transformer(
-    df: DataFrame, target: str, recipe=None, task: str | None = None
+    df: DataFrame, target: str, recipe=None, encoding: tuple[str, tuple | None] | None = None
 ) -> PreparedData:
-    """Fit a recipe on a frame without any registry guard (interior use)."""
+    """Fit a recipe on a frame without any registry guard (interior use); the
+    target's (task, classes) `encoding` defaults to its `target_encoding`."""
     if target not in df.column_names:
         raise SchemaError(f"target column {target!r} not in frame")
     if len(df.column_names) < 2:
@@ -400,8 +395,8 @@ def fit_transformer(
         _apply_step(fitted[-1], working)
     transformer = Transformer(tuple(fitted), tuple(source), tuple(working.order))
     y = df._col(target)
-    task = task or infer_task(y)
-    encoded, classes = encode_target(y, task)
+    task, classes = encoding or target_encoding(y)
+    encoded = encode_target(y, classes)
     working.validate()
     data = working.frame([(target, encoded)], df.partition_tag)
     return PreparedData(

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     GroupError,
     PartitionError,
@@ -24,7 +22,7 @@ from .errors import (
     StratifyError,
     TemporalTieError,
 )
-from .frame import DataFrame, _first_appearance, _lookup, _missing, fingerprint
+from .frame import DataFrame, fingerprint
 from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
@@ -191,13 +189,10 @@ def split(
         stratify = False
 
     if stratify:
-        y = df._col(target)
-        if _missing(y).any():
-            raise StratifyError("cannot stratify on a target with missing values")
         # Classes by Python equality, each named by its first cell.
-        index = {v: k for k, v in enumerate(dict.fromkeys(_first_appearance(y)))}
-        ids = _lookup(y, index, -1)
-        classes = {v: np.flatnonzero(ids == k).tolist() for v, k in index.items()}
+        classes = groups(df.column(target))
+        if None in classes:
+            raise StratifyError("cannot stratify on a target with missing values")
         buckets: list[list[int]] = [[], [], []]
         for v in sorted(classes, key=repr):
             rows = classes[v]

@@ -16,7 +16,7 @@ import numpy as np
 from . import learners
 from .errors import ConfigError
 from .learn import _cross_validate, _refit_on_dev
-from .prepare import encode_target_with_classes, infer_task
+from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .rotate import CVResult
@@ -212,9 +212,8 @@ def stack(
     learners.check_task(meta_algorithm, infer_task(c._dev_frame._col(c.target)))
     cvr = _cross_validate(c, target, runs, seed, None, reg)
     covered = ~np.isnan(cvr.oof).any(axis=1)
-    y_dev = encode_target_with_classes(c._dev_frame._col(cvr.target), cvr.classes)
     meta_state = learners.train(
-        meta_algorithm, cvr.oof[covered], y_dev[covered], meta_hp, seed, cvr.task
+        meta_algorithm, cvr.oof[covered], cvr.y[covered], meta_hp, seed, cvr.task
     )
     base_models = [
         _refit_on_dev(c, cvr, r, seed, reg) for r in range(len(base_algorithms))

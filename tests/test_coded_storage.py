@@ -96,7 +96,7 @@ class TestCodedColumns:
         assume(any(v is not None for v in fold_cells))
         df = DataFrame({"c": cells, "y": [float(i) for i in range(n)]})
         fold = df._take(rows)
-        prepared = fit_transformer(fold, "y", ["one_hot"], task="regression")
+        prepared = fit_transformer(fold, "y", ["one_hot"], ("regression", None))
         expected = tuple(dict.fromkeys(v for v in fold_cells if v is not None))
         assert prepared.state.steps[0].params["c"] == expected
         for k, cat in enumerate(expected):
@@ -139,18 +139,18 @@ class TestTakenFramesForgetDroppedRows:
     def test_column_kind_follows_present_rows(self):
         df = DataFrame({"x": ["a", 1, 2, 4], "y": [0.0, 1.0, 2.0, 3.0]})
         with pytest.raises(ConfigError, match="mixes text and numeric"):
-            fit_transformer(df, "y", ["standardize"], task="regression")
-        numeric = fit_transformer(df._take([1, 2, 3]), "y", ["standardize"], task="regression")
+            fit_transformer(df, "y", ["standardize"], ("regression", None))
+        numeric = fit_transformer(df._take([1, 2, 3]), "y", ["standardize"], ("regression", None))
         assert numeric.state.steps[0].params["x"] == (7 / 3, pytest.approx(1.247219128924647))
-        text = fit_transformer(df._take([0, 0]), "y", ["one_hot"], task="regression")
+        text = fit_transformer(df._take([0, 0]), "y", ["one_hot"], ("regression", None))
         assert text.state.steps[0].params["x"] == ("a",)
 
     def test_int_columns_convert_present_values_only(self):
         # float(10**400) overflows; a frame without that row never converts it.
         df = DataFrame({"x": [10**400, 3, 5, 7], "y": [0.0, 1.0, 2.0, 4.0]})
-        prepared = fit_transformer(df._take([1, 2, 3]), "y", ["standardize"], task="regression")
+        prepared = fit_transformer(df._take([1, 2, 3]), "y", ["standardize"], ("regression", None))
         assert prepared.state.steps[0].params["x"][0] == 5.0
-        untouched = fit_transformer(df._take([3, 1]), "y", ["one_hot"], task="regression")
+        untouched = fit_transformer(df._take([3, 1]), "y", ["one_hot"], ("regression", None))
         assert _exact(untouched.data.column("x")) == _exact([7, 3])
 
 

@@ -108,7 +108,7 @@ class TestStorage:
         source = np.array([1.0, 2.0, 3.0])
         df = DataFrame({"x": source, "y": [1, 2, 3]})
         source[0] = 99.0
-        prepared = fit_transformer(df, "y", ["standardize"], task="regression").data
+        prepared = fit_transformer(df, "y", ["standardize"], ("regression", None)).data
         derived = (
             df,
             df._take([2, 1, 0]),

@@ -14,6 +14,7 @@ from holdout import (
     apply,
     assess,
     cv,
+    evaluate,
     fit,
     model_from_json,
     model_to_json,
@@ -180,16 +181,26 @@ class TestFitPrepared:
         assert m.source_split_id == p.split_id
 
     @pytest.mark.parametrize(
-        "target",
-        [[i % 2 for i in range(60)], [1.5 * i for i in range(60)]],
-        ids=["classification", "regression"],
+        "target, verb",
+        [
+            ([i % 2 for i in range(60)], "fit"),
+            ([1.5 * i for i in range(60)], "fit"),
+            ([i % 2 for i in range(60)], "evaluate"),
+        ],
+        ids=["classification", "regression", "evaluate classification"],
     )
-    def test_missing_target_is_a_data_error(self, registry, target):
+    def test_missing_target_is_a_data_error(self, registry, target, verb):
+        x = [float(i) for i in range(60)]
         y = [None if i % 3 == 0 else v for i, v in enumerate(target)]
-        p = split(DataFrame({"x": [float(i) for i in range(60)], "y": y}), "y",
-                  seed=1, registry=registry)
+        p = split(DataFrame({"x": x, "y": y}), "y", seed=1, registry=registry)
+        if verb == "evaluate":
+            clean = split(DataFrame({"x": x, "y": target}), "y", seed=1, registry=registry)
+            m = fit(clean.train, "y", registry=registry)
         with pytest.raises(SchemaError, match="target column has missing values"):
-            fit(p.train, "y", registry=registry)
+            if verb == "fit":
+                fit(p.train, "y", registry=registry)
+            else:
+                evaluate(m, p.valid, registry=registry)
 
     def test_multiclass_rejected(self, registry):
         df = DataFrame(
@@ -249,6 +260,14 @@ class TestModelSerialization:
             a = predict(m, partition.valid)
             b = predict(clone, partition.valid)
             assert a.values == b.values
+
+    def test_single_class_model_scores_its_own_rows(self, registry):
+        # A lone class reads 0.0 when fit and when evaluated, reloaded too.
+        df = DataFrame({"x": [float(i) for i in range(30)], "y": ["a"] * 30})
+        p = split(df, "y", seed=1, registry=registry)
+        m = fit(p.train, "y", algorithm="decision_tree", registry=registry)
+        for model in (m, model_from_json(model_to_json(m))):
+            assert evaluate(model, p.train, registry=registry)["accuracy"] == 1.0
 
     def test_assess_count_survives_serialization(self, registry, partition):
         from holdout import assess

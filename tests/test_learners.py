@@ -134,11 +134,19 @@ class TestDecisionTree:
         pred = state.predict(X)
         assert abs(pred[0] - 1.0) < 0.2 and abs(pred[-1] - 5.0) < 0.2
 
-    def test_threshold_between_adjacent_doubles_splits_them(self):
-        # The midpoint of two adjacent doubles rounds onto the upper one;
-        # a threshold there would send every row left.
-        low = 0.9607666666666667
-        high = np.nextafter(low, np.inf)
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (0.9607666666666667, np.nextafter(0.9607666666666667, np.inf)),
+            (1e308, 1.7e308),
+            (-1.7e308, -1e308),
+        ],
+        ids=["adjacent", "overflow to inf", "overflow to -inf"],
+    )
+    def test_threshold_between_adjacent_doubles_splits_them(self, low, high):
+        # The midpoint of two adjacent doubles rounds onto the upper one, and
+        # that of two doubles near the float64 limit overflows; a threshold
+        # there would send every row to one side.
         X = np.array([[low]] * 3 + [[high]] * 3)
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         state = fit_decision_tree(X, y, hp("decision_tree"), seed=0, task="regression")

@@ -5,6 +5,7 @@ import pytest
 
 from holdout import (
     ConfigError,
+    DataFrame,
     Evidence,
     PartitionError,
     HoldoutSpent,
@@ -14,9 +15,11 @@ from holdout import (
     TuningResult,
     assess,
     cv,
+    cv_temporal,
     fit,
     predict,
     split,
+    split_temporal,
     stack,
     screen,
     tune,
@@ -188,18 +191,19 @@ class TestStack:
         # out-of-fold matrix.
         from holdout.learn import _fold_seed, _train_on_prepared, feature_matrix
         from holdout.learners import resolve_hyperparameters, train
-        from holdout.prepare import apply, fit_transformer
+        from holdout.prepare import apply, fit_transformer, target_encoding
         from holdout.rotate import _materialize
 
         p = split(make_classification_frame(20, seed=3), "y", seed=6, registry=registry)
         c = cv(p, 4, seed=2, registry=registry)
         algos = ["knn", "logistic"]
+        encoding = target_encoding(p.dev._col("y"))
 
         oof = np.full((p.dev.row_count, len(algos)), np.nan)
         for a, algo in enumerate(algos):
             for fold_index, (train_idx, valid_idx) in enumerate(c.folds):
                 fold_train = _materialize(c, train_idx)
-                prepared = fit_transformer(fold_train, "y", None, task="classification")
+                prepared = fit_transformer(fold_train, "y", None, encoding)
                 state = _train_on_prepared(
                     prepared, algo,
                     resolve_hyperparameters(algo, None),
@@ -219,6 +223,26 @@ class TestStack:
         model = stack(c, "y", base_algorithms=algos, meta_algorithm="logistic", seed=1,
                       registry=registry)
         assert model.meta.to_dict() == meta.to_dict()
+
+    def test_class_names_do_not_change_scores(self, registry):
+        # The first fold of this sliding rotation trains on one class alone;
+        # it must still encode that class as the dev rows do. kNN and tree
+        # predictions are label means, so swapping the names turns each p
+        # into 1 - p with every rank kept, and accuracy holds where no p is 0.5.
+        rng = np.random.Generator(np.random.Philox(3))
+        x = rng.normal(size=60)
+        positive = (x + 0.5 * rng.normal(size=60) > 0) | (np.arange(60) < 8)
+        scores = []
+        for names in (("a", "b"), ("b", "a")):
+            y = [names[int(v)] for v in positive]
+            df = DataFrame({"t": [float(i) for i in range(60)], "x": x, "y": y})
+            p = split_temporal(df, "y", "t", registry=registry)
+            c = cv_temporal(p, folds=3, min_train=5, window="sliding", registry=registry)
+            assert {p.dev.column("y")[i] for i in c.folds[0][0]} == {names[1]}
+            model = stack(c, "y", base_algorithms=["knn", "decision_tree"], registry=registry)
+            scores.append([fit(c, "y", algorithm="knn", registry=registry).scores_]
+                          + [base.scores_ for base in model.base])
+        assert scores[0] == scores[1]
 
     def test_stacked_model_shape_and_assess(self, registry, rotation):
         p, c = rotation
