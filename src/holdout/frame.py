@@ -31,9 +31,9 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from itertools import compress, repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -466,6 +466,7 @@ def select_columns(df: DataFrame, names: Sequence[str]) -> DataFrame:
     the source digests, so provenance survives. An empty projection is
     rejected: a zero-column frame has no defined fingerprint.
     """
+    check_arguments(select_columns, locals())
     if not isinstance(df, DataFrame):
         raise TypeError("select_columns expects a DataFrame")
     names = list(names)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AlreadyAssessedModel, ConfigError
 from .frame import DataFrame, _take_column, fingerprint
-from .learn import encode_eval_target, predict_values, require_model
+from .learn import StackedModel, encode_eval_target, predict_values, require_model
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .scoring import PRIMARY_METRIC, score
@@ -194,22 +194,16 @@ def explain(
 
 
 def _intrinsic_explanation(m) -> Explanation:
-    from .strategy import StackedModel
-
     if isinstance(m, StackedModel):
         raise ConfigError(
             "stacked models have no intrinsic importances; pass a data frame"
         )
-    names = m.transformer.feature_names
-    if m.algorithm in ("logistic", "linear"):
-        weights = m.state.weights
-        values = {n: abs(float(w)) for n, w in zip(names, weights)}
-    elif m.algorithm in ("decision_tree", "random_forest"):
-        gains = m.state.feature_gains()
-        values = {n: float(gains.get(i, 0.0)) for i, n in enumerate(names)}
-    else:
+    importances = m.state.importances()
+    if importances is None:
         raise ConfigError(
             f"{m.algorithm!r} has no intrinsic importances; pass a data frame "
             "for permutation importance"
         )
+    names = m.transformer.feature_names
+    values = {n: float(importances.get(i, 0.0)) for i, n in enumerate(names)}
     return Explanation(values=values, method="intrinsic")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import ChainMap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -45,6 +45,7 @@ class Predictions:
     row_count: int
 
 
+@dataclass(eq=False)  # identity equality and hashing
 class Model:
     """A fitted learner with lifecycle state.
 
@@ -53,39 +54,23 @@ class Model:
     cross-validated metrics when the model was fit from a rotation schedule.
     """
 
-    def __init__(
-        self,
-        algorithm: str,
-        task: str,
-        state,
-        transformer: Transformer,
-        target: str,
-        classes,
-        hyperparameters: dict,
-        seed: int,
-        source_split_id: str | None,
-        scores_: dict | None = None,
-        guards_bypassed: bool = False,
-        fold_transformers_: tuple = (),
-    ):
-        self.algorithm = algorithm
-        self.task = task
-        self.state = state
-        self.transformer = transformer
-        self.target = target
-        self.classes = classes
-        self.hyperparameters = dict(hyperparameters)
-        self.seed = seed
-        self.source_split_id = source_split_id
-        self.scores_ = scores_
-        self.fitted = True
-        self.assess_count = 0
-        self.guards_bypassed = guards_bypassed
-        self.fold_transformers_ = fold_transformers_
+    algorithm: str
+    task: str
+    state: object  # the learner's state, one of learners.LEARNERS' state types
+    transformer: Transformer
+    target: str
+    classes: tuple | None
+    hyperparameters: dict
+    seed: int
+    source_split_id: str | None
+    scores_: dict | None = None
+    guards_bypassed: bool = False
+    fold_transformers_: tuple = ()
+    fitted: bool = field(default=True, init=False)
+    assess_count: int = field(default=0, init=False)
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.transformer.feature_names
+    def __post_init__(self):
+        self.hyperparameters = dict(self.hyperparameters)
 
     @property
     def source_columns(self) -> tuple[str, ...]:
@@ -95,6 +80,36 @@ class Model:
         return (
             f"Model(algorithm={self.algorithm!r}, task={self.task!r}, "
             f"fitted={self.fitted}, assess_count={self.assess_count})"
+        )
+
+
+@dataclass(eq=False)  # identity equality and hashing
+class StackedModel:
+    """Base models plus a meta learner trained on out-of-fold predictions.
+
+    Obeys the same assess-once lifecycle as Model: assessment increments
+    `assess_count` and spends the holdout.
+    """
+
+    base: tuple[Model, ...]
+    meta: object  # the meta learner's state
+    base_algorithms: tuple[str, ...]
+    task: str
+    target: str
+    source_split_id: str | None
+    classes: tuple | None = None
+    guards_bypassed: bool = False
+    fitted: bool = field(default=True, init=False)
+    assess_count: int = field(default=0, init=False)
+
+    @property
+    def source_columns(self) -> tuple[str, ...]:
+        return self.base[0].source_columns
+
+    def __repr__(self) -> str:
+        return (
+            f"StackedModel(base={list(self.base_algorithms)}, "
+            f"assess_count={self.assess_count})"
         )
 
 
@@ -344,8 +359,6 @@ def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> M
 
 def require_model(m, verb: str) -> None:
     """TypeError unless `m` is a fitted Model or StackedModel."""
-    from .strategy import StackedModel  # circular at import time only
-
     if not isinstance(m, (Model, StackedModel)):
         raise TypeError(f"{verb} requires a fitted Model, got {type(m).__name__}")
 
@@ -367,8 +380,6 @@ def predict_values(m, df: DataFrame) -> np.ndarray:
     """Raw numeric predictions shared by predict, the scorer and strategies:
     the fitted transformer, its feature matrix, then the learner (each base
     model's, then the meta learner, for a StackedModel)."""
-    from .strategy import StackedModel
-
     if isinstance(m, StackedModel):
         base = np.column_stack([predict_values(b, df) for b in m.base])
         out = np.asarray(m.meta.predict(base), dtype=np.float64)
@@ -408,23 +419,28 @@ def model_to_dict(m: Model) -> dict:
 
 
 def model_from_dict(d: dict) -> Model:
+    """The model `model_to_dict` wrote; ConfigError naming the first key a
+    malformed document lacks."""
     version = d.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model document version {version!r}")
     classes = tuple(d["classes"]) if d.get("classes") is not None else None
-    m = Model(
-        algorithm=d["algorithm"],
-        task=d["task"],
-        state=learners.state_from_dict(d["algorithm"], d["learner"]),
-        transformer=Transformer.from_dict(d["transformer"]),
-        target=d["target"],
-        classes=classes,
-        hyperparameters=d["hyperparameters"],
-        seed=d["seed"],
-        source_split_id=d.get("source_split_id"),
-        scores_=d.get("scores_"),
-        guards_bypassed=bool(d.get("guards_bypassed", False)),
-    )
+    try:
+        m = Model(
+            algorithm=d["algorithm"],
+            task=d["task"],
+            state=learners.state_from_dict(d["algorithm"], d["learner"]),
+            transformer=Transformer.from_dict(d["transformer"]),
+            target=d["target"],
+            classes=classes,
+            hyperparameters=d["hyperparameters"],
+            seed=d["seed"],
+            source_split_id=d.get("source_split_id"),
+            scores_=d.get("scores_"),
+            guards_bypassed=bool(d.get("guards_bypassed", False)),
+        )
+    except KeyError as e:
+        raise ConfigError(f"model document lacks key {e.args[0]!r}") from None
     m.assess_count = int(d.get("assess_count", 0))
     return m
 

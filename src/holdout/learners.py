@@ -3,30 +3,20 @@
 Every learner trains on a float64 matrix, predicts a single numeric column
 (class-1 probability for classification, a point estimate for regression),
 and is deterministic given its seed. State is plain data so fitted models
-serialize to JSON.
+serialize to JSON. `LEARNERS` declares each algorithm once: how it trains,
+its state, its default hyperparameters and the one task it may be limited to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, fields
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .rng import check_seed, generator
-
-ALGORITHMS = ("logistic", "linear", "decision_tree", "random_forest", "knn")
-
-DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
-    "logistic": {"learning_rate": 0.1, "max_iter": 2000, "tol": 1e-8, "l2": 0.0},
-    "linear": {"ridge": 0.0},
-    "decision_tree": {"max_depth": 6, "min_leaf": 2},
-    "random_forest": {"n_trees": 50, "max_depth": 6, "min_leaf": 2, "max_features": "sqrt"},
-    "knn": {"k": 5},
-}
-
 
 # Each hyperparameter's domain: (type, lower bound, bound allowed, other
 # choices). An int is a whole number, 6 and 6.0 alike; a float is finite.
@@ -55,18 +45,21 @@ def _in_domain(value, kind: type, bound: float, allowed: bool, choices: tuple) -
     return whole and math.isfinite(number) and (number >= bound if allowed else number > bound)
 
 
+def _learner(algorithm: str) -> Learner:
+    if algorithm not in LEARNERS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {list(LEARNERS)}")
+    return LEARNERS[algorithm]
+
+
 def resolve_hyperparameters(algorithm: str, overrides) -> dict:
     """The algorithm's defaults with `overrides` applied, each value checked
     against its domain before any training."""
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"unknown algorithm {algorithm!r}; expected one of {list(ALGORITHMS)}"
-        )
+    learner = _learner(algorithm)
     if overrides is not None and not isinstance(overrides, Mapping):
         raise ConfigError(
             f"hyperparameters for {algorithm!r} must be a mapping, got {overrides!r}"
         )
-    hp = dict(DEFAULT_HYPERPARAMETERS[algorithm])
+    hp = dict(learner.defaults)
     for key, value in (overrides or {}).items():
         if key not in hp:
             raise ConfigError(f"unknown hyperparameter {key!r} for {algorithm!r}")
@@ -90,18 +83,28 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class LogisticState:
+class _Affine:
+    """Weights and a bias: the state of the linear family."""
+
     weights: list[float]
     bias: float
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(X @ np.asarray(self.weights) + self.bias)
+    def __post_init__(self):
+        self.bias = float(self.bias)
+
+    def importances(self) -> dict[int, float]:
+        return {i: abs(float(w)) for i, w in enumerate(self.weights)}
 
     def to_dict(self) -> dict:
         return {"weights": self.weights, "bias": self.bias}
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> LogisticState:
+class LogisticState(_Affine):
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return _sigmoid(X @ np.asarray(self.weights) + self.bias)
+
+
+def fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> LogisticState:
     """Full-batch gradient descent on the log-loss, optional L2 penalty.
     Labels are 0.0 or 1.0 (`encode_target`), so a row's loss is the log of
     its own label's probability. A mean is np.mean's pairwise sum over n."""
@@ -126,19 +129,12 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> LogisticS
     return LogisticState(weights=[float(v) for v in w], bias=float(b))
 
 
-@dataclass
-class LinearState:
-    weights: list[float]
-    bias: float
-
+class LinearState(_Affine):
     def predict(self, X: np.ndarray) -> np.ndarray:
         return X @ np.asarray(self.weights) + self.bias
 
-    def to_dict(self) -> dict:
-        return {"weights": self.weights, "bias": self.bias}
 
-
-def fit_linear(X: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> LinearState:
+def fit_linear(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> LinearState:
     """Least squares via the normal equations; falls back to a small ridge
     term when the Gram matrix is singular."""
     n, p = X.shape
@@ -279,7 +275,7 @@ class TreeState:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return _tree_predict(self.root, X)
 
-    def feature_gains(self) -> dict[int, float]:
+    def importances(self) -> dict[int, float]:
         return _tree_gains([self.root], {})
 
     def to_dict(self) -> dict:
@@ -300,7 +296,7 @@ class ForestState:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.array([_tree_predict(t, X) for t in self.trees]).mean(axis=0)
 
-    def feature_gains(self) -> dict[int, float]:
+    def importances(self) -> dict[int, float]:
         return _tree_gains(self.trees, {})
 
     def to_dict(self) -> dict:
@@ -361,6 +357,7 @@ class KnnState:
     train_y: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.k = int(self.k)
         # C order, as parsed JSON lists give: the distance sums depend on it.
         self.train_X = np.array(self.train_X, dtype=np.float64, order="C")
         self.train_y = np.array(self.train_y, dtype=np.float64)
@@ -379,22 +376,45 @@ class KnnState:
             out[block] = self.train_y[_nearest(dists, k)].mean(axis=1)
         return out
 
+    def importances(self) -> None:
+        return None  # no per-feature parameters
+
     def to_dict(self) -> dict:
         return {"k": self.k, "task": self.task, "train_X": self.train_X.tolist(),
                 "train_y": self.train_y.tolist()}
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> KnnState:
-    return KnnState(k=int(hp["k"]), task=task, train_X=X, train_y=y)
+    return KnnState(k=hp["k"], task=task, train_X=X, train_y=y)
 
 
-# The one task an algorithm is restricted to; the others learn both.
-_ONLY_TASK = {"logistic": "classification", "linear": "regression"}
+class Learner(NamedTuple):
+    """One algorithm: how it trains and reloads, and what it may learn."""
+
+    fit: Callable  # (X, y, hp, seed, task) -> state
+    state: type  # rebuilt from its `to_dict()` as state(**document)
+    defaults: dict
+    only_task: str | None  # the one task it learns; None learns both
+
+
+LEARNERS: dict[str, Learner] = {
+    "logistic": Learner(
+        fit_logistic, LogisticState,
+        {"learning_rate": 0.1, "max_iter": 2000, "tol": 1e-8, "l2": 0.0}, "classification",
+    ),
+    "linear": Learner(fit_linear, LinearState, {"ridge": 0.0}, "regression"),
+    "decision_tree": Learner(fit_decision_tree, TreeState, {"max_depth": 6, "min_leaf": 2}, None),
+    "random_forest": Learner(
+        fit_random_forest, ForestState,
+        {"n_trees": 50, "max_depth": 6, "min_leaf": 2, "max_features": "sqrt"}, None,
+    ),
+    "knn": Learner(fit_knn, KnnState, {"k": 5}, None),
+}
 
 
 def check_task(algorithm: str, task: str) -> None:
     """Reject an algorithm that cannot learn this task, before any training."""
-    only = _ONLY_TASK.get(algorithm)
+    only = _learner(algorithm).only_task
     if only is not None and task != only:
         raise ConfigError(f"{algorithm} supports {only} targets only")
 
@@ -402,30 +422,18 @@ def check_task(algorithm: str, task: str) -> None:
 def train(algorithm: str, X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str):
     check_seed(seed)
     check_task(algorithm, task)
-    if algorithm == "logistic":
-        return fit_logistic(X, y, hp, seed)
-    if algorithm == "linear":
-        return fit_linear(X, y, hp, seed)
-    if algorithm == "decision_tree":
-        return fit_decision_tree(X, y, hp, seed, task)
-    if algorithm == "random_forest":
-        return fit_random_forest(X, y, hp, seed, task)
-    if algorithm == "knn":
-        return fit_knn(X, y, hp, seed, task)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    return LEARNERS[algorithm].fit(X, y, hp, seed, task)
 
 
 def state_from_dict(algorithm: str, d: dict):
-    if algorithm == "logistic":
-        return LogisticState(weights=list(d["weights"]), bias=float(d["bias"]))
-    if algorithm == "linear":
-        return LinearState(weights=list(d["weights"]), bias=float(d["bias"]))
-    if algorithm == "decision_tree":
-        return TreeState(root=d["root"], task=d["task"])
-    if algorithm == "random_forest":
-        return ForestState(trees=d["trees"], task=d["task"])
-    if algorithm == "knn":
-        return KnnState(
-            k=int(d["k"]), task=d["task"], train_X=d["train_X"], train_y=d["train_y"]
-        )
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    """The learner state a `to_dict()` document describes; ConfigError
+    naming the first key it lacks or does not know."""
+    state = _learner(algorithm).state
+    names = [f.name for f in fields(state)]
+    missing = [name for name in names if name not in d]
+    if missing:
+        raise ConfigError(f"{algorithm!r} learner document lacks key {missing[0]!r}")
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ConfigError(f"{algorithm!r} learner document has unknown key {unknown[0]!r}")
+    return state(**d)

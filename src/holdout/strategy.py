@@ -15,7 +15,7 @@ import numpy as np
 
 from . import learners
 from .errors import ConfigError
-from .learn import _cross_validate, _refit_on_dev
+from .learn import StackedModel, _cross_validate, _refit_on_dev
 from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
@@ -42,37 +42,6 @@ class TuningResult:
     trials: tuple[tuple[dict, dict], ...]
     best: dict
     metric: str
-
-
-class StackedModel:
-    """Base models plus a meta learner trained on out-of-fold predictions.
-
-    Obeys the same assess-once lifecycle as Model: assessment increments
-    `assess_count` and spends the holdout.
-    """
-
-    def __init__(self, base, meta, base_algorithms, task, target, source_split_id,
-                 classes=None, guards_bypassed=False):
-        self.base = tuple(base)
-        self.meta = meta
-        self.base_algorithms = tuple(base_algorithms)
-        self.task = task
-        self.target = target
-        self.source_split_id = source_split_id
-        self.classes = classes
-        self.fitted = True
-        self.assess_count = 0
-        self.guards_bypassed = guards_bypassed
-
-    @property
-    def source_columns(self) -> tuple[str, ...]:
-        return self.base[0].source_columns
-
-    def __repr__(self) -> str:
-        return (
-            f"StackedModel(base={list(self.base_algorithms)}, "
-            f"assess_count={self.assess_count})"
-        )
 
 
 def _check_rotation(c, verb: str):
@@ -215,13 +184,13 @@ def stack(
     meta_state = learners.train(
         meta_algorithm, cvr.oof[covered], cvr.y[covered], meta_hp, seed, cvr.task
     )
-    base_models = [
+    base_models = tuple(
         _refit_on_dev(c, cvr, r, seed, reg) for r in range(len(base_algorithms))
-    ]
+    )
     return StackedModel(
         base=base_models,
         meta=meta_state,
-        base_algorithms=base_algorithms,
+        base_algorithms=tuple(base_algorithms),
         task=cvr.task,
         target=cvr.target,
         source_split_id=c.source_split_id,

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holdout import (
+    ConfigError,
     DataFrame,
     ParseError,
     SchemaError,
@@ -327,6 +328,12 @@ class TestSelectColumns:
     def test_tag_preserved(self, toy_frame):
         tagged = toy_frame._retag("valid")
         assert select_columns(tagged, ["x1"]).partition_tag == "valid"
+
+    def test_plain_string_rejected(self):
+        # A string is a sequence of one-letter names; "xy" is not ["x", "y"].
+        df = DataFrame({"x": [1.0, 2.0], "y": [3.0, 4.0]})
+        with pytest.raises(ConfigError, match="names must be a list of names, got 'xy'"):
+            select_columns(df, "xy")
 
 
 class TestFromCsv:

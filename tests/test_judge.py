@@ -16,6 +16,7 @@ from holdout import (
     Metrics,
     PartitionError,
     ProvenanceRegistry,
+    SchemaError,
     assess,
     evaluate,
     explain,
@@ -424,6 +425,23 @@ def test_failing_assess_leaves_registry_unchanged(registry, partition, build, er
     assert m.assess_count == 0
     sound = fit(partition.train, "y", registry=registry)
     assert isinstance(assess(sound, partition.test, registry=registry), Evidence)
+
+
+def test_target_class_unseen_at_fit_rejected(registry):
+    # Ordered rows: the train member holds classes a and b only, while the
+    # valid and test members each hold a c.
+    y = ["a" if i % 2 else "b" for i in range(40)]
+    y[30] = y[35] = "c"
+    df = DataFrame({"t": [float(i) for i in range(40)], "x": [float(i % 7) for i in range(40)],
+                    "y": y})
+    p = split_temporal(df, "y", "t", registry=registry)
+    m = fit(p.train, "y", algorithm="decision_tree", registry=registry)
+    with pytest.raises(SchemaError, match="target value 'c' was not seen at fit time"):
+        evaluate(m, p.valid, registry=registry)
+    with pytest.raises(SchemaError, match="target value 'c' was not seen at fit time"):
+        assess(m, p.test, registry=registry)
+    assert m.assess_count == 0
+    assert registry.lookup(p.test).assessed is False
 
 
 def test_explain_rejects_non_positive_repeats(registry, partition, model):

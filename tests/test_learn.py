@@ -16,7 +16,9 @@ from holdout import (
     cv,
     evaluate,
     fit,
+    model_from_dict,
     model_from_json,
+    model_to_dict,
     model_to_json,
     predict,
     prepare,
@@ -280,6 +282,42 @@ class TestModelSerialization:
     def test_version_gate(self):
         with pytest.raises(ConfigError, match="version"):
             model_from_json('{"format_version": 99}')
+
+    def test_reloaded_models_are_distinct_objects(self, registry, partition):
+        # A model owns its hyperparameters and equals only itself.
+        doc = model_to_dict(fit(partition.train, "y", registry=registry))
+        a, b = model_from_dict(doc), model_from_dict(doc)
+        doc["hyperparameters"]["l2"] = 9.0
+        assert a.hyperparameters["l2"] == 0.0
+        assert a != b and len({a, b}) == 2
+
+    def test_empty_document_names_its_first_missing_key(self):
+        with pytest.raises(ConfigError, match="model document lacks key 'algorithm'"):
+            model_from_json('{"format_version": 1}')
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("learner",), None, "model document lacks key 'learner'"),
+            (("learner", "bias"), None, "'logistic' learner document lacks key 'bias'"),
+            (("learner", "depth"), 3, "'logistic' learner document has unknown key 'depth'"),
+            (("transformer", "feature_names"), None, "model document lacks key 'feature_names'"),
+        ],
+        ids=["no learner", "learner lacks a key", "learner has a stray key",
+             "transformer lacks a key"],
+    )
+    def test_malformed_document_names_the_key(self, registry, partition, path, value, message):
+        doc = model_to_dict(fit(partition.train, "y", registry=registry))
+        *outer, key = path
+        part = doc
+        for step in outer:
+            part = part[step]
+        if value is None:
+            del part[key]
+        else:
+            part[key] = value
+        with pytest.raises(ConfigError, match=message):
+            model_from_dict(doc)
 
 
 def test_capacity_ordering_through_fit(registry):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from holdout.errors import ConfigError
 from holdout.learners import (
     _nearest,
-    DEFAULT_HYPERPARAMETERS,
+    LEARNERS,
     fit_decision_tree,
     fit_knn,
     fit_linear,
@@ -56,23 +56,23 @@ class TestLogistic:
         assert separating_hyperplane_exists(SEP_X, SEP_Y)
 
     def test_training_accuracy_one_on_separable(self):
-        state = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=0)
+        state = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=0, task="classification")
         prob = state.predict(SEP_X)
         assert np.all((prob >= 0.5) == (SEP_Y == 1.0))
 
     def test_probabilities_in_unit_interval(self):
-        state = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=0)
+        state = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=0, task="classification")
         prob = state.predict(SEP_X)
         assert np.all(prob >= 0.0) and np.all(prob <= 1.0)
 
     def test_l2_shrinks_weights(self):
-        plain = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=0)
-        ridged = fit_logistic(SEP_X, SEP_Y, hp("logistic", l2=1.0), seed=0)
+        plain = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=0, task="classification")
+        ridged = fit_logistic(SEP_X, SEP_Y, hp("logistic", l2=1.0), seed=0, task="classification")
         assert np.linalg.norm(ridged.weights) < np.linalg.norm(plain.weights)
 
     def test_deterministic(self):
-        a = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=5)
-        b = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=5)
+        a = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=5, task="classification")
+        b = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=5, task="classification")
         assert a.weights == b.weights and a.bias == b.bias
 
 
@@ -81,7 +81,7 @@ class TestLinear:
         rng = np.random.Generator(np.random.Philox(1))
         X = rng.normal(size=(50, 3))
         y = X @ np.array([2.0, -1.0, 0.5]) + 3.0
-        state = fit_linear(X, y, hp("linear"), seed=0)
+        state = fit_linear(X, y, hp("linear"), seed=0, task="regression")
         assert np.allclose(state.weights, [2.0, -1.0, 0.5], atol=1e-8)
         assert abs(state.bias - 3.0) < 1e-8
 
@@ -91,9 +91,20 @@ class TestLinear:
         x = rng.normal(size=30)
         X = np.column_stack([x, x])
         y = 2.0 * x + 1.0
-        state = fit_linear(X, y, hp("linear"), seed=0)
+        state = fit_linear(X, y, hp("linear"), seed=0, task="regression")
         pred = state.predict(X)
         assert np.allclose(pred, y, atol=1e-3)
+
+    def test_ridge_solves_the_penalized_normal_equations(self):
+        # The penalty covers the intercept column too, so the bias shrinks.
+        rng = np.random.Generator(np.random.Philox(1))
+        X = rng.normal(size=(50, 3))
+        y = X @ np.array([2.0, -1.0, 0.5]) + 3.0
+        state = fit_linear(X, y, hp("linear", ridge=10.0), seed=0, task="regression")
+        Xb = np.hstack([X, np.ones((50, 1))])
+        coef = np.linalg.solve(Xb.T @ Xb + 10.0 * np.eye(4), Xb.T @ y)
+        assert [*state.weights, state.bias] == coef.tolist()
+        assert abs(state.bias) < 3.0 - 0.1
 
 
 class TestDecisionTree:
@@ -163,7 +174,7 @@ class TestDecisionTree:
     def test_gain_recorded_on_splits(self):
         state = fit_decision_tree(SEP_X, SEP_Y, hp("decision_tree"), seed=0,
                                   task="classification")
-        gains = state.feature_gains()
+        gains = state.importances()
         assert gains and all(g >= 0 for g in gains.values())
 
 
@@ -279,9 +290,9 @@ class TestDispatch:
             train("linear", SEP_X, SEP_Y, hp("linear"), 0, "classification")
 
     def test_defaults_documented_shape(self):
-        assert DEFAULT_HYPERPARAMETERS["decision_tree"] == {"max_depth": 6, "min_leaf": 2}
-        assert DEFAULT_HYPERPARAMETERS["random_forest"]["n_trees"] == 50
-        assert DEFAULT_HYPERPARAMETERS["knn"] == {"k": 5}
+        assert LEARNERS["decision_tree"].defaults == {"max_depth": 6, "min_leaf": 2}
+        assert LEARNERS["random_forest"].defaults["n_trees"] == 50
+        assert LEARNERS["knn"].defaults == {"k": 5}
 
     def test_state_roundtrip(self):
         for algo in ("logistic", "linear", "decision_tree", "random_forest", "knn"):
@@ -337,8 +348,8 @@ class TestHyperparameterDomains:
             assert resolved[key] is value
 
     def test_every_default_is_in_its_domain(self):
-        for algorithm, defaults in DEFAULT_HYPERPARAMETERS.items():
-            assert resolve_hyperparameters(algorithm, defaults) == defaults
+        for algorithm, learner in LEARNERS.items():
+            assert resolve_hyperparameters(algorithm, learner.defaults) == learner.defaults
 
 
 def test_capacity_ordering_on_memorization_probe():
@@ -350,7 +361,7 @@ def test_capacity_ordering_on_memorization_probe():
     X = np.repeat(base, 4, axis=0)
     y = np.repeat(labels, 4)
     tree = fit_decision_tree(X, y, hp("decision_tree"), seed=0, task="classification")
-    logistic = fit_logistic(X, y, hp("logistic"), seed=0)
+    logistic = fit_logistic(X, y, hp("logistic"), seed=0, task="classification")
     tree_acc = float(np.mean((tree.predict(X) >= 0.5) == y))
     logistic_acc = float(np.mean((logistic.predict(X) >= 0.5) == y))
     assert tree_acc >= logistic_acc

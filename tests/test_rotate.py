@@ -5,6 +5,7 @@ import pytest
 
 from holdout import (
     CVError,
+    ConfigError,
     DataFrame,
     GuardError,
     ProvenanceRegistry,
@@ -172,6 +173,19 @@ class TestTemporalRotation:
             cv_temporal(temporal_partition, 200, min_train=20, registry=registry)
         with pytest.raises(CVError):
             cv_temporal(temporal_partition, 4, min_train=99, registry=registry)
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"window": "rolling"}, ConfigError, "window must be 'expanding' or 'sliding'"),
+            ({"min_train": 0}, CVError, "min_train must be at least 1"),
+            ({"embargo": -1}, CVError, "embargo must be nonnegative"),
+        ],
+        ids=["window", "min_train", "embargo"],
+    )
+    def test_bad_settings_rejected(self, registry, temporal_partition, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            cv_temporal(temporal_partition, 4, registry=registry, **kwargs)
 
     def test_no_future_leakage_property(self, registry, temporal_partition):
         c = cv_temporal(temporal_partition, 5, min_train=10, embargo=3, registry=registry)

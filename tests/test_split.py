@@ -154,6 +154,11 @@ class TestStratify:
             counts = {c: m.column("y").count(c) for c in set(labels)}
             assert set(counts.values()) == {per_class}
 
+    def test_missing_target_cell_rejected(self, registry):
+        df = DataFrame({"x": [float(i) for i in range(20)], "y": [0] * 10 + [1] * 9 + [None]})
+        with pytest.raises(StratifyError, match="missing values"):
+            split(df, "y", stratify=True, registry=registry)
+
     def test_regression_target_warns_and_ignores(self, registry):
         df = DataFrame(
             {"x": [float(i) for i in range(30)], "y": [float(i) * 1.1 for i in range(30)]}
@@ -231,6 +236,19 @@ class TestTemporalSplit:
         with pytest.raises(PartitionError, match="embargo"):
             split_temporal(self.make(20), "y", "t", embargo=10, registry=registry)
 
+    def test_missing_time_column_rejected(self, registry):
+        with pytest.raises(SchemaError, match="time column 'when' not in frame"):
+            split_temporal(self.make(20), "y", "when", registry=registry)
+
+    def test_negative_embargo_rejected(self, registry):
+        with pytest.raises(PartitionError, match="nonnegative"):
+            split_temporal(self.make(20), "y", "t", embargo=-1, registry=registry)
+
+    def test_mixed_time_kinds_rejected(self, registry):
+        df = DataFrame({"t": [1.0, "b", 3.0, 4.0], "y": [0, 1, 0, 1]})
+        with pytest.raises(PartitionError, match="uniformly numeric or uniformly text"):
+            split_temporal(df, "y", "t", registry=registry)
+
 
 class TestGroupSplit:
     def make(self):
@@ -266,6 +284,16 @@ class TestGroupSplit:
         df = DataFrame({"g": ["a", None, "b", "c"], "y": [0, 1, 0, 1]})
         with pytest.raises(GroupError):
             split_group(df, "y", "g", registry=registry)
+
+    def test_missing_group_column_rejected(self, registry):
+        with pytest.raises(SchemaError, match="group column 'team' not in frame"):
+            split_group(self.make(), "y", "team", registry=registry)
+
+    def test_zero_group_allocation_rejected(self, registry):
+        # 3 groups at 0.8/0.1/0.1 deal (3, 0, 0): valid and test get none.
+        df = DataFrame({"g": ["a", "a", "b", "b", "c", "c"], "y": [0, 1, 0, 1, 0, 1]})
+        with pytest.raises(GroupError, match=r"allocate zero groups .*\(3, 0, 0\)"):
+            split_group(df, "y", "g", ratios=(0.8, 0.1, 0.1), registry=registry)
 
     def test_deterministic(self, registry):
         p1 = split_group(self.make(), "y", "g", seed=9, registry=registry)

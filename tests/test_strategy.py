@@ -176,6 +176,12 @@ class TestTune:
             tune(c, "y", algorithm="knn", space={"k": [1]}, method="bayesian",
                  registry=registry)
 
+    def test_zero_budget_rejected(self, registry, rotation, calls):
+        _, c = rotation
+        with pytest.raises(ConfigError, match="budget must be at least 1, got 0"):
+            tune(c, "y", algorithm="knn", space={"k": [1]}, budget=0, registry=registry)
+        assert calls["train"] == 0
+
     def test_registry_untouched(self, registry, rotation):
         _, c = rotation
         before = registry.dump()
