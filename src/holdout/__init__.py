@@ -55,6 +55,7 @@ from .prepare import PreparedData, Transformer, apply, prepare
 from .learn import (
     Model,
     Predictions,
+    StackedModel,
     fit,
     model_from_dict,
     model_from_json,
@@ -63,7 +64,7 @@ from .learn import (
     predict,
 )
 from .judge import Evidence, Explanation, Metrics, assess, evaluate, explain
-from .strategy import Leaderboard, StackedModel, TuningResult, screen, stack, tune
+from .strategy import Leaderboard, TuningResult, screen, stack, tune
 from .workflow import RunReport, WorkflowSpec, execute_workflow, load_workflow, run_workflow
 from .conformance import run_conformance
 from .demo import demo_leakage
