@@ -156,9 +156,9 @@ def explain(
 
     With a frame: permutation importance, the mean drop in the task's
     primary metric when one source column is shuffled (seeded, `repeats`
-    rounds). Without a frame: intrinsic importances (absolute coefficients
-    for the linear family, total split gain for trees and forests).
-    Available before and after assessment.
+    rounds). Without a frame: the intrinsic importances the learner state
+    reports (`importances()`), for a learner that has them. Available
+    before and after assessment.
     """
     check_arguments(explain, locals())
     require_model(m, "explain")
