@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from holdout import DataFrame, ProvenanceRegistry, fit, predict, split
 from holdout.learners import resolve_hyperparameters, train
 
 
@@ -178,3 +179,84 @@ def test_logistic_predict_golden(name):
     out = np.asarray(_fit_logistic(name).predict(np.vstack([Q, 40.0 * Q])), dtype=np.float64)
     assert out.shape == (2 * len(Q),)
     assert hashlib.sha256(out.tobytes()).hexdigest() == LOGISTIC_PREDICTIONS[name]
+
+
+def _wide_knn_data(p):
+    """p features where the summation order of a distance shows: thirty
+    permutations of one vector lie at one true distance from the origin,
+    far from ninety rounded rows, and each training row appears twice."""
+    rng = np.random.Generator(np.random.Philox(60 + p))
+    v = rng.normal(size=p)
+    A = np.vstack([[rng.permutation(v) for _ in range(30)],
+                   np.round(rng.normal(2.0, size=(90, p)), 1)])
+    A = np.vstack([A, A])
+    y_class = (rng.normal(size=len(A)) > 0).astype(np.float64)
+    y_reg = np.round(rng.normal(size=len(A)), 2)
+    Q = np.vstack([np.zeros((5, p)), np.round(rng.normal(0.5, size=(60, p)), 1), A[:5]])
+    return A, {"classification": y_class, "regression": y_reg}, Q
+
+
+# (features, task, k) -> digest of KnnState.predict on F-ordered queries.
+WIDE_KNN_STATES = {
+    (12, "classification", 1):
+        "312f491b0555b99f179c82bef982f8336c9a29a90b4c8897d4d78900d8efdc46",
+    (12, "classification", 5):
+        "55e132c9668a953a497c85c202cb01d62b98136c2d68ac369acead559b13b602",
+    (12, "regression", 1):
+        "4ef876ad591f3191a7841345ca22df8a54a8e688b3a003fa50f48feda4422952",
+    (12, "regression", 5):
+        "175bcd5492132207391b88a21169ff1f9dc36d63ab70fa0fdaf9f5d15a4423a9",
+    (20, "classification", 1):
+        "313b453a5b2a967ab50a99132a826037fd24da01482568dac1c2de83bfd9112b",
+    (20, "classification", 5):
+        "2b2bb25d4381c24205fc125ef3fa82154aecef9d7d21322d15dec9319d5feb63",
+    (20, "regression", 1):
+        "abe9248a6b9f62ce49bfeaea8abeefb36f726a83f551a7282362b748e34578b5",
+    (20, "regression", 5):
+        "7b99574a66b3b7689a924d77187db970f160dc208ac59dc631eb4188f4bbe114",
+}
+
+# (features, task, k) -> digest of `predict` through a fitted model on a frame.
+WIDE_KNN_FRAMES = {
+    (12, "classification", 1):
+        "39153a5e72ee954ebee0534e65ac66e33e4714fdfc9d6279dcbe5fc261e36251",
+    (12, "classification", 5):
+        "d43bb26242ad1f6581bd4dd6bfed6f577f263e6c17f300ba208070920e3f43b4",
+    (12, "regression", 1):
+        "bf40bb8823937f2ddaa1d31cd1ade54b89b6b10b597fd0b305c37e608ba47bb4",
+    (12, "regression", 5):
+        "7fdd454fe3ccb10033823025028926a15ae368e55631534e2ca3112f87df4983",
+    (20, "classification", 1):
+        "6bc4d9f7f53fe3869b1382291621a12e4ed6d796c87e748782501900b38fe0f1",
+    (20, "classification", 5):
+        "680903aa4c897d8f263a823a2f141d45342881389f8b7e0a5fd60a7c93ee228a",
+    (20, "regression", 1):
+        "b5684d1a8626bee7fc3103da6eb1e551e507ee6c818f82efb1e16260ba32f348",
+    (20, "regression", 5):
+        "d38c5386a18ccb70c3df3e28d66846ad48cdc436aa6c97f9eceee3754cb1f8f9",
+}
+
+
+def _digest(values):
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("p, task, k", sorted(WIDE_KNN_STATES))
+def test_wide_knn_state_predict_golden(p, task, k):
+    A, y, Q = _wide_knn_data(p)
+    state = train("knn", np.asfortranarray(A), y[task], {"k": k}, 0, task)
+    assert _digest(state.predict(np.asfortranarray(Q))) == WIDE_KNN_STATES[(p, task, k)]
+
+
+@pytest.mark.parametrize("p, task, k", sorted(WIDE_KNN_FRAMES))
+def test_wide_knn_frame_predict_golden(p, task, k):
+    A, y, Q = _wide_knn_data(p)
+    columns = {f"x{j}": A[:, j] for j in range(p)}
+    columns["y"] = y[task].astype(int).tolist() if task == "classification" else y[task]
+    registry = ProvenanceRegistry()
+    part = split(DataFrame(columns), "y", seed=2, registry=registry)
+    # Mean imputation leaves complete columns as they are, so ties stay exact.
+    model = fit(part.train, "y", algorithm="knn", hyperparameters={"k": k},
+                recipe=["impute_mean"], registry=registry)
+    queries = DataFrame({f"x{j}": Q[:, j] for j in range(p)})
+    assert _digest(predict(model, queries).values) == WIDE_KNN_FRAMES[(p, task, k)]
