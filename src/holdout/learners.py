@@ -317,9 +317,10 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: s
     return ForestState(trees=_grow_trees(X, y, hp, task, samples, n_subsample), task=task)
 
 
-# Queries per distance block: bounds the (block x train rows x features)
-# temporary instead of materialising it for every query at once.
-KNN_QUERY_BLOCK = 64
+# Distance cells (queries x train rows) computed per block: two float64
+# buffers of this size are kNN prediction's only temporaries, whatever the
+# number of features, and at 256 KiB each they stay in cache.
+KNN_BLOCK_CELLS = 1 << 15
 
 
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
@@ -358,22 +359,34 @@ class KnnState:
 
     def __post_init__(self):
         self.k = int(self.k)
-        # C order, as parsed JSON lists give: the distance sums depend on it.
-        self.train_X = np.array(self.train_X, dtype=np.float64, order="C")
+        # Column-major, so each feature's training column is contiguous.
+        self.train_X = np.array(self.train_X, dtype=np.float64, order="F")
         self.train_y = np.array(self.train_y, dtype=np.float64)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        k = min(self.k, len(self.train_y))
+        """Mean target of each query row's k nearest training rows.
+
+        A squared distance is summed over features left to right, one
+        feature at a time, so a row's prediction is the same bits in any
+        memory layout and in any batch, a lone row included.
+        """
+        n, p = self.train_X.shape
+        k = min(self.k, n)
         m = len(X)
         out = np.empty(m)
-        for start in range(0, m, KNN_QUERY_BLOCK):
-            # The last block is a full one ending at row m, overlapping its
-            # predecessor: a lone query row would take numpy's other
-            # summation path for the feature sum and change the last bit.
-            block = slice(max(0, min(start, m - KNN_QUERY_BLOCK)), start + KNN_QUERY_BLOCK)
-            q = X[block]
-            dists = np.sqrt(((q[:, None, :] - self.train_X[None, :, :]) ** 2).sum(axis=2))
-            out[block] = self.train_y[_nearest(dists, k)].mean(axis=1)
+        block = max(1, KNN_BLOCK_CELLS // max(n, 1))
+        total = np.empty((min(block, m), n))
+        d = np.empty_like(total)
+        for start in range(0, m, block):
+            q = X[start : start + block]
+            t, s = total[: len(q)], d[: len(q)]
+            t.fill(0.0)
+            for f in range(p):
+                np.subtract(q[:, f, None], self.train_X[:, f], out=s)
+                np.multiply(s, s, out=s)
+                t += s
+            np.sqrt(t, out=t)
+            out[start : start + block] = self.train_y[_nearest(t, k)].mean(axis=1)
         return out
 
     def importances(self) -> None:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,19 @@ from holdout.learners import (
     train,
 )
 
+from conftest import left_sum
+
 
 def hp(algorithm, **overrides):
     return resolve_hyperparameters(algorithm, overrides)
+
+
+def _knn_oracle(A, y, Q, k):
+    """kNN by its definition: squared differences summed feature by feature,
+    left to right, then the k nearest by a stable sort."""
+    squares = ((Q[:, f, None] - A[None, :, f]) ** 2 for f in range(A.shape[1]))
+    dists = np.sqrt(left_sum(squares))
+    return y[np.argsort(dists, axis=1, kind="mergesort")[:, :k]].mean(axis=1)
 
 
 # 8 points, two interleaved-looking clusters that ARE linearly separable.
@@ -230,11 +241,11 @@ class TestKnn:
     @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 129])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_blocked_queries_equal_unblocked_formula(self, m, order):
-        # 12 features: numpy sums them pairwise or in sequence depending on
-        # the memory layout, which shows in the last bit. Permutations of
-        # one vector lie at one true distance from the origin, so which is
-        # nearest to an origin query depends on that order; duplicated
-        # train rows with different targets make exact ties.
+        # 12 features: numpy's own sum over them is pairwise or sequential
+        # depending on the memory layout, which shows in the last bit.
+        # Permutations of one vector lie at one true distance from the
+        # origin, so which is nearest to an origin query depends on that
+        # order; duplicated train rows with different targets make exact ties.
         rng = np.random.Generator(np.random.Philox(3))
         v = rng.normal(size=12)
         A = np.vstack([[rng.permutation(v) for _ in range(20)], rng.normal(2.0, size=(25, 12))])
@@ -246,10 +257,43 @@ class TestKnn:
         # Training input in the column-major layout feature_matrix gives.
         state = fit_knn(np.asfortranarray(A), y, hp("knn", k=4), seed=0,
                         task="regression")
-        dists = np.sqrt(((Q[:, None, :] - A[None, :, :]) ** 2).sum(axis=2))
-        nearest = np.argsort(dists, axis=1, kind="mergesort")[:, :4]
-        expected = y[nearest].mean(axis=1)
-        assert state.predict(Q).tobytes() == expected.tobytes()
+        assert state.predict(Q).tobytes() == _knn_oracle(A, y, Q, 4).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_layout_and_batch_predicts_alike(self, data):
+        # Training rows are permutations of one vector, so distances tie in
+        # exact arithmetic and only the summation order separates them.
+        p = data.draw(st.integers(1, 24), label="features")
+        cell = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+        v = data.draw(st.lists(cell, min_size=p, max_size=p), label="vector")
+        n = data.draw(st.integers(1, 12), label="rows")
+        A = np.array([data.draw(st.permutations(v)) for _ in range(n)]).reshape(n, p)
+        y = np.arange(n, dtype=np.float64)
+        queries = st.one_of(st.just([0.0] * p), st.permutations(v),
+                            st.lists(cell, min_size=p, max_size=p))
+        Q = np.array(data.draw(st.lists(queries, min_size=1, max_size=6), label="queries"))
+        k = data.draw(st.integers(1, n), label="k")
+        state = fit_knn(A, y, hp("knn", k=k), seed=0, task="regression")
+        expected = _knn_oracle(A, y, Q, k).tobytes()
+        assert state.predict(np.ascontiguousarray(Q)).tobytes() == expected
+        assert state.predict(np.asfortranarray(Q)).tobytes() == expected
+        alone = np.concatenate([state.predict(Q[i : i + 1]) for i in range(len(Q))])
+        assert alone.tobytes() == expected
+
+    def test_predict_memory_is_bounded(self):
+        # A (queries x train rows x features) temporary would take 480 MB here.
+        rng = np.random.Generator(np.random.Philox(9))
+        state = fit_knn(rng.normal(size=(5000, 40)), rng.normal(size=5000), hp("knn"),
+                        seed=0, task="regression")
+        Q = np.asfortranarray(rng.normal(size=(300, 40)))
+        tracemalloc.start()
+        try:
+            state.predict(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

@@ -1,11 +1,13 @@
 """Golden learner vectors: fitted trees, tree and forest predictions, kNN
 predictions and logistic weights and predictions pinned across versions.
 
-The digests below were produced by the per-feature CART split scan, the
-all-pairs kNN distance tensor and the masked-sigmoid gradient loop. Data
-are Philox draws rounded to one decimal, so feature values and kNN
-distances tie often. Any faster split search, query blocking or gradient
-loop must reproduce them exactly.
+The digests below were produced by the per-feature CART split scan, kNN
+distances summed feature by feature from left to right, and the
+masked-sigmoid gradient loop. Data are Philox draws rounded to one decimal,
+so feature values and kNN distances tie often; the 12- and 20-feature kNN
+data add distances that tie in exact arithmetic, so a different summation
+order would show. Any faster split search, distance kernel or gradient loop
+must reproduce them exactly.
 """
 
 import hashlib
