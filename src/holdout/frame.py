@@ -514,6 +514,22 @@ def _parse_column(cells: Sequence[str], kind: str | None, where: str) -> Column:
     return _recode(_store(cells), lambda c: _parse_cell(c, kind, where))
 
 
+def _record_line(path, index: int) -> int:
+    """The physical line on which the CSV's index-th non-blank record (the
+    header is 0) starts. Blank lines and quoted line breaks count; the file
+    is read again, so only an error pays for it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        for row in reader:
+            if row:
+                if index == 0:
+                    break
+                index -= 1
+            line = reader.line_num + 1
+    return line
+
+
 def from_csv(path: str | os.PathLike, schema_hints: Mapping[str, str] | None = None) -> DataFrame:
     """Load an RFC-4180-style CSV (UTF-8, header row required) as an untagged frame.
 
@@ -539,10 +555,10 @@ def from_csv(path: str | os.PathLike, schema_hints: Mapping[str, str] | None = N
     if unknown:
         raise SchemaError(f"{path}: schema hints for absent columns: {unknown}")
     width = len(header)
-    for lineno, row in enumerate(rows[1:], start=2):
+    for index, row in enumerate(rows[1:], start=1):
         if len(row) != width:
             raise ParseError(
-                f"{path}: ragged row at line {lineno} "
+                f"{path}: ragged row at line {_record_line(path, index)} "
                 f"({len(row)} fields, expected {width})"
             )
     raw_cols = list(zip(*rows[1:])) if len(rows) > 1 else [()] * width

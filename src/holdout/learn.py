@@ -10,6 +10,7 @@ is refit on the full dev set with a dev-fitted transformer.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
@@ -418,19 +419,46 @@ def model_to_dict(m: Model) -> dict:
     }
 
 
+# What each top-level value of a model document must be, when present.
+_DOCUMENT_TYPES = {
+    "algorithm": ("a string", str),
+    "task": ("a string", str),
+    "target": ("a string", str),
+    "classes": ("a list or null", (list, tuple, type(None))),
+    "hyperparameters": ("a mapping", Mapping),
+    "transformer": ("a mapping", Mapping),
+    "learner": ("a mapping", Mapping),
+    "assess_count": ("an integer", int),
+}
+
+
+def _transformer_from_dict(d) -> Transformer:
+    try:
+        return Transformer.from_dict(d)
+    except (TypeError, AttributeError) as e:  # a value of the wrong JSON type inside
+        raise ConfigError(f"model document key 'transformer' is malformed: {e}") from None
+
+
 def model_from_dict(d: dict) -> Model:
     """The model `model_to_dict` wrote; ConfigError naming the first key a
-    malformed document lacks."""
+    malformed document lacks or holds a value of the wrong type under."""
+    if not isinstance(d, Mapping):
+        raise ConfigError(f"a model document must be a mapping, got {reprlib.repr(d)}")
     version = d.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model document version {version!r}")
+    for key, (kind, types) in _DOCUMENT_TYPES.items():
+        if key in d and not isinstance(d[key], types):
+            raise ConfigError(
+                f"model document key {key!r} must be {kind}, got {reprlib.repr(d[key])}"
+            )
     classes = tuple(d["classes"]) if d.get("classes") is not None else None
     try:
         m = Model(
             algorithm=d["algorithm"],
             task=d["task"],
             state=learners.state_from_dict(d["algorithm"], d["learner"]),
-            transformer=Transformer.from_dict(d["transformer"]),
+            transformer=_transformer_from_dict(d["transformer"]),
             target=d["target"],
             classes=classes,
             hyperparameters=d["hyperparameters"],

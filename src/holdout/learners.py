@@ -10,6 +10,7 @@ its state, its default hyperparameters and the one task it may be limited to.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, NamedTuple
 
@@ -82,6 +83,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def _floats(key: str, value, ndim: int) -> np.ndarray:
+    """A learner document's numbers as a column-major float64 array of
+    `ndim` dimensions; ConfigError naming the key for anything else."""
+    try:
+        a = np.array(value, order="F")
+    except ValueError:  # rows of unequal lengths
+        a = None
+    if a is None or a.dtype.kind not in "iuf" or a.ndim != ndim:
+        kind = ("a number", "a list of numbers", "a list of rows of numbers")[ndim]
+        raise ConfigError(f"learner key {key!r} must be {kind}, got {reprlib.repr(value)}")
+    return a.astype(np.float64, copy=False)
+
+
 @dataclass
 class _Affine:
     """Weights and a bias: the state of the linear family."""
@@ -90,7 +104,8 @@ class _Affine:
     bias: float
 
     def __post_init__(self):
-        self.bias = float(self.bias)
+        self.weights = _floats("weights", self.weights, 1).tolist()
+        self.bias = float(_floats("bias", self.bias, 0))
 
     def importances(self) -> dict[int, float]:
         return {i: abs(float(w)) for i, w in enumerate(self.weights)}
@@ -126,7 +141,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -
         if abs(prev_loss - loss) < tol:
             break
         prev_loss = loss
-    return LogisticState(weights=[float(v) for v in w], bias=float(b))
+    return LogisticState(weights=w, bias=b)
 
 
 class LinearState(_Affine):
@@ -150,7 +165,7 @@ def fit_linear(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> 
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         coef = np.linalg.solve(gram + 1e-8 * np.eye(p + 1), rhs)
-    return LinearState(weights=[float(v) for v in coef[:-1]], bias=float(coef[-1]))
+    return LinearState(weights=coef[:-1], bias=coef[-1])
 
 
 # Trees are nested dicts: {"feature", "threshold", "left", "right"} or {"value"}.
@@ -358,10 +373,16 @@ class KnnState:
     train_y: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not _in_domain(self.k, *HYPERPARAMETER_DOMAINS["k"]):
+            raise ConfigError(
+                f"learner key 'k' must be a whole number of at least 1, got {self.k!r}"
+            )
         self.k = int(self.k)
         # Column-major, so each feature's training column is contiguous.
-        self.train_X = np.array(self.train_X, dtype=np.float64, order="F")
-        self.train_y = np.array(self.train_y, dtype=np.float64)
+        self.train_X = _floats("train_X", self.train_X, 2)
+        self.train_y = _floats("train_y", self.train_y, 1)
+        if len(self.train_X) != len(self.train_y):
+            raise ConfigError("learner keys 'train_X' and 'train_y' must have as many rows")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean target of each query row's k nearest training rows.

@@ -49,8 +49,12 @@ def _check(annotation):
             return None
         return " or ".join(d for d, _ in checks), lambda v: (
             v is None and type(None) in members or any(test(v) for _, test in checks))
-    if typing.get_origin(annotation) is abc.Mapping:  # Mapping and Mapping[K, V]
+    origin = typing.get_origin(annotation) or annotation
+    if origin is abc.Mapping:  # Mapping and Mapping[K, V]
         annotation = abc.Mapping
+    elif origin is abc.Sequence:  # from typing or collections.abc alike
+        args = typing.get_args(annotation)
+        annotation = Sequence[args] if args else Sequence
     return _CHECKS.get(annotation)
 
 

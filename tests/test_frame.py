@@ -363,6 +363,23 @@ class TestFromCsv:
         with pytest.raises(ParseError, match="line 3"):
             from_csv(p)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("a,b\n\n1,2\n3\n", 4),
+            ('a,b\n"x\ny",1\n3\n', 4),
+            ('\n\na,b\r\n"x\r\n\r\ny",1\r\n\r\n3\r\n', 8),
+            ('\ufeffa,b\n1,2\n"x\ny"\n', 3),
+        ],
+        ids=["blank line", "quoted line break", "CRLF and blank lines",
+             "BOM, ragged row spans lines"],
+    )
+    def test_ragged_row_names_its_physical_line(self, tmp_path, text, line):
+        p = tmp_path / "ragged.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError, match=rf"ragged row at line {line} "):
+            from_csv(p)
+
     def test_text_inference_and_missing(self, tmp_path):
         p = tmp_path / "mixed.csv"
         p.write_text("x,name\n1,alice\n,bob\n3,\n")

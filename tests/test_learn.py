@@ -319,6 +319,38 @@ class TestModelSerialization:
         with pytest.raises(ConfigError, match=message):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "algorithm, path, value, message",
+        [
+            ("logistic", ("learner",), 5, "model document key 'learner' must be a mapping"),
+            ("logistic", ("hyperparameters",), None,
+             "model document key 'hyperparameters' must be a mapping"),
+            ("logistic", ("learner", "weights"), "ab",
+             "learner key 'weights' must be a list of numbers"),
+            ("logistic", ("transformer", "steps"), None,
+             "model document key 'transformer' is malformed"),
+            ("knn", ("learner", "train_X"), "ab",
+             "learner key 'train_X' must be a list of rows of numbers"),
+            ("knn", ("learner", "k"), "ab", "learner key 'k' must be a whole number"),
+        ],
+        ids=["learner 5", "hyperparameters null", "weights 'ab'", "transformer steps null",
+             "knn train_X 'ab'", "knn k 'ab'"],
+    )
+    def test_value_of_wrong_type_names_the_key(self, registry, partition, algorithm, path,
+                                               value, message):
+        doc = model_to_dict(fit(partition.train, "y", algorithm=algorithm, registry=registry))
+        *outer, key = path
+        part = doc
+        for step in outer:
+            part = part[step]
+        part[key] = value
+        with pytest.raises(ConfigError, match=message):
+            model_from_dict(doc)
+
+    def test_document_that_is_not_a_mapping_rejected(self):
+        with pytest.raises(ConfigError, match="model document must be a mapping"):
+            model_from_json("[]")
+
 
 def test_capacity_ordering_through_fit(registry):
     # Memorization probe at the verb level: duplicated rows, tree vs logistic.

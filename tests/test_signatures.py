@@ -1,7 +1,12 @@
 """Every public verb type-checks its settings from its own signature."""
 
+import ast
 import importlib
+import inspect
 import re
+import typing
+from collections import abc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +32,9 @@ from holdout import (
     stack,
     tune,
 )
-from holdout.signatures import _checked, signature
+from holdout.rotate import CVResult
+from holdout.signatures import _check, _checked, signature
+from holdout.split import Partition
 
 from conftest import make_classification_frame
 
@@ -82,6 +89,26 @@ WRONG = [True, None, 2.5, "3", "knn", ["x"], [0.5], [("x", "text")], {"k": 1}, o
 UNCHECKED = {"df", "test", "p", "c", "m", "data", "registry"}
 
 
+# Annotations of what a verb checks itself, as UNCHECKED names them.
+SELF_CHECKED = [DataFrame, DataFrame | None, Partition, CVResult, ProvenanceRegistry | None]
+
+
+def _checking_verbs():
+    """Every function in the package that calls check_arguments on itself."""
+    verbs = []
+    for path in sorted(Path(importlib.import_module("holdout").__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"holdout.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "check_arguments"
+                and getattr(call.args[0], "id", None) == node.name
+                for call in ast.walk(node)
+            ):
+                verbs.append(getattr(module, node.name))
+    return verbs
+
+
 @pytest.fixture
 def train_calls(monkeypatch):
     learners = importlib.import_module("holdout.learners")
@@ -94,6 +121,33 @@ def train_calls(monkeypatch):
 @pytest.mark.parametrize("verb", list(VERBS), ids=lambda verb: verb.__name__)
 def test_every_setting_is_annotated(verb):
     assert set(signature(verb).parameters) - set(_checked(verb)) <= UNCHECKED
+
+
+def test_every_verb_with_settings_is_found():
+    assert set(VERBS) < set(_checking_verbs())
+
+
+@pytest.mark.parametrize("verb", _checking_verbs(), ids=lambda verb: verb.__name__)
+def test_every_annotation_resolves_to_a_check(verb):
+    for param in signature(verb).parameters.values():
+        if param.annotation is not inspect.Parameter.empty:
+            assert _check(param.annotation) or param.annotation in SELF_CHECKED, param.name
+
+
+@pytest.mark.parametrize(
+    "annotation, same",
+    [
+        (abc.Sequence[str], typing.Sequence[str]),
+        (abc.Sequence[float], typing.Sequence[float]),
+        (abc.Sequence, typing.Sequence),
+        (abc.Sequence[str] | None, typing.Sequence[str] | None),
+    ],
+    ids=str,
+)
+def test_abc_sequence_checked_like_typing_sequence(annotation, same):
+    kind, test = _check(annotation)
+    assert kind == _check(same)[0]
+    assert not test("ab")  # a string is not a list
 
 
 @pytest.mark.parametrize(
