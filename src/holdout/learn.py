@@ -424,7 +424,7 @@ _DOCUMENT_TYPES = {
     "algorithm": ("a string", str),
     "task": ("a string", str),
     "target": ("a string", str),
-    "classes": ("a list or null", (list, tuple, type(None))),
+    "classes": ("a list or null", (list, type(None))),
     "hyperparameters": ("a mapping", Mapping),
     "transformer": ("a mapping", Mapping),
     "learner": ("a mapping", Mapping),

@@ -327,13 +327,15 @@ class TestModelSerialization:
              "model document key 'hyperparameters' must be a mapping"),
             ("logistic", ("learner", "weights"), "ab",
              "learner key 'weights' must be a list of numbers"),
+            ("logistic", ("learner", "bias"), None, "learner key 'bias' must be a number"),
             ("logistic", ("transformer", "steps"), None,
              "model document key 'transformer' is malformed"),
             ("knn", ("learner", "train_X"), "ab",
              "learner key 'train_X' must be a list of rows of numbers"),
             ("knn", ("learner", "k"), "ab", "learner key 'k' must be a whole number"),
         ],
-        ids=["learner 5", "hyperparameters null", "weights 'ab'", "transformer steps null",
+        ids=["learner 5", "hyperparameters null", "weights 'ab'", "bias null",
+             "transformer steps null",
              "knn train_X 'ab'", "knn k 'ab'"],
     )
     def test_value_of_wrong_type_names_the_key(self, registry, partition, algorithm, path,

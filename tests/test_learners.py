@@ -1,11 +1,13 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holdout import learners
 from holdout.errors import ConfigError
 from holdout.learners import (
     _nearest,
@@ -240,7 +242,7 @@ class TestKnn:
 
     @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 129])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_blocked_queries_equal_unblocked_formula(self, m, order):
+    def test_blocked_queries_equal_unblocked_formula(self, monkeypatch, m, order):
         # 12 features: numpy's own sum over them is pairwise or sequential
         # depending on the memory layout, which shows in the last bit.
         # Permutations of one vector lie at one true distance from the
@@ -257,6 +259,7 @@ class TestKnn:
         # Training input in the column-major layout feature_matrix gives.
         state = fit_knn(np.asfortranarray(A), y, hp("knn", k=4), seed=0,
                         task="regression")
+        monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", 64 * len(A))  # 64-row blocks
         assert state.predict(Q).tobytes() == _knn_oracle(A, y, Q, 4).tobytes()
 
     @given(st.data())
@@ -274,11 +277,13 @@ class TestKnn:
                             st.lists(cell, min_size=p, max_size=p))
         Q = np.array(data.draw(st.lists(queries, min_size=1, max_size=6), label="queries"))
         k = data.draw(st.integers(1, n), label="k")
+        cells = data.draw(st.integers(1, 3 * n), label="block cells")
         state = fit_knn(A, y, hp("knn", k=k), seed=0, task="regression")
         expected = _knn_oracle(A, y, Q, k).tobytes()
-        assert state.predict(np.ascontiguousarray(Q)).tobytes() == expected
-        assert state.predict(np.asfortranarray(Q)).tobytes() == expected
-        alone = np.concatenate([state.predict(Q[i : i + 1]) for i in range(len(Q))])
+        with mock.patch.object(learners, "KNN_BLOCK_CELLS", cells):
+            assert state.predict(np.ascontiguousarray(Q)).tobytes() == expected
+            assert state.predict(np.asfortranarray(Q)).tobytes() == expected
+            alone = np.concatenate([state.predict(Q[i : i + 1]) for i in range(len(Q))])
         assert alone.tobytes() == expected
 
     def test_predict_memory_is_bounded(self):
