@@ -442,8 +442,7 @@ def fingerprint(df: DataFrame) -> FrameFingerprint:
     across runs and platforms. Each column is hashed with one `update` of
     its concatenated encodings, built with numpy for float columns.
     """
-    if not isinstance(df, DataFrame):
-        raise TypeError("fingerprint expects a DataFrame")
+    check_arguments(fingerprint, locals())
     cached = df._fp
     if cached is not None:
         return cached
@@ -467,8 +466,6 @@ def select_columns(df: DataFrame, names: Sequence[str]) -> DataFrame:
     rejected: a zero-column frame has no defined fingerprint.
     """
     check_arguments(select_columns, locals())
-    if not isinstance(df, DataFrame):
-        raise TypeError("select_columns expects a DataFrame")
     names = list(names)
     if not names:
         raise SchemaError("empty column projection is not allowed")

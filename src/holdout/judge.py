@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AlreadyAssessedModel, ConfigError
 from .frame import DataFrame, _take_column, fingerprint
-from .learn import StackedModel, encode_eval_target, predict_values, require_model
+from .learn import Model, StackedModel, encode_eval_target, predict_values
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .scoring import PRIMARY_METRIC, score
@@ -89,7 +89,7 @@ class Explanation:
 
 
 def evaluate(
-    m, df: DataFrame, metrics: Sequence[str] | None = None,
+    m: Model | StackedModel, df: DataFrame, metrics: Sequence[str] | None = None,
     registry: ProvenanceRegistry | None = None,
 ) -> Metrics:
     """Score a fitted model on a registered train/valid/dev frame.
@@ -99,9 +99,6 @@ def evaluate(
     iterate loop must never see test feedback.
     """
     check_arguments(evaluate, locals())
-    require_model(m, "evaluate")
-    if not isinstance(df, DataFrame):
-        raise TypeError("evaluate expects a DataFrame")
     record, bypassed = resolve(registry).admit(df, "evaluate")
     y_true = encode_eval_target(m, df)
     preds = predict_values(m, df)
@@ -111,7 +108,7 @@ def evaluate(
 
 
 def assess(
-    m, test: DataFrame, metrics: Sequence[str] | None = None,
+    m: Model | StackedModel, test: DataFrame, metrics: Sequence[str] | None = None,
     registry: ProvenanceRegistry | None = None,
 ) -> Evidence:
     """Spend a test holdout: terminal judgment, once per holdout per session.
@@ -122,9 +119,6 @@ def assess(
     clear. Success flips both the model counter and the registry flag.
     """
     check_arguments(assess, locals())
-    require_model(m, "assess")
-    if not isinstance(test, DataFrame):
-        raise TypeError("assess expects a DataFrame")
     reg = resolve(registry)
     # Everything that can fail (target encoding, each fitted transformer,
     # the learners and the scorer) runs before the claim, so the budget is
@@ -146,7 +140,7 @@ def assess(
 
 
 def explain(
-    m,
+    m: Model | StackedModel,
     df: DataFrame | None = None,
     repeats: int = 10,
     seed: int = 0,
@@ -161,13 +155,10 @@ def explain(
     before and after assessment.
     """
     check_arguments(explain, locals())
-    require_model(m, "explain")
     if repeats < 1:
         raise ConfigError(f"repeats must be a whole number >= 1, got {repeats!r}")
     if df is None:
         return _intrinsic_explanation(m)
-    if not isinstance(df, DataFrame):
-        raise TypeError("explain expects a DataFrame or None")
     _, bypassed = resolve(registry).admit(df, "explain")
     primary = PRIMARY_METRIC[m.task]
     y_true = encode_eval_target(m, df)

@@ -154,7 +154,7 @@ def _resolve_algorithm(algorithm: str | None, task: str) -> str:
 
 
 def fit(
-    data,
+    data: DataFrame | CVResult | PreparedData,
     target: str | None = None,
     algorithm: str | None = None,
     seed: int = 0,
@@ -182,10 +182,6 @@ def fit(
         record, bypassed = reg.admit(data.data, "fit")
         return _fit_prepared(data, algorithm, seed, hyperparameters,
                              getattr(record, "split_id", None), bypassed)
-    raise TypeError(
-        "fit expects a DataFrame, CVResult, or PreparedData, got "
-        f"{type(data).__name__}"
-    )
 
 
 def _fit_frame(df, target, algorithm, seed, hyperparameters, recipe, reg) -> Model:
@@ -358,21 +354,13 @@ def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> M
     return _refit_on_dev(c, cvr, 0, seed, reg)
 
 
-def require_model(m, verb: str) -> None:
-    """TypeError unless `m` is a fitted Model or StackedModel."""
-    if not isinstance(m, (Model, StackedModel)):
-        raise TypeError(f"{verb} requires a fitted Model, got {type(m).__name__}")
-
-
-def predict(m, df: DataFrame) -> Predictions:
+def predict(m: Model | StackedModel, df: DataFrame) -> Predictions:
     """Apply a fitted model to any frame covering its fitted features.
 
     The only guard is that the model is fitted; predictions carry no
     provenance and feed no guarded verb.
     """
-    require_model(m, "predict")
-    if not isinstance(df, DataFrame):
-        raise TypeError("predict expects a DataFrame")
+    check_arguments(predict, locals())
     values = predict_values(m, df)
     return Predictions(values=tuple(float(v) for v in values), row_count=df.row_count)
 
@@ -392,6 +380,11 @@ def predict_values(m, df: DataFrame) -> np.ndarray:
     return out
 
 
+def _plain(value):
+    """A numpy scalar as the Python number it holds, which json can write."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def model_to_dict(m: Model) -> dict:
     """Serialize a fitted model, lifecycle flags included.
 
@@ -400,16 +393,15 @@ def model_to_dict(m: Model) -> dict:
     in the registry and a reloaded model cannot reopen a spent holdout
     within the same session.
     """
-    if not isinstance(m, Model):
-        raise TypeError("model_to_dict expects a Model")
+    check_arguments(model_to_dict, locals())
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "algorithm": m.algorithm,
         "task": m.task,
         "target": m.target,
         "classes": list(m.classes) if m.classes is not None else None,
-        "hyperparameters": m.hyperparameters,
-        "seed": m.seed,
+        "hyperparameters": {k: _plain(v) for k, v in m.hyperparameters.items()},
+        "seed": _plain(m.seed),
         "source_split_id": m.source_split_id,
         "scores_": m.scores_,
         "assess_count": m.assess_count,
@@ -439,7 +431,7 @@ def _transformer_from_dict(d) -> Transformer:
         raise ConfigError(f"model document key 'transformer' is malformed: {e}") from None
 
 
-def model_from_dict(d: dict) -> Model:
+def model_from_dict(d: Mapping) -> Model:
     """The model `model_to_dict` wrote; ConfigError naming the first key a
     malformed document lacks or holds a value of the wrong type under."""
     if not isinstance(d, Mapping):
@@ -478,7 +470,11 @@ def model_to_json(m: Model) -> str:
 
 
 def model_from_json(text: str) -> Model:
-    return model_from_dict(json.loads(text))
+    try:
+        d = json.loads(text)
+    except (TypeError, ValueError, RecursionError) as e:  # not JSON, or nested too deep
+        raise ConfigError(f"a model document must be JSON text: {e}") from None
+    return model_from_dict(d)
 
 
 def encode_eval_target(m, df: DataFrame) -> np.ndarray:

@@ -23,6 +23,7 @@ the per-cell Python arithmetic the statistics are defined by:
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -45,7 +46,19 @@ from .frame import (
 from .registry import ProvenanceRegistry, resolve
 from .signatures import check_arguments
 
-STEP_KINDS = ("impute_mean", "one_hot", "standardize")
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# Each step kind, with what a model document holds for each column it fitted.
+_STEP_PARAMS = {
+    "impute_mean": ("a number", _is_number),
+    "one_hot": ("a list of strings", lambda v: type(v) is list and all(type(c) is str for c in v)),
+    "standardize": ("a pair of numbers",
+                    lambda v: type(v) is list and len(v) == 2 and all(map(_is_number, v))),
+}
+STEP_KINDS = tuple(_STEP_PARAMS)
 DEFAULT_RECIPE = ("impute_mean", "one_hot", "standardize")
 ONE_HOT_SEPARATOR = "="
 CLASSIFICATION_MAX_CLASSES = 20
@@ -72,11 +85,15 @@ class Step:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Step":
-        params = {
-            col: tuple(v) if isinstance(v, list) else v
-            for col, v in d["params"].items()
-        }
-        return cls(kind=d["kind"], params=params)
+        kind, params = d["kind"], d["params"]
+        if kind not in STEP_KINDS:
+            raise ConfigError(f"unknown preparation step kind {reprlib.repr(kind)}")
+        what, fits = _STEP_PARAMS[kind]
+        for col, v in params.items():
+            if not fits(v):
+                raise ConfigError(f"{kind} params of column {col!r} must be {what}, "
+                                  f"got {reprlib.repr(v)}")
+        return cls(kind, {col: tuple(v) if isinstance(v, list) else v for col, v in params.items()})
 
 
 @dataclass(frozen=True)
@@ -419,8 +436,6 @@ def prepare(
     `fit` admits it, and carries its lineage, like any partition.
     """
     check_arguments(prepare, locals())
-    if not isinstance(df, DataFrame):
-        raise TypeError("prepare expects a DataFrame")
     reg = resolve(registry)
     record, bypassed = reg.admit(df, "prepare")
     prepared = fit_transformer(df, target, recipe)
@@ -437,10 +452,7 @@ def apply(t: Transformer, df: DataFrame) -> DataFrame:
     unseen at fit time one-hot to all zeros, and the output is deterministic:
     two calls give byte-identical frames.
     """
-    if not isinstance(t, Transformer):
-        raise TypeError("apply expects a Transformer")
-    if not isinstance(df, DataFrame):
-        raise TypeError("apply expects a DataFrame")
+    check_arguments(apply, locals())
     missing = [c for c in t.source_columns if c not in df.column_names]
     if missing:
         raise SchemaError(f"frame lacks fitted columns: {missing}")

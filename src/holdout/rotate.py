@@ -94,8 +94,6 @@ def _materialize(cv_result: CVResult, indices) -> DataFrame:
 
 
 def _check_partition(p: Partition, expected_kind: str, registry: ProvenanceRegistry, verb: str):
-    if not isinstance(p, Partition):
-        raise TypeError(f"{verb} expects a Partition")
     if p.kind != expected_kind:
         raise CVError(
             f"{verb} requires a partition of kind {expected_kind!r}, got {p.kind!r}; "

@@ -85,8 +85,6 @@ def groups(cells) -> dict:
 
 
 def _validate_common(df: DataFrame, target: str, ratios) -> None:
-    if not isinstance(df, DataFrame):
-        raise TypeError("split expects a DataFrame")
     if df.partition_tag != "none":
         raise PartitionError(
             f"frame already carries partition tag {df.partition_tag!r}; "

@@ -44,11 +44,6 @@ class TuningResult:
     metric: str
 
 
-def _check_rotation(c, verb: str):
-    if not isinstance(c, CVResult):
-        raise TypeError(f"{verb} expects a CVResult; build one with cv() first")
-
-
 def _runs(algorithms: list, hyperparameters) -> list[tuple[str, Mapping | None]]:
     """One (algorithm, hyperparameters) run per algorithm. A hyperparameters
     key that names no algorithm in the list would be ignored, so it fails."""
@@ -78,7 +73,6 @@ def screen(
     before any training, so an unknown one fails fast.
     """
     check_arguments(screen, locals())
-    _check_rotation(c, "screen")
     reg = resolve(registry)
     algorithms = list(algorithms)
     if not algorithms:
@@ -123,7 +117,6 @@ def tune(
     are checked before any training, so an unknown one fails fast.
     """
     check_arguments(tune, locals())
-    _check_rotation(c, "tune")
     reg = resolve(registry)
     if not space:
         raise ConfigError("tune requires a nonempty search space")
@@ -171,7 +164,6 @@ def stack(
     names base algorithms only.
     """
     check_arguments(stack, locals())
-    _check_rotation(c, "stack")
     reg = resolve(registry)
     base_algorithms = list(base_algorithms)
     if len(base_algorithms) < 2:

@@ -269,6 +269,7 @@ def execute_workflow(
     spec: WorkflowSpec, registry: ProvenanceRegistry | None = None
 ) -> RunReport:
     """Run a validated workflow in a fresh (or supplied) session registry."""
+    check_arguments(execute_workflow, locals())
     reg = registry if registry is not None else ProvenanceRegistry()
     reg.set_guards(spec.guards)
     report = RunReport(guards_bypassed=not reg.guards_on)
@@ -337,6 +338,7 @@ def execute_workflow(
 
 def run_workflow(path, registry: ProvenanceRegistry | None = None) -> RunReport:
     """Load, validate and execute a workflow file."""
+    check_arguments(run_workflow, locals())
     return execute_workflow(load_workflow(path), registry=registry)
 
 

@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holdout
 from holdout import (
     AlreadyAssessedModel,
     ConfigError,
@@ -18,13 +20,20 @@ from holdout import (
     ProvenanceRegistry,
     SchemaError,
     assess,
+    cv,
     evaluate,
     explain,
     fingerprint,
     fit,
+    predict,
+    prepare,
+    screen,
     split,
     split_temporal,
+    tune,
 )
+from holdout.signatures import _check, signature
+from holdout.workflow import parse_workflow
 
 from conftest import make_classification_frame
 
@@ -210,33 +219,48 @@ class TestTerminalTypes:
         assert json.loads(json.dumps(ex.to_dict()))["kind"] == "explanation"
 
     def test_no_public_verb_accepts_evidence_or_metrics(self, registry, partition, model):
-        # Terminality, enforced: feeding Evidence/Metrics back into any verb
-        # that takes data or models must raise TypeError.
-        from holdout import cv, predict, prepare
-
-        metrics = evaluate(model, partition.valid, registry=registry)
-        evidence = assess(model, partition.test, registry=registry)
-        for terminal in (metrics, evidence):
-            with pytest.raises((TypeError, PartitionError)):
-                fit(terminal, "y", registry=registry)
-            with pytest.raises(TypeError):
-                evaluate(terminal, partition.valid, registry=registry)
-            with pytest.raises(TypeError):
-                assess(terminal, partition.test, registry=registry)
-            with pytest.raises(TypeError):
-                predict(terminal, partition.valid)
-            with pytest.raises(TypeError):
-                prepare(terminal, "y", registry=registry)
-            with pytest.raises(TypeError):
-                cv(terminal, 3, registry=registry)
-            with pytest.raises(TypeError):
-                split(terminal, "y", registry=registry)
+        # Terminality, enforced by annotation: every public function with an
+        # artifact parameter refuses each terminal type there with a
+        # TypeError naming the parameter, before it changes anything.
+        c = cv(partition, 3, registry=registry)
+        artifacts = [
+            partition.train, partition, c, prepare(partition.train, "y", registry=registry),
+            model.transformer, model, registry,
+            parse_workflow("data: {path: d.csv, target: y}\nsplit: {}\nmodel: {}\n"),
+        ]
+        terminals = [
+            evaluate(model, partition.valid, registry=registry),
+            assess(model, partition.test, registry=registry),
+            explain(model, registry=registry),
+            screen(c, "y", algorithms=["logistic"], registry=registry),
+            tune(c, "y", space={"max_iter": [5]}, registry=registry),
+            predict(model, partition.valid),
+        ]
+        required = {"target": "y", "time_col": "x0", "group_col": "x0", "names": ["x0"],
+                    "path": "unused.yaml"}
+        before = registry.dump()
+        checked = 0
+        for name in holdout.__all__:
+            verb = getattr(holdout, name)
+            if isinstance(verb, type) or not callable(verb):
+                continue
+            checks = {p: _check(a.annotation) for p, a in signature(verb).parameters.items()
+                      if a.annotation is not a.empty}
+            edges = [p for p, check in checks.items() if check and check[2] is TypeError]
+            valid = {p: next(a for a in artifacts if checks[p][1](a)) for p in edges}
+            for param in edges:
+                for terminal in terminals:
+                    args = {**required, **valid, param: terminal}
+                    kwargs = {p: args[p] for p in signature(verb).parameters if p in args}
+                    with pytest.raises(TypeError, match=rf"^{param} must be an? "):
+                        verb(**kwargs)
+                checked += 1
+        assert checked >= 40
+        assert registry.dump() == before
 
     def test_signature_annotations_never_mention_terminal_types(self):
-        import inspect
-        import holdout
-
-        terminal = {"Metrics", "Evidence", "Explanation", "Leaderboard", "TuningResult"}
+        terminal = {"Metrics", "Evidence", "Explanation", "Leaderboard", "TuningResult",
+                    "Predictions"}
         for name in holdout.__all__:
             obj = getattr(holdout, name)
             if not callable(obj) or isinstance(obj, type):

@@ -353,6 +353,58 @@ class TestModelSerialization:
         with pytest.raises(ConfigError, match="model document must be a mapping"):
             model_from_json("[]")
 
+    @pytest.mark.parametrize(
+        "step, kind, params, message",
+        [
+            # Used to load; predict then raised "'float' object is not iterable".
+            (0, "bogus", None, "unknown preparation step kind 'bogus'"),
+            # Used to load and predict unstandardized values without a word.
+            (2, "impute_mean", None, "impute_mean params of column 'x0' must be a number, got "),
+            (0, "standardize", None, "standardize params of column 'x0' must be a pair of numbers"),
+            (2, "standardize", {"x0": [0.5]}, "must be a pair of numbers, got "),
+            (1, "one_hot", {"x0": [1.0, 2.0]},
+             "one_hot params of column 'x0' must be a list of strings"),
+            (1, "one_hot", {"x0": "ab"}, "must be a list of strings, got 'ab'"),
+        ],
+        ids=["unknown kind", "standardize as impute_mean", "impute_mean as standardize",
+             "short pair", "numeric categories", "string categories"],
+    )
+    def test_step_kind_and_params_checked_at_load(self, registry, partition, step, kind,
+                                                  params, message):
+        doc = model_to_dict(fit(partition.train, "y", registry=registry))
+        assert [s["kind"] for s in doc["transformer"]["steps"]] == [
+            "impute_mean", "one_hot", "standardize"]
+        doc["transformer"]["steps"][step]["kind"] = kind
+        if params is not None:
+            doc["transformer"]["steps"][step]["params"] = params
+        with pytest.raises(ConfigError, match=message):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "algorithm, hyperparameters",
+        [("decision_tree", {"max_depth": np.int64(3)}), ("logistic", {"l2": np.float32(0.1)})],
+        ids=["int64 max_depth", "float32 l2"],
+    )
+    def test_numpy_scalar_settings_serialize(self, registry, partition, algorithm,
+                                             hyperparameters):
+        m = fit(partition.train, "y", algorithm=algorithm, seed=np.int64(2),
+                hyperparameters=hyperparameters, registry=registry)
+        clone = model_from_json(model_to_json(m))
+        assert clone.hyperparameters == m.hyperparameters and clone.seed == 2
+        assert not any(isinstance(v, np.generic) for v in clone.hyperparameters.values())
+        before, after = (np.array(predict(x, partition.valid).values) for x in (m, clone))
+        assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("not json", "must be JSON text"), ('{"format_version": 1', "must be JSON text"),
+         ("[" * 100000, "must be JSON text"), (5, "must be JSON text")],
+        ids=["not JSON", "truncated", "deep nesting", "not text"],
+    )
+    def test_unreadable_text_is_a_config_error(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            model_from_json(text)
+
 
 def test_capacity_ordering_through_fit(registry):
     # Memorization probe at the verb level: duplicated rows, tree vs logistic.

@@ -1,4 +1,5 @@
-"""Every public verb type-checks its settings from its own signature."""
+"""Every public verb type-checks its arguments from its own signature: a
+setting of the wrong type is a ConfigError, an artifact a TypeError."""
 
 import ast
 import importlib
@@ -15,26 +16,31 @@ import pytest
 from holdout import (
     ConfigError,
     DataFrame,
+    Model,
     ProvenanceRegistry,
+    StackedModel,
+    apply,
     assess,
     cv,
     cv_group,
     cv_temporal,
     evaluate,
     explain,
+    fingerprint,
     fit,
     from_csv,
+    model_to_dict,
+    predict,
     prepare,
     screen,
+    select_columns,
     split,
     split_group,
     split_temporal,
     stack,
     tune,
 )
-from holdout.rotate import CVResult
 from holdout.signatures import _check, _checked, signature
-from holdout.split import Partition
 
 from conftest import make_classification_frame
 
@@ -59,8 +65,10 @@ def session(tmp_path_factory):
     )
 
 
-# Each verb that takes settings, with keyword arguments it accepts.
+# Each checking verb, with keyword arguments it accepts.
 VERBS = {
+    fingerprint: lambda s: {"df": s.df},
+    select_columns: lambda s: {"df": s.df, "names": ["x0", "y"]},
     from_csv: lambda s: {"path": s.path},
     split: lambda s: {"df": s.df, "target": "y", "registry": s.reg},
     split_temporal: lambda s: {"df": s.df, "target": "y", "time_col": "t", "registry": s.reg},
@@ -69,7 +77,10 @@ VERBS = {
     cv_temporal: lambda s: {"p": s.temporal, "registry": s.reg},
     cv_group: lambda s: {"p": s.grouped, "folds": 3, "registry": s.reg},
     prepare: lambda s: {"df": s.p.train, "target": "y", "registry": s.reg},
+    apply: lambda s: {"t": s.model.transformer, "df": s.p.valid},
     fit: lambda s: {"data": s.p.train, "target": "y", "registry": s.reg},
+    predict: lambda s: {"m": s.model, "df": s.p.valid},
+    model_to_dict: lambda s: {"m": s.model},
     evaluate: lambda s: {"m": s.model, "df": s.p.valid, "registry": s.reg},
     assess: lambda s: {"m": s.model, "test": s.p.test, "registry": s.reg},
     explain: lambda s: {"m": s.model, "df": s.p.valid, "repeats": 1, "registry": s.reg},
@@ -79,18 +90,15 @@ VERBS = {
                       "registry": s.reg},
 }
 
-# Values of the wrong type for some setting or other: a bool for an int, a
+# Values of the wrong type for some argument or other: a bool for an int, a
 # truthy string for a bool, None where no None is declared, a str for a list,
-# a list of pairs for a mapping.
+# a list of pairs for a mapping, and (in `_wrong`) each artifact of the
+# session where another is due.
 WRONG = [True, None, 2.5, "3", "knn", ["x"], [0.5], [("x", "text")], {"k": 1}, object()]
 
-# What a verb checks itself: the frame, rotation or model it works on, and
-# the registry.
-UNCHECKED = {"df", "test", "p", "c", "m", "data", "registry"}
 
-
-# Annotations of what a verb checks itself, as UNCHECKED names them.
-SELF_CHECKED = [DataFrame, DataFrame | None, Partition, CVResult, ProvenanceRegistry | None]
+def _wrong(s):
+    return WRONG + [s.df, s.p, s.c, s.model, s.model.transformer, s.reg]
 
 
 def _checking_verbs():
@@ -120,7 +128,7 @@ def train_calls(monkeypatch):
 
 @pytest.mark.parametrize("verb", list(VERBS), ids=lambda verb: verb.__name__)
 def test_every_setting_is_annotated(verb):
-    assert set(signature(verb).parameters) - set(_checked(verb)) <= UNCHECKED
+    assert set(_checked(verb)) == set(signature(verb).parameters)
 
 
 def test_every_verb_with_settings_is_found():
@@ -131,7 +139,7 @@ def test_every_verb_with_settings_is_found():
 def test_every_annotation_resolves_to_a_check(verb):
     for param in signature(verb).parameters.values():
         if param.annotation is not inspect.Parameter.empty:
-            assert _check(param.annotation) or param.annotation in SELF_CHECKED, param.name
+            assert _check(param.annotation), param.name
 
 
 @pytest.mark.parametrize(
@@ -145,9 +153,27 @@ def test_every_annotation_resolves_to_a_check(verb):
     ids=str,
 )
 def test_abc_sequence_checked_like_typing_sequence(annotation, same):
-    kind, test = _check(annotation)
+    kind, test, _ = _check(annotation)
     assert kind == _check(same)[0]
     assert not test("ab")  # a string is not a list
+
+
+@pytest.mark.parametrize(
+    "annotation, kind, error",
+    [
+        (DataFrame, "a DataFrame", TypeError),
+        (Model | StackedModel, "a Model or a StackedModel", TypeError),
+        (ProvenanceRegistry | None, "a ProvenanceRegistry", TypeError),
+        (str | None, "a string", ConfigError),
+        # A union with a setting among its members is a setting.
+        (str | DataFrame, "a string or a DataFrame", ConfigError),
+    ],
+    ids=["DataFrame", "Model | StackedModel", "ProvenanceRegistry | None", "str | None",
+         "str | DataFrame"],
+)
+def test_a_class_outside_the_table_is_an_artifact(annotation, kind, error):
+    assert _check(annotation)[::2] == (kind, error)
+    assert _check(annotation)[1](None) == (type(None) in typing.get_args(annotation))
 
 
 @pytest.mark.parametrize(
@@ -156,14 +182,15 @@ def test_abc_sequence_checked_like_typing_sequence(annotation, same):
     ids=lambda x: getattr(x, "__name__", x),
 )
 def test_wrongly_typed_setting_names_its_parameter(session, train_calls, verb, param):
-    kind, accepts = _checked(verb)[param]
-    wrong = [value for value in WRONG if not accepts(value)]
+    kind, accepts, error = _checked(verb)[param]
+    wrong = [value for value in _wrong(session) if not accepts(value)]
     assert wrong
     before = session.reg.dump()
     for value in wrong:
         kwargs = {**VERBS[verb](session), param: value}
-        with pytest.raises(ConfigError, match=rf"^{param} must be {re.escape(kind)}, got "):
+        with pytest.raises(error, match=rf"^{param} must be {re.escape(kind)}, got ") as e:
             verb(**kwargs)
+        assert type(e.value) is error
     assert session.reg.dump() == before
     assert train_calls == []
 
