@@ -74,7 +74,7 @@ def signature(fn) -> inspect.Signature:
 @functools.cache
 def _checked(fn) -> dict:
     found = {p.name: _check(p.annotation) for p in signature(fn).parameters.values()
-             if p.annotation is not p.empty}
+             if p.annotation is not p.empty}  # `empty` is a class too
     return {name: check for name, check in found.items() if check}
 
 
