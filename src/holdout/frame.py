@@ -25,8 +25,10 @@ equal the per-cell ``canonical_encode`` stream byte for byte.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
+import io
 import math
 import os
 import struct
@@ -486,6 +488,20 @@ _HINT_KINDS = {
 }
 _BOOLS = {"true": True, "1": True, "false": False, "0": False}
 
+# The loader reads the file as bytes and works on blocks of whole lines of
+# about this many bytes, so its temporaries stay bounded.
+_BLOCK_BYTES = 1 << 17
+# Zero bytes around each block's cells, so that the 16 bytes before any
+# cell's end and the byte at any cell's start can be read.
+_PAD = 16
+_PADDING = bytes(_PAD)
+_COMMA, _NEWLINE, _DOT, _MINUS, _ZERO = b",\n.-0"
+# Which of a right-aligned 16-byte window's bytes belong to a cell of
+# length n, for n = 0..16 (a longer cell fills the window).
+_INSIDE = np.tri(17, 16, -1, dtype=np.uint8)[:, ::-1].copy()
+_POW10 = 10 ** np.arange(16, dtype=np.int64)
+_U64 = np.uint64
+
 
 def _parse_cell(raw: str, kind: str, where: str) -> Cell:
     if raw == "" or _HINT_KINDS[kind] is None:
@@ -498,33 +514,270 @@ def _parse_cell(raw: str, kind: str, where: str) -> Cell:
         raise ParseError(f"{where}: {raw!r} is not {_HINT_KINDS[kind]}") from exc
 
 
-def _parse_column(cells: Sequence[str], kind: str | None, where: str) -> Column:
-    if kind in (None, "float64") or not cells:
+def _lane_sums(pair: np.ndarray, weights: int) -> np.ndarray:
+    """Per row of `pair`, an (n, 2) uint64 array whose bytes are 0 or 1,
+    the sum of its 16 bytes each times its weight: byte i of either word
+    (i = 0 lowest-addressed) weighs byte 7 - i of `weights`. Adding the two
+    words keeps every byte below 3, and one multiply then carries each
+    row's weighted sum into the top byte, exact while it stays below 256."""
+    summed = pair[:, 0] + pair[:, 1]
+    return ((summed * _U64(weights)) >> _U64(56)).view(np.int64)
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The 8-digit number in each uint64 whose bytes hold one digit value
+    each, the first (lowest-addressed) byte most significant: pairs, then
+    quads, then the eight are combined, a multiply each."""
+    words = (words * _U64(10) + (words >> _U64(8))) & _U64(0x00FF00FF00FF00FF)
+    words = ((words * _U64(100 << 16 | 1)) >> _U64(16)) & _U64(0x0000FFFF0000FFFF)
+    return ((words * _U64(10000 << 32 | 1)) >> _U64(32)).view(np.int64)
+
+
+def _fixed_point(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell of `raw` between `starts` and `ends` as a float, and a mask
+    of the cells parsed here: empty cells (NaN) and cells of the form
+    ``-?digits[.digits]`` with at most 15 digits, either side of the dot
+    possibly empty.
+
+    Such a cell is m / 10**k, with m < 10**15 < 2**53 and k <= 15, so m and
+    10**k are exact doubles and one IEEE division rounds the quotient
+    correctly: the bits `float()` gives (Clinger 1990). Other cells are left
+    to the caller. `raw` must hold 16 bytes before every cell's end.
+    """
+    lengths = ends - starts
+    # Each cell's last 16 bytes as a row, right-aligned; the '-' of a
+    # 17-byte cell is read from its first byte.
+    windows = np.ndarray((len(raw) - 15,), dtype="V16", buffer=raw, strides=(1,))
+    window = windows[ends - 16].view(np.uint8).reshape(-1, 16)
+    inside = np.take(_INSIDE, np.minimum(lengths, 16), axis=0)
+    digits = window - np.uint8(_ZERO)
+    is_digit = (digits < 10).view(np.uint8) & inside
+    dots = (window == _DOT).view(np.uint8) & inside
+    n_digits = _lane_sums(is_digit.view("<u8"), 0x0101010101010101)
+    dot_pair = dots.view("<u8")
+    n_dots = _lane_sums(dot_pair, 0x0101010101010101)
+    negative = np.frombuffer(raw, dtype=np.uint8)[starts] == _MINUS
+    # Digits and at most one dot, after a '-' or not: "1." and ".5" too.
+    ok = (
+        (n_digits >= 1) & (n_digits <= 15) & (n_dots <= 1)
+        & (n_digits + n_dots + negative == lengths)
+    )
+    # k, the bytes after a single dot: byte i of the second word weighs
+    # 7 - i, and of the first word 15 - i, counted as 7 - i plus 8.
+    k = _lane_sums(dot_pair, 0x0706050403020100) + (dot_pair[:, 0] != 0) * 8
+    # The digits as one number, the dot read as a 0 digit:
+    # a = 10 * i * 10**k + f for integer part i and fraction f.
+    halves = _eight_digits((digits & is_digit * np.uint8(0xFF)).view("<u8")).reshape(-1, 2)
+    a = halves[:, 0] * 10**8 + halves[:, 1]
+    scale = np.take(_POW10, k, mode="clip")  # k only counts with one dot
+    f = a % scale
+    values = np.where(n_dots == 1, (a - f) // 10 + f, a) / scale
+    np.negative(values, out=values, where=negative)
+    empty = lengths == 0
+    values[empty] = math.nan
+    return values, ok | empty
+
+
+class _ColumnBuilder:
+    """One CSV column's storage, built a block at a time: float64 pieces
+    while every cell parses with `float`, else int32 codes into the
+    column's distinct raw cells, in order of first appearance."""
+
+    __slots__ = ("kind", "floats", "index", "codes", "late")
+
+    def __init__(self, kind: str | None):
+        self.kind = kind
+        self.floats = [] if kind in (None, "float64") else None
+        self.index: dict[bytes, int] = {}
+        self.codes: list[np.ndarray] = []
+        # A column that met a non-float cell after earlier blocks stored
+        # floats is coded in a second pass over the file.
+        self.late = False
+
+    def add_floats(self, raw: bytes, starts, ends, values, others) -> None:
+        """Keep a block's values, parsing the rows in `others` with `float`,
+        or turn the column to codes at a cell that is not a float."""
+        for i in others:
+            try:
+                values[i] = float(raw[starts[i]:ends[i]].decode("utf-8"))
+            except ValueError:
+                self.late = bool(self.floats)
+                self.floats = None
+                if not self.late:
+                    self.add_codes(raw, starts, ends)
+                return
+        self.floats.append(values.copy())  # not a view that holds the whole batch
+
+    def add_codes(self, raw: bytes, starts, ends) -> None:
+        cells = list(map(raw.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+        index = self.index
+        for cell in dict.fromkeys(cells):
+            index.setdefault(cell, len(index))
+        self.codes.append(np.fromiter(map(index.__getitem__, cells), np.int32, len(cells)))
+
+    def column(self, rows: int, where: str) -> Column:
+        """The column's storage; the builder lets go of its pieces, so only
+        one column is ever held twice."""
+        floats, codes, self.floats, self.codes = self.floats, self.codes, None, []
+        if rows == 0:
+            return _readonly(np.empty(0))
+        if floats is not None:
+            return _readonly(np.concatenate(floats))
+        # Each distinct raw cell is decoded and parsed once, in order of
+        # first appearance, so the first bad one is the first bad cell.
+        entries = (*(cell.decode("utf-8") for cell in self.index), None)
+        kind = self.kind or "text"
+        return _recode(Coded(np.concatenate(codes), entries),
+                       lambda c: _parse_cell(c, kind, where))
+
+
+def _feed(builders: list[_ColumnBuilder], block) -> int:
+    """Add one block of cells to every column; the block's row count."""
+    raw, starts, ends = block
+    rows = len(starts)
+    parsing = [j for j, b in enumerate(builders) if b.floats is not None]
+    coding = [j for j, b in enumerate(builders) if b.floats is None and not b.late]
+    if parsing:
+        # The float columns' cells, column after column, in one batch.
+        s, e = starts[:, parsing].T, ends[:, parsing].T
+        values, ok = _fixed_point(raw, s.ravel(), e.ravel())
+        others = [[] for _ in parsing]
+        for cell in np.flatnonzero(~ok).tolist():
+            others[cell // rows].append(cell % rows)
+        for j, col_starts, col_ends, col_values, col_others in zip(
+            parsing, s, e, values.reshape(s.shape), others
+        ):
+            builders[j].add_floats(raw, col_starts, col_ends, col_values, col_others)
+    for j in coding:
+        builders[j].add_codes(raw, starts[:, j], ends[:, j])
+    return rows
+
+
+def _utf8_check(data: bytes) -> None:
+    """Raise UnicodeDecodeError, at its offset in the file, unless `data`
+    is UTF-8. Blocks of whole lines are decoded in turn: a newline byte is
+    never inside a character."""
+    lo = len(data) if data.isascii() else 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(data)
         try:
-            # Python's float per cell; empty cells and "nan" become NaN, missing.
-            floats = [float(c) if c else math.nan for c in cells]
-            return _readonly(np.array(floats, dtype=np.float64))
-        except ValueError:
-            kind = kind or "text"
-    # Each distinct raw string is parsed once, in order of first appearance,
-    # so the first bad one is the first bad cell.
-    return _recode(_store(cells), lambda c: _parse_cell(c, kind, where))
+            data[lo:hi].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError("utf-8", data, lo + exc.start, lo + exc.end,
+                                     exc.reason) from None
+        lo = hi
 
 
-def _record_line(path, index: int) -> int:
-    """The physical line on which the CSV's index-th non-blank record (the
-    header is 0) starts. Blank lines and quoted line breaks count; the file
-    is read again, so only an error pays for it."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        line = 1
-        for row in reader:
-            if row:
-                if index == 0:
-                    break
-                index -= 1
-            line = reader.line_num + 1
-    return line
+def _oversized(raw: bytes, starts: np.ndarray, ends: np.ndarray, limit: int) -> int | None:
+    """The index of the first field longer than `limit` characters, as
+    csv.reader counts them, or None; a field's bytes are at least as many."""
+    for f in np.flatnonzero(ends - starts > limit).tolist():
+        if len(raw[starts[f]:ends[f]].decode("utf-8")) > limit:
+            return f
+    return None
+
+
+def _line_records(path, data: bytes):
+    """Tokenize a CSV without quotes or carriage returns: records are lines,
+    fields are split at commas, blank lines are dropped, as csv.reader
+    reads such a file. Yields the header's names, then per block of lines
+    the block's bytes padded with `_PAD` zeros and the (rows, width) start
+    and end offsets of its cells. Raises ParseError naming the physical
+    line of the first record that holds a field longer than
+    `csv.field_size_limit()` or, after the header, is ragged."""
+    limit = csv.field_size_limit()
+    too_long = f"{path}: field larger than field limit ({limit}) at line"  # csv.reader's words
+    lo = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    line = 1  # the physical line the block starts on
+    width = None
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _BLOCK_BYTES - 1) + 1 or len(data)
+        raw = _PADDING + data[lo:hi] + _PADDING
+        lo = hi
+        padded = np.frombuffer(raw, dtype=np.uint8)
+        body = padded[_PAD:-_PAD]
+        # Fields end at commas and newlines; the file's last line may lack one.
+        ends = np.flatnonzero((body == _NEWLINE) | (body == _COMMA)) + _PAD
+        if body[-1] != _NEWLINE:
+            ends = np.append(ends, len(raw) - _PAD)
+        starts = np.concatenate(([_PAD], ends[:-1] + 1))
+        last = np.flatnonzero(padded[ends] != _COMMA)  # each line's last field
+        counts = np.diff(last, prepend=-1)
+        lines = np.arange(line, line + len(last))
+        line += len(last)
+        blank = (counts == 1) & (ends[last] == starts[last])
+        if width is None:  # the first line that is not blank is the header
+            named = np.flatnonzero(~blank)
+            if not len(named):
+                continue
+            h = named[0]
+            cut = last[h] + 1
+            header = slice(cut - counts[h], cut)
+            if _oversized(raw, starts[header], ends[header], limit) is not None:
+                raise ParseError(f"{too_long} {lines[h]}")
+            yield [raw[s:e].decode("utf-8")
+                   for s, e in zip(starts[header].tolist(), ends[header].tolist())]
+            width = int(counts[h])
+            starts, ends, last = starts[cut:], ends[cut:], last[h + 1:] - cut
+            counts, lines, blank = counts[h + 1:], lines[h + 1:], blank[h + 1:]
+        ragged = np.flatnonzero(~blank & (counts != width))
+        first_ragged = ragged[0] if len(ragged) else len(lines)
+        big = _oversized(raw, starts, ends, limit)
+        big_line = len(lines) if big is None else np.searchsorted(last, big)
+        if big_line < len(lines) and big_line <= first_ragged:
+            raise ParseError(f"{too_long} {lines[big_line]}")
+        if len(ragged):
+            raise ParseError(f"{path}: ragged row at line {lines[first_ragged]} "
+                             f"({counts[first_ragged]} fields, expected {width})")
+        if blank.any():
+            fields = np.repeat(~blank, counts)
+            starts, ends = starts[fields], ends[fields]
+        if len(starts):
+            yield raw, starts.reshape(-1, width), ends.reshape(-1, width)
+
+
+def _pack(rows: list[list[str]], width: int):
+    """Records read by csv.reader as one block of cells for `_ColumnBuilder`."""
+    cells = [cell.encode("utf-8") for row in rows for cell in row]
+    lengths = np.fromiter(map(len, cells), np.int64, len(cells))
+    ends = np.cumsum(lengths) + _PAD
+    raw = _PADDING + b"".join(cells) + _PADDING
+    return raw, (ends - lengths).reshape(-1, width), ends.reshape(-1, width)
+
+
+def _csv_records(path, data: bytes):
+    """Tokenize a CSV with quotes or carriage returns through csv.reader,
+    yielding what `_line_records` yields and raising what it raises."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as text:
+        reader = csv.reader(text)
+        width = None
+        line = 1  # the physical line the next record starts on
+        rows, size = [], 0
+        while True:
+            try:
+                row = next(reader, None)
+            except csv.Error as exc:
+                raise ParseError(f"{path}: {exc} at line {line}") from None
+            if row is None:
+                break
+            start, line = line, reader.line_num + 1
+            if not row:
+                continue  # a blank line
+            if width is None:
+                yield row
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(
+                    f"{path}: ragged row at line {start} ({len(row)} fields, expected {width})"
+                )
+            else:
+                rows.append(row)
+                size += sum(map(len, row)) + width
+                if size >= _BLOCK_BYTES:
+                    yield _pack(rows, width)
+                    rows, size = [], 0
+        if rows:
+            yield _pack(rows, width)
 
 
 def from_csv(path: str | os.PathLike, schema_hints: Mapping[str, str] | None = None) -> DataFrame:
@@ -534,33 +787,40 @@ def from_csv(path: str | os.PathLike, schema_hints: Mapping[str, str] | None = N
     as float64; everything else is text. Hints (name -> one of float64,
     int64, bool, text/categorical) override inference. Empty cells are
     missing.
+
+    The file is read once as bytes. Without a quote or a carriage return it
+    is split at newlines and commas with numpy; otherwise csv.reader reads
+    it. Either way the frame is the one csv.reader's cells give, parsed cell
+    by cell with `float` (see `_fixed_point`), and a field longer than
+    `csv.field_size_limit()` is a ParseError naming its line.
     """
     check_arguments(from_csv, locals())
     hints = dict(schema_hints or {})
     for name, kind in hints.items():
         if not isinstance(kind, str) or kind not in _HINT_KINDS:
             raise ConfigError(f"unknown schema hint kind {kind!r} for column {name!r}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(filter(None, csv.reader(fh)))  # blank lines dropped
-    if not rows:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _utf8_check(data)
+    tokenize = _csv_records if b'"' in data or b"\r" in data else _line_records
+    blocks = tokenize(path, data)
+    header = next(blocks, None)
+    if header is None:
         raise ParseError(f"{path}: empty CSV (header row required)")
-    header = rows[0]
     if len(set(header)) != len(header):
         dupes = sorted({n for n in header if header.count(n) > 1})
         raise SchemaError(f"{path}: duplicate header names: {dupes}")
     unknown = [n for n in hints if n not in header]
     if unknown:
         raise SchemaError(f"{path}: schema hints for absent columns: {unknown}")
-    width = len(header)
-    for index, row in enumerate(rows[1:], start=1):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: ragged row at line {_record_line(path, index)} "
-                f"({len(row)} fields, expected {width})"
-            )
-    raw_cols = list(zip(*rows[1:])) if len(rows) > 1 else [()] * width
-    columns = [
-        _parse_column(cells, hints.get(name), f"{path}: column {name!r}")
-        for name, cells in zip(header, raw_cols)
-    ]
+    builders = [_ColumnBuilder(hints.get(name)) for name in header]
+    rows = sum(_feed(builders, block) for block in blocks)
+    late = [j for j, b in enumerate(builders) if b.late]
+    if late:
+        blocks = tokenize(path, data)
+        next(blocks)
+        for raw, starts, ends in blocks:
+            for j in late:
+                builders[j].add_codes(raw, starts[:, j], ends[:, j])
+    columns = [b.column(rows, f"{path}: column {name!r}") for name, b in zip(header, builders)]
     return DataFrame._from_storage(header, columns, "none")

@@ -411,16 +411,28 @@ def model_to_dict(m: Model) -> dict:
     }
 
 
+def _of(*types):
+    return lambda v: isinstance(v, types)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 # What each top-level value of a model document must be, when present.
 _DOCUMENT_TYPES = {
-    "algorithm": ("a string", str),
-    "task": ("a string", str),
-    "target": ("a string", str),
-    "classes": ("a list or null", (list, type(None))),
-    "hyperparameters": ("a mapping", Mapping),
-    "transformer": ("a mapping", Mapping),
-    "learner": ("a mapping", Mapping),
-    "assess_count": ("an integer", int),
+    "algorithm": ("a string", _of(str)),
+    "task": ("a string", _of(str)),
+    "target": ("a string", _of(str)),
+    "classes": ("a list or null", _of(list, type(None))),
+    "hyperparameters": ("a mapping", _of(Mapping)),
+    "transformer": ("a mapping", _of(Mapping)),
+    "learner": ("a mapping", _of(Mapping)),
+    "assess_count": ("a non-negative integer", _is_count),
+    "seed": ("a non-negative integer", _is_count),
+    "source_split_id": ("a string or null", _of(str, type(None))),
+    "scores_": ("a mapping or null", _of(Mapping, type(None))),
+    "guards_bypassed": ("a boolean", _of(bool)),
 }
 
 
@@ -439,8 +451,8 @@ def model_from_dict(d: Mapping) -> Model:
     version = d.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model document version {version!r}")
-    for key, (kind, types) in _DOCUMENT_TYPES.items():
-        if key in d and not isinstance(d[key], types):
+    for key, (kind, fits) in _DOCUMENT_TYPES.items():
+        if key in d and not fits(d[key]):
             raise ConfigError(
                 f"model document key {key!r} must be {kind}, got {reprlib.repr(d[key])}"
             )
@@ -457,7 +469,7 @@ def model_from_dict(d: Mapping) -> Model:
             seed=d["seed"],
             source_split_id=d.get("source_split_id"),
             scores_=d.get("scores_"),
-            guards_bypassed=bool(d.get("guards_bypassed", False)),
+            guards_bypassed=d.get("guards_bypassed", False),
         )
     except KeyError as e:
         raise ConfigError(f"model document lacks key {e.args[0]!r}") from None

@@ -113,11 +113,28 @@ class Transformer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Transformer":
-        return cls(
+        """The transformer `to_dict` wrote. Its steps are walked from
+        `source_columns` as `apply` runs them: each step's params must name
+        columns present at that step, and the columns after the last step
+        must be `feature_names`; ConfigError otherwise."""
+        t = cls(
             steps=tuple(Step.from_dict(s) for s in d["steps"]),
             source_columns=tuple(d["source_columns"]),
             feature_names=tuple(d["feature_names"]),
         )
+        columns = list(t.source_columns)
+        for step in t.steps:
+            absent = [c for c in step.params if c not in columns]
+            if absent:
+                raise ConfigError(f"{step.kind} params name columns absent at that step: {absent}")
+            if step.kind == "one_hot":
+                columns = [out for c in columns for out in (
+                    [f"{c}{ONE_HOT_SEPARATOR}{cat}" for cat in step.params[c]]
+                    if c in step.params else [c])]
+        if tuple(columns) != t.feature_names:
+            raise ConfigError(f"the steps turn source_columns into {columns}, "
+                              f"not feature_names {list(t.feature_names)}")
+        return t
 
 
 @dataclass(frozen=True)

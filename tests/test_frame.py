@@ -1,8 +1,13 @@
 import copy
+import csv
 import hashlib
+import io
+import math
 import pickle
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,13 +19,17 @@ from holdout import (
     DataFrame,
     ParseError,
     SchemaError,
+    WorkflowError,
     canonical_encode,
     fingerprint,
     from_csv,
     select_columns,
     split,
 )
+from holdout import frame
+from holdout.frame import _HINT_KINDS, _parse_cell, _readonly, _recode, _store
 from holdout.prepare import fit_transformer
+from holdout.signatures import check_arguments
 
 from conftest import make_classification_frame
 
@@ -414,9 +423,292 @@ class TestFromCsv:
         assert from_csv(p).column("t") == ("hello, world", "line")
 
 
+class TestCsvTokenizers:
+    """Files without a quote or a carriage return are split with numpy;
+    the others go through csv.reader. Both give the same cells and the
+    same errors."""
+
+    QUOTING = pytest.mark.parametrize("quote", ["", '"'], ids=["bytes", "csv.reader"])
+
+    @QUOTING
+    def test_oversized_field_names_its_line(self, tmp_path, quote):
+        limit = csv.field_size_limit()
+        p = tmp_path / "big.csv"
+        p.write_text(f"a,b\n\n1,{quote}2{quote}\n{'x' * (limit + 1)},3\n")
+        message = rf"big.csv: field larger than field limit \({limit}\) at line 4$"
+        with pytest.raises(ParseError, match=message):
+            from_csv(p)
+
+    @QUOTING
+    def test_oversized_header_field_names_its_line(self, tmp_path, quote):
+        limit = csv.field_size_limit()
+        p = tmp_path / "big.csv"
+        p.write_text(f"\n{quote}a{quote},{'b' * (limit + 1)}\n1,2\n")
+        with pytest.raises(ParseError, match=r"limit \(\d+\) at line 2$"):
+            from_csv(p)
+
+    @QUOTING
+    def test_field_at_the_limit_loads(self, tmp_path, quote):
+        # The limit counts characters: 2-byte characters may take more bytes.
+        limit = csv.field_size_limit()
+        wide = "\u00e9" * limit
+        p = tmp_path / "wide.csv"
+        p.write_text(f"a,b\n{quote}1{quote},{'x' * limit}\n2,{wide}\n", encoding="utf-8")
+        assert from_csv(p).column("b") == ("x" * limit, wide)
+
+    @QUOTING
+    def test_column_turning_text_in_a_late_block(self, tmp_path, quote):
+        # x reads as floats for thousands of rows, then one text cell makes
+        # it text: its cells are read again from the first block.
+        rows = [f"{quote}{i * 0.25}{quote},{i % 3}" for i in range(60000)]
+        rows[-2] = "oops,1"
+        p = tmp_path / "late.csv"
+        p.write_text("x,y\n" + "\n".join(rows) + "\n")
+        df = from_csv(p)
+        assert p.stat().st_size > 3 * frame._BLOCK_BYTES
+        assert isinstance(df._col("x"), frame.Coded) and isinstance(df._col("y"), np.ndarray)
+        assert df.column("x")[:3] == ("0.0", "0.25", "0.5")
+        assert df.column("x")[-2:] == ("oops", "14999.75")
+        assert _load(from_csv, p) == _load(_reference_from_csv, p)
+
+    @QUOTING
+    def test_ragged_row_in_a_late_block(self, tmp_path, quote):
+        p = tmp_path / "ragged.csv"
+        p.write_text(f"{quote}a{quote},b\n" + "1,2\n\n" * 20000 + "3\n")
+        with pytest.raises(ParseError, match="ragged row at line 40002 "):
+            from_csv(p)
+
+    def test_header_after_blocks_of_blank_lines(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("\n" * (3 * frame._BLOCK_BYTES) + "a,b\n1,x\n")
+        df = from_csv(p)
+        assert df.columns() == {"a": (1.0,), "b": ("x",)}
+
+    @QUOTING
+    @pytest.mark.parametrize("rows", [1, 50000])
+    def test_bad_utf8_names_its_offset_in_the_file(self, tmp_path, quote, rows):
+        p = tmp_path / "latin1.csv"
+        text = f"{quote}a{quote},b\n" + "1,2\n" * rows + "3,caf\u00e9\n"
+        p.write_bytes(text.encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError) as error:
+            from_csv(p)
+        assert (error.value.start, error.value.reason) == (len(text) - 2, "invalid continuation byte")
+
+
+def test_fixed_point_cells_read_as_float_reads_them(tmp_path):
+    # The vectorized m / 10**k against Python's float, bit for bit, on
+    # -?digits[.digits] cells of 1 to 17 digits, "1." and ".5" forms among
+    # them: up to 15 digits take the fast path.
+    rng = np.random.default_rng(17)
+    n = 50000
+    lengths = rng.integers(1, 18, size=n)
+    points = rng.integers(-1, lengths + 1)  # -1: no decimal point
+    digits = rng.integers(48, 58, size=(n, 17), dtype=np.uint8).tobytes().decode()
+    cells = []
+    for i, (size, point) in enumerate(zip(lengths.tolist(), points.tolist())):
+        cell = digits[17 * i:17 * i + size]
+        cell = f"{cell[:point]}.{cell[point:]}" if point >= 0 else cell
+        cells.append("-" + cell if i % 3 == 0 else cell)
+    p = tmp_path / "fixed.csv"
+    p.write_text("x\n" + "\n".join(cells) + "\n")
+    got = from_csv(p)._col("x")
+    want = np.array([float(c) for c in cells])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_from_csv_peak_memory_at_20k_rows(tmp_path):
+    # ROADMAP item 2's bound on perfbench's layout: 18 float columns with 2%
+    # empty cells, two text columns and a float target, 20,000 rows.
+    rng = np.random.default_rng(0)
+    n = 20000
+    floats = np.char.mod("%.6f", rng.normal(size=(n, 18)))
+    floats[rng.random(size=(n, 18)) < 0.02] = ""
+    cat_a = np.char.add("cat_a_l", rng.integers(0, 5, size=n).astype(str))
+    cat_b = np.char.add("cat_b_l", rng.integers(0, 8, size=n).astype(str))
+    y = np.char.mod("%.6f", rng.normal(size=n))
+    table = np.column_stack([floats, cat_a, cat_b, y])
+    header = [f"x{j}" for j in range(18)] + ["cat_a", "cat_b", "y"]
+    p = tmp_path / "wide.csv"
+    p.write_text("\n".join(map(",".join, [header, *table.tolist()])) + "\n")
+    tracemalloc.start()
+    try:
+        df = from_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert df.row_count == n and df.column("cat_b")[0].startswith("cat_b_l")
+    assert peak <= 12e6, f"from_csv peak {peak / 1e6:.1f} MB"
+
+
 def test_numpy_scalars_normalize_to_python_cells():
     import numpy as np
 
     a = DataFrame({"x": np.array([1.0, 2.0]), "y": np.array([True, False])})
     b = DataFrame({"x": [1.0, 2.0], "y": [True, False]})
     assert fingerprint(a) == fingerprint(b)
+
+
+# --- from_csv against the reader it replaced --------------------------------
+#
+# `_reference_from_csv` is a verbatim copy of `from_csv`'s body from before
+# the byte tokenizer, with its two helpers: every file went through
+# csv.reader and every cell through Python's `float`. The loader must give
+# the same frame, or raise the same error, on any file either tokenizer
+# takes.
+
+
+def _reference_parse_column(cells, kind, where):
+    if kind in (None, "float64") or not cells:
+        try:
+            # Python's float per cell; empty cells and "nan" become NaN, missing.
+            floats = [float(c) if c else math.nan for c in cells]
+            return _readonly(np.array(floats, dtype=np.float64))
+        except ValueError:
+            kind = kind or "text"
+    # Each distinct raw string is parsed once, in order of first appearance,
+    # so the first bad one is the first bad cell.
+    return _recode(_store(cells), lambda c: _parse_cell(c, kind, where))
+
+
+def _reference_record_line(path, index):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        for row in reader:
+            if row:
+                if index == 0:
+                    break
+                index -= 1
+            line = reader.line_num + 1
+    return line
+
+
+def _reference_from_csv(path, schema_hints=None):
+    check_arguments(from_csv, locals())
+    hints = dict(schema_hints or {})
+    for name, kind in hints.items():
+        if not isinstance(kind, str) or kind not in _HINT_KINDS:
+            raise ConfigError(f"unknown schema hint kind {kind!r} for column {name!r}")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(filter(None, csv.reader(fh)))  # blank lines dropped
+    if not rows:
+        raise ParseError(f"{path}: empty CSV (header row required)")
+    header = rows[0]
+    if len(set(header)) != len(header):
+        dupes = sorted({n for n in header if header.count(n) > 1})
+        raise SchemaError(f"{path}: duplicate header names: {dupes}")
+    unknown = [n for n in hints if n not in header]
+    if unknown:
+        raise SchemaError(f"{path}: schema hints for absent columns: {unknown}")
+    width = len(header)
+    for index, row in enumerate(rows[1:], start=1):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: ragged row at line {_reference_record_line(path, index)} "
+                f"({len(row)} fields, expected {width})"
+            )
+    raw_cols = list(zip(*rows[1:])) if len(rows) > 1 else [()] * width
+    columns = [
+        _reference_parse_column(cells, hints.get(name), f"{path}: column {name!r}")
+        for name, cells in zip(header, raw_cols)
+    ]
+    return DataFrame._from_storage(header, columns, "none")
+
+
+def _load(load, path, hints=None):
+    """What a loader makes of a file: each column's kind and the frame's
+    fingerprint, or the error's class and message."""
+    try:
+        df = load(path, hints)
+    except (WorkflowError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    kinds = ["float" if isinstance(c, np.ndarray) else "coded" for c in df._columns]
+    return df.column_names, kinds, fingerprint(df), df.columns()
+
+
+@st.composite
+def _fixed_point_text(draw):
+    """-?digits[.digits], with 1 to 19 digits, often around the 15-digit edge."""
+    size = draw(st.one_of(st.integers(14, 19), st.integers(1, 19)))
+    digits = draw(st.text(alphabet="0123456789", min_size=size, max_size=size))
+    point = draw(st.integers(0, size - 1))  # 0: no decimal point
+    sign = draw(st.sampled_from(["", "-"]))
+    return sign + (f"{digits[:point]}.{digits[point:]}" if point else digits)
+
+
+_ODD_CELLS = [
+    "", "-0", "-0.0", "0", "007", "007.50", "-00.000", "1.", ".5", "-.5", "-0.", "-.", "+1",
+    "1e-3", "2.5E10", "1e400", "-1e-400", "nan", "-nan", "NaN", "inf", "-inf",
+    " 1.5", "2 ", "\t3", "1_0", "١٢", "0x10", "-", ".", "--1", "1-2", "1..2",
+    "true", "FALSE", "\u00e9", "x\x00", "\ufeffa",
+]
+_NUMBER_TEXT = st.one_of(
+    _fixed_point_text(),
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+_CELL_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.sampled_from(_ODD_CELLS),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=4),
+)
+_COLUMN_CELLS = st.sampled_from([
+    _NUMBER_TEXT,
+    st.one_of(_NUMBER_TEXT, st.just("")),
+    st.one_of(_NUMBER_TEXT, _NUMBER_TEXT, _NUMBER_TEXT, st.sampled_from(_ODD_CELLS)),
+    _CELL_TEXT,
+])
+
+
+
+@pytest.mark.parametrize("cell", _ODD_CELLS + [
+    "1.2.3", "1..2", "..", "-1-", "1-", "--", "-0.-", "12345678901234.5",
+    "-12345678901234.5", "123456789012345.6", "1234567890123456", "-1234567890123456",
+])
+@pytest.mark.parametrize("quote", ["", '"'], ids=["bytes", "csv.reader"])
+def test_odd_cell_matches_the_reference_reader(tmp_path, cell, quote):
+    path = tmp_path / "odd.csv"
+    path.write_text(f"x,y\n1.5,{quote}a{quote}\n{cell},b\n-2,c\n", encoding="utf-8")
+    assert _load(from_csv, path) == _load(_reference_from_csv, path)
+
+@st.composite
+def _csv_files(draw):
+    """A CSV file's bytes and schema hints: numbers and odd cells, a BOM or
+    not, blank lines, a final newline or not, header-only files, quoting or
+    CRLF (which take csv.reader), the odd ragged row or duplicate name."""
+    width = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "é", "", " a"]),
+                          min_size=width, max_size=width, unique=True))
+    if width > 1 and draw(st.integers(0, 9)) == 0:
+        names[-1] = names[0]
+    n = draw(st.integers(0, 25))
+    columns = [draw(st.lists(draw(_COLUMN_CELLS), min_size=n, max_size=n)) for _ in names]
+    rows = [list(row) for row in zip(*columns)]
+    if rows and draw(st.integers(0, 9)) == 0:  # a ragged row
+        row = draw(st.sampled_from(rows))
+        row.append("1") if draw(st.booleans()) else row.pop()
+    buffer = io.StringIO()
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    quoting = csv.QUOTE_ALL if draw(st.integers(0, 5)) == 0 else csv.QUOTE_MINIMAL
+    csv.writer(buffer, lineterminator=newline, quoting=quoting).writerows([names, *rows])
+    lines = buffer.getvalue().split(newline)[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")  # blank lines
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    kinds = st.sampled_from(sorted(_HINT_KINDS))
+    hints = draw(st.dictionaries(st.sampled_from(names), kinds, max_size=2))
+    return text.encode("utf-8"), hints
+
+
+@given(_csv_files(), st.sampled_from([1 << 17, 64, 1]))
+@settings(max_examples=300, deadline=None)
+def test_from_csv_matches_the_reference_reader(tmp_path_factory, file, block_bytes):
+    data, hints = file
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(data)
+    # Small blocks make every file span many, as a large file does.
+    with mock.patch.object(frame, "_BLOCK_BYTES", block_bytes):
+        got = _load(from_csv, path, hints)
+    assert got == _load(_reference_from_csv, path, hints)

@@ -405,6 +405,79 @@ class TestModelSerialization:
         with pytest.raises(ConfigError, match=message):
             model_from_json(text)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            # "false" used to load as True through bool(...).
+            ("guards_bypassed", "false", "key 'guards_bypassed' must be a boolean, got 'false'"),
+            ("guards_bypassed", 0, "key 'guards_bypassed' must be a boolean, got 0"),
+            ("seed", "x", "key 'seed' must be a non-negative integer, got 'x'"),
+            ("seed", -1, "key 'seed' must be a non-negative integer, got -1"),
+            ("seed", True, "key 'seed' must be a non-negative integer, got True"),
+            ("scores_", 5, "key 'scores_' must be a mapping or null, got 5"),
+            ("source_split_id", 5, "key 'source_split_id' must be a string or null, got 5"),
+            # -1 let the model be assessed twice: the guard refuses a count above 0.
+            ("assess_count", -1, "key 'assess_count' must be a non-negative integer, got -1"),
+            ("assess_count", True, "key 'assess_count' must be a non-negative integer, got True"),
+        ],
+        ids=["guards_bypassed 'false'", "guards_bypassed 0", "seed 'x'", "seed -1",
+             "seed true", "scores_ 5", "source_split_id 5", "assess_count -1",
+             "assess_count true"],
+    )
+    def test_lifecycle_values_checked_at_load(self, registry, partition, key, value, message):
+        doc = model_to_dict(fit(partition.train, "y", registry=registry))
+        doc[key] = value
+        with pytest.raises(ConfigError, match=message):
+            model_from_dict(doc)
+
+    def test_null_lifecycle_values_load(self, registry, partition):
+        doc = model_to_dict(fit(partition.train, "y", registry=registry))
+        doc.update(scores_=None, source_split_id=None, guards_bypassed=True)
+        m = model_from_dict(doc)
+        assert (m.scores_, m.source_split_id, m.guards_bypassed) == (None, None, True)
+
+    def test_renamed_standardize_column_rejected(self, registry, partition):
+        # Used to load: x0 then went unstandardized and the predictions
+        # moved without an error.
+        doc = model_to_dict(fit(partition.train, "y", registry=registry))
+        params = doc["transformer"]["steps"][2]["params"]
+        params["zz"] = params.pop("x0")
+        with pytest.raises(ConfigError,
+                           match=r"standardize params name columns absent at that step: \['zz'\]"):
+            model_from_dict(doc)
+
+    @staticmethod
+    def _categorical_model(registry):
+        df = make_classification_frame(60)
+        cells = df.columns()
+        cells["c"] = ["ab"[i % 2] for i in range(60)]
+        p = split(DataFrame(cells), "y", seed=4, registry=registry)
+        return p, fit(p.train, "y", registry=registry)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # c is one-hot encoded by then: only c=a and c=b are left.
+            (lambda doc: doc["transformer"]["steps"][2]["params"].__setitem__("c", [0.0, 1.0]),
+             r"standardize params name columns absent at that step: \['c'\]"),
+            (lambda doc: doc["transformer"]["steps"][1]["params"]["c"].append("z"),
+             "the steps turn source_columns into .*'c=z'.*, not feature_names"),
+            (lambda doc: doc["transformer"]["feature_names"].reverse(),
+             "not feature_names"),
+            (lambda doc: doc["transformer"]["source_columns"].remove("x1"),
+             r"impute_mean params name columns absent at that step: \['x1'\]"),
+        ],
+        ids=["standardize of a one-hot source",
+             "extra category", "feature order", "source column dropped"],
+    )
+    def test_step_columns_walked_at_load(self, registry, edit, message):
+        p, m = self._categorical_model(registry)
+        doc = model_to_dict(m)
+        assert model_to_dict(model_from_dict(doc)) == doc
+        edit(doc)
+        with pytest.raises(ConfigError, match=message):
+            model_from_dict(doc)
+
 
 def test_capacity_ordering_through_fit(registry):
     # Memorization probe at the verb level: duplicated rows, tree vs logistic.

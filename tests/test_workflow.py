@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -390,6 +391,21 @@ class TestCli:
         wf.write_text(workflow_text(tmp_path / "nope.csv"))
         result = CliRunner().invoke(main, ["run", str(wf)])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["bytes", "csv.reader"])
+    def test_oversized_csv_field_exit_4_without_traceback(self, tmp_path, quote):
+        # Used to exit 1 with csv.reader's "field larger than field limit".
+        data = tmp_path / "big.csv"
+        data.write_text(f"x,{quote}y{quote}\n" + "1,0\n" * 5 + "x" * 200_000 + ",1\n")
+        wf = tmp_path / "wf.yaml"
+        wf.write_text(workflow_text(data))
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 4, result.output
+        error = json.loads(result.stderr)
+        assert error["error"] == "ParseError"
+        assert error["message"] == (
+            f"{data}: field larger than field limit ({csv.field_size_limit()}) at line 7")
+        assert "Traceback" not in result.output
 
     def test_overflowing_variance_exit_4(self, tmp_path):
         data = tmp_path / "huge.csv"
