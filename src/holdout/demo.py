@@ -20,6 +20,7 @@ from .learn import fit
 from .registry import ProvenanceRegistry
 from .rng import generator
 from .rotate import cv
+from .signatures import Count, check_arguments
 from .split import split
 from .strategy import screen
 
@@ -179,14 +180,17 @@ def _duplicate_injection_once(rep_seed: int, algorithm: str, hp: dict | None) ->
     return leaky - honest
 
 
-def demo_leakage(kind: str, replicates: int = 50, seed: int = 0, n_seeds: int = 10) -> dict:
+def demo_leakage(kind: str, replicates: int = 50, seed: Count = 0, n_seeds: int = 10) -> dict:
     """Run one leakage demonstration and report the paired effect."""
+    check_arguments(demo_leakage, locals())
     if kind not in DEMO_KINDS:
         raise ConfigError(f"unknown demo kind {kind!r}; expected one of {list(DEMO_KINDS)}")
     if replicates < 20:
         raise ConfigError(
             f"need at least 20 replicates for a meaningful sign test, got {replicates}"
         )
+    if n_seeds < 1:  # the leaky arm picks the best of n_seeds fits
+        raise ConfigError(f"n_seeds must be at least 1, got {n_seeds}")
     rep_seeds = _replicate_seeds(seed, replicates)
 
     if kind == "seed_selection":

@@ -20,7 +20,7 @@ from .learn import Model, StackedModel, encode_eval_target, predict_values
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .scoring import PRIMARY_METRIC, score
-from .signatures import check_arguments
+from .signatures import Count, check_arguments
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def explain(
     m: Model | StackedModel,
     df: DataFrame | None = None,
     repeats: int = 10,
-    seed: int = 0,
+    seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> Explanation:
     """Feature importances for a fitted model.

@@ -10,7 +10,6 @@ is refit on the full dev set with a dev-fitted transformer.
 from __future__ import annotations
 
 import json
-import reprlib
 from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
@@ -30,10 +29,9 @@ from .prepare import (
     target_encoding,
 )
 from .registry import ProvenanceRegistry, resolve
-from .rng import check_seed
 from .rotate import CVResult, _materialize
 from .scoring import CV_METRICS, score
-from .signatures import check_arguments
+from .signatures import Count, check_arguments, check_document
 
 MODEL_FORMAT_VERSION = 1
 
@@ -157,7 +155,7 @@ def fit(
     data: DataFrame | CVResult | PreparedData,
     target: str | None = None,
     algorithm: str | None = None,
-    seed: int = 0,
+    seed: Count = 0,
     hyperparameters: Mapping | None = None,
     recipe: Sequence | None = None,
     registry: ProvenanceRegistry | None = None,
@@ -172,7 +170,6 @@ def fit(
     """
     check_arguments(fit, locals())
     reg = resolve(registry)
-    check_seed(seed)
     if isinstance(data, DataFrame):
         return _fit_frame(data, target, algorithm, seed, hyperparameters, recipe, reg)
     if isinstance(data, CVResult):
@@ -266,7 +263,6 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
         )
     dev = c._dev_frame
     reg.admit(dev, "fit")
-    check_seed(seed)
     # Every fold trains and validates under the dev rows' mapping, even
     # when its training rows miss a class.
     task, classes = target_encoding(dev._col(target))
@@ -411,69 +407,51 @@ def model_to_dict(m: Model) -> dict:
     }
 
 
-def _of(*types):
-    return lambda v: isinstance(v, types)
+@dataclass(frozen=True)
+class ModelDocument:
+    """The keys of a `model_to_dict` document; one with a default may be left out."""
 
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
-# What each top-level value of a model document must be, when present.
-_DOCUMENT_TYPES = {
-    "algorithm": ("a string", _of(str)),
-    "task": ("a string", _of(str)),
-    "target": ("a string", _of(str)),
-    "classes": ("a list or null", _of(list, type(None))),
-    "hyperparameters": ("a mapping", _of(Mapping)),
-    "transformer": ("a mapping", _of(Mapping)),
-    "learner": ("a mapping", _of(Mapping)),
-    "assess_count": ("a non-negative integer", _is_count),
-    "seed": ("a non-negative integer", _is_count),
-    "source_split_id": ("a string or null", _of(str, type(None))),
-    "scores_": ("a mapping or null", _of(Mapping, type(None))),
-    "guards_bypassed": ("a boolean", _of(bool)),
-}
-
-
-def _transformer_from_dict(d) -> Transformer:
-    try:
-        return Transformer.from_dict(d)
-    except (TypeError, AttributeError) as e:  # a value of the wrong JSON type inside
-        raise ConfigError(f"model document key 'transformer' is malformed: {e}") from None
+    format_version: int
+    algorithm: str
+    task: str
+    target: str
+    hyperparameters: Mapping
+    seed: Count
+    transformer: Mapping  # see Transformer.from_dict
+    learner: Mapping  # see learners.state_from_dict
+    classes: Sequence | None = None
+    source_split_id: str | None = None
+    scores_: Mapping | None = None
+    assess_count: Count = 0  # the assess guard refuses a model above 0
+    guards_bypassed: bool = False
 
 
 def model_from_dict(d: Mapping) -> Model:
-    """The model `model_to_dict` wrote; ConfigError naming the first key a
-    malformed document lacks or holds a value of the wrong type under."""
-    if not isinstance(d, Mapping):
-        raise ConfigError(f"a model document must be a mapping, got {reprlib.repr(d)}")
-    version = d.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ConfigError(f"unsupported model document version {version!r}")
-    for key, (kind, fits) in _DOCUMENT_TYPES.items():
-        if key in d and not fits(d[key]):
-            raise ConfigError(
-                f"model document key {key!r} must be {kind}, got {reprlib.repr(d[key])}"
-            )
-    classes = tuple(d["classes"]) if d.get("classes") is not None else None
+    """The model `model_to_dict` wrote; ConfigError for a document that is
+    not JSON data (NaN and infinities are not) or differs from its declarations."""
+    if isinstance(d, Mapping) and d.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ConfigError(f"unsupported model document version {d.get('format_version')!r}")
+    check_document(ModelDocument, d, "model document")
     try:
-        m = Model(
-            algorithm=d["algorithm"],
-            task=d["task"],
-            state=learners.state_from_dict(d["algorithm"], d["learner"]),
-            transformer=_transformer_from_dict(d["transformer"]),
-            target=d["target"],
-            classes=classes,
-            hyperparameters=d["hyperparameters"],
-            seed=d["seed"],
-            source_split_id=d.get("source_split_id"),
-            scores_=d.get("scores_"),
-            guards_bypassed=d.get("guards_bypassed", False),
-        )
-    except KeyError as e:
-        raise ConfigError(f"model document lacks key {e.args[0]!r}") from None
-    m.assess_count = int(d.get("assess_count", 0))
+        json.dumps(d, allow_nan=False)
+    except (TypeError, ValueError, RecursionError) as e:
+        raise ConfigError(f"a model document must be JSON data: {e}") from None
+    doc = ModelDocument(**d)
+    transformer = Transformer.from_dict(doc.transformer)
+    m = Model(
+        algorithm=doc.algorithm,
+        task=doc.task,
+        state=learners.state_from_dict(doc.algorithm, doc.learner, len(transformer.feature_names)),
+        transformer=transformer,
+        target=doc.target,
+        classes=tuple(doc.classes) if doc.classes is not None else None,
+        hyperparameters=doc.hyperparameters,
+        seed=doc.seed,
+        source_split_id=doc.source_split_id,
+        scores_=doc.scores_,
+        guards_bypassed=doc.guards_bypassed,
+    )
+    m.assess_count = doc.assess_count
     return m
 
 

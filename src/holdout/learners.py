@@ -4,20 +4,21 @@ Every learner trains on a float64 matrix, predicts a single numeric column
 (class-1 probability for classification, a point estimate for regression),
 and is deterministic given its seed. State is plain data so fitted models
 serialize to JSON. `LEARNERS` declares each algorithm once: how it trains,
-its state, its default hyperparameters and the one task it may be limited to.
+its state (whose fields declare its document), its default hyperparameters,
+the one task it may be limited to and whether a document fits a model.
 """
 
 from __future__ import annotations
 
 import math
-import reprlib
-from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .rng import check_seed, generator
+from .rng import generator
+from .signatures import Count, check_document
 
 # Each hyperparameter's domain: (type, lower bound, bound allowed, other
 # choices). An int is a whole number, 6 and 6.0 alike; a float is finite.
@@ -83,29 +84,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _floats(key: str, value, ndim: int) -> np.ndarray:
-    """A learner document's numbers as a column-major float64 array of
-    `ndim` dimensions; ConfigError naming the key for anything else."""
-    try:
-        a = np.array(value, order="F")
-    except ValueError:  # rows of unequal lengths
-        a = None
-    if a is None or a.dtype.kind not in "iuf" or a.ndim != ndim:
-        kind = ("a number", "a list of numbers", "a list of rows of numbers")[ndim]
-        raise ConfigError(f"learner key {key!r} must be {kind}, got {reprlib.repr(value)}")
-    return a.astype(np.float64, copy=False)
-
-
 @dataclass
 class _Affine:
     """Weights and a bias: the state of the linear family."""
 
-    weights: list[float]
+    weights: Sequence[float]
     bias: float
-
-    def __post_init__(self):
-        self.weights = _floats("weights", self.weights, 1).tolist()
-        self.bias = float(_floats("bias", self.bias, 0))
 
     def importances(self) -> dict[int, float]:
         return {i: abs(float(w)) for i, w in enumerate(self.weights)}
@@ -116,7 +100,7 @@ class _Affine:
 
 class LogisticState(_Affine):
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(X @ np.asarray(self.weights) + self.bias)
+        return _sigmoid(X @ np.asarray(self.weights, dtype=np.float64) + self.bias)
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> LogisticState:
@@ -141,12 +125,12 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -
         if abs(prev_loss - loss) < tol:
             break
         prev_loss = loss
-    return LogisticState(weights=w, bias=b)
+    return LogisticState(weights=w.tolist(), bias=b)
 
 
 class LinearState(_Affine):
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return X @ np.asarray(self.weights) + self.bias
+        return X @ np.asarray(self.weights, dtype=np.float64) + self.bias
 
 
 def fit_linear(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> LinearState:
@@ -165,10 +149,36 @@ def fit_linear(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> 
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         coef = np.linalg.solve(gram + 1e-8 * np.eye(p + 1), rhs)
-    return LinearState(weights=coef[:-1], bias=coef[-1])
+    return LinearState(weights=coef[:-1].tolist(), bias=float(coef[-1]))
 
 
-# Trees are nested dicts: {"feature", "threshold", "left", "right"} or {"value"}.
+@dataclass
+class _Leaf:
+    value: float
+
+
+@dataclass
+class _Split:  # rows with X[:, feature] <= threshold go left
+    feature: Count
+    threshold: float
+    gain: float  # impurity decrease, summed per feature by importances()
+    left: Mapping  # a _Leaf or a _Split
+    right: Mapping
+
+
+def _trees_fit(trees, features: int) -> bool:
+    """Whether every split of `trees` reads a feature below `features`;
+    ConfigError for a node neither a _Leaf nor a _Split. Not recursive."""
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        split = isinstance(node, Mapping) and "value" not in node
+        check_document(_Split if split else _Leaf, node, "tree node")
+        if split:
+            if node["feature"] >= features:
+                return False
+            stack += node["left"], node["right"]
+    return True
 
 
 def _best_split(Xt, ranks, y, rows, features, criterion, min_leaf):
@@ -284,7 +294,7 @@ def _tree_gains(nodes: list[dict], gains: dict[int, float]) -> dict[int, float]:
 
 @dataclass
 class TreeState:
-    root: dict
+    root: Mapping
     task: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -305,7 +315,7 @@ def fit_decision_tree(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: s
 
 @dataclass
 class ForestState:
-    trees: list[dict]
+    trees: Sequence
     task: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -369,20 +379,13 @@ def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
 class KnnState:
     k: int
     task: str
-    train_X: np.ndarray = field(repr=False)
-    train_y: np.ndarray = field(repr=False)
+    train_X: Sequence[Sequence[float]] = field(repr=False)  # held as float64 arrays
+    train_y: Sequence[float] = field(repr=False)
 
     def __post_init__(self):
-        if not _in_domain(self.k, *HYPERPARAMETER_DOMAINS["k"]):
-            raise ConfigError(
-                f"learner key 'k' must be a whole number of at least 1, got {self.k!r}"
-            )
-        self.k = int(self.k)
         # Column-major, so each feature's training column is contiguous.
-        self.train_X = _floats("train_X", self.train_X, 2)
-        self.train_y = _floats("train_y", self.train_y, 1)
-        if len(self.train_X) != len(self.train_y):
-            raise ConfigError("learner keys 'train_X' and 'train_y' must have as many rows")
+        self.train_X = np.array(self.train_X, dtype=np.float64, order="F")
+        self.train_y = np.array(self.train_y, dtype=np.float64)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean target of each query row's k nearest training rows.
@@ -419,7 +422,7 @@ class KnnState:
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> KnnState:
-    return KnnState(k=hp["k"], task=task, train_X=X, train_y=y)
+    return KnnState(k=int(hp["k"]), task=task, train_X=X, train_y=y)
 
 
 class Learner(NamedTuple):
@@ -429,20 +432,30 @@ class Learner(NamedTuple):
     state: type  # rebuilt from its `to_dict()` as state(**document)
     defaults: dict
     only_task: str | None  # the one task it learns; None learns both
+    fits: Callable  # (document, features) -> whether it predicts from that many
+
+
+def _affine_fits(d, features: int) -> bool:
+    return len(d["weights"]) == features
 
 
 LEARNERS: dict[str, Learner] = {
     "logistic": Learner(
         fit_logistic, LogisticState,
         {"learning_rate": 0.1, "max_iter": 2000, "tol": 1e-8, "l2": 0.0}, "classification",
+        _affine_fits,
     ),
-    "linear": Learner(fit_linear, LinearState, {"ridge": 0.0}, "regression"),
-    "decision_tree": Learner(fit_decision_tree, TreeState, {"max_depth": 6, "min_leaf": 2}, None),
+    "linear": Learner(fit_linear, LinearState, {"ridge": 0.0}, "regression", _affine_fits),
+    "decision_tree": Learner(fit_decision_tree, TreeState, {"max_depth": 6, "min_leaf": 2}, None,
+                             lambda d, features: _trees_fit([d["root"]], features)),
     "random_forest": Learner(
         fit_random_forest, ForestState,
         {"n_trees": 50, "max_depth": 6, "min_leaf": 2, "max_features": "sqrt"}, None,
+        lambda d, features: len(d["trees"]) > 0 and _trees_fit(d["trees"], features),
     ),
-    "knn": Learner(fit_knn, KnnState, {"k": 5}, None),
+    "knn": Learner(fit_knn, KnnState, {"k": 5}, None, lambda d, features: (
+        d["k"] >= 1 and len(d["train_X"]) == len(d["train_y"]) > 0
+        and all(len(row) == features for row in d["train_X"]))),
 }
 
 
@@ -454,20 +467,16 @@ def check_task(algorithm: str, task: str) -> None:
 
 
 def train(algorithm: str, X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str):
-    check_seed(seed)
     check_task(algorithm, task)
     return LEARNERS[algorithm].fit(X, y, hp, seed, task)
 
 
-def state_from_dict(algorithm: str, d: dict):
-    """The learner state a `to_dict()` document describes; ConfigError
-    naming the first key it lacks or does not know."""
-    state = _learner(algorithm).state
-    names = [f.name for f in fields(state)]
-    missing = [name for name in names if name not in d]
-    if missing:
-        raise ConfigError(f"{algorithm!r} learner document lacks key {missing[0]!r}")
-    unknown = [key for key in d if key not in names]
-    if unknown:
-        raise ConfigError(f"{algorithm!r} learner document has unknown key {unknown[0]!r}")
-    return state(**d)
+def state_from_dict(algorithm: str, d, features: int):
+    """The learner state a `to_dict()` document describes; ConfigError when
+    it differs from its state's declaration or does not fit `features`."""
+    learner = _learner(algorithm)
+    where = f"{algorithm!r} learner document"
+    check_document(learner.state, d, where, lambda key: f"learner key {key!r}")
+    if not learner.fits(d, features):
+        raise ConfigError(f"{where} does not fit a model of {features} features")
+    return learner.state(**d)

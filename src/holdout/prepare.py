@@ -44,11 +44,7 @@ from .frame import (
     fingerprint,
 )
 from .registry import ProvenanceRegistry, resolve
-from .signatures import check_arguments
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+from .signatures import _is_number, check_arguments, check_document
 
 
 # Each step kind, with what a model document holds for each column it fitted.
@@ -84,7 +80,8 @@ class Step:
         return {"kind": self.kind, "params": params}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Step":
+    def from_dict(cls, d) -> "Step":
+        check_document(cls, d, "preparation step")
         kind, params = d["kind"], d["params"]
         if kind not in STEP_KINDS:
             raise ConfigError(f"unknown preparation step kind {reprlib.repr(kind)}")
@@ -100,9 +97,9 @@ class Step:
 class Transformer:
     """Ordered fitted steps plus the feature schema they expect and produce."""
 
-    steps: tuple[Step, ...]
-    source_columns: tuple[str, ...]
-    feature_names: tuple[str, ...]
+    steps: Sequence[Step]  # held as tuples
+    source_columns: Sequence[str]
+    feature_names: Sequence[str]
 
     def to_dict(self) -> dict:
         return {
@@ -112,27 +109,22 @@ class Transformer:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Transformer":
-        """The transformer `to_dict` wrote. Its steps are walked from
-        `source_columns` as `apply` runs them: each step's params must name
-        columns present at that step, and the columns after the last step
-        must be `feature_names`; ConfigError otherwise."""
-        t = cls(
-            steps=tuple(Step.from_dict(s) for s in d["steps"]),
-            source_columns=tuple(d["source_columns"]),
-            feature_names=tuple(d["feature_names"]),
-        )
-        columns = list(t.source_columns)
+    def from_dict(cls, d) -> "Transformer":
+        """The transformer `to_dict` wrote, its steps run as `apply` runs
+        them over no rows of `source_columns`: ConfigError when a step names
+        a column absent at that step, or they end in other `feature_names`."""
+        check_document(cls, d, "model document",
+                       lambda key: f"model document key 'transformer' is malformed: {key!r}")
+        t = cls(tuple(map(Step.from_dict, d["steps"])), tuple(d["source_columns"]),
+                tuple(d["feature_names"]))
+        names = t.source_columns
+        if not (names and t.feature_names) or len(set(names)) < len(names):
+            raise ConfigError(f"a transformer needs distinct source_columns, got {list(names)}")
+        working = _Working(DataFrame({c: () for c in names}), names)
         for step in t.steps:
-            absent = [c for c in step.params if c not in columns]
-            if absent:
-                raise ConfigError(f"{step.kind} params name columns absent at that step: {absent}")
-            if step.kind == "one_hot":
-                columns = [out for c in columns for out in (
-                    [f"{c}{ONE_HOT_SEPARATOR}{cat}" for cat in step.params[c]]
-                    if c in step.params else [c])]
-        if tuple(columns) != t.feature_names:
-            raise ConfigError(f"the steps turn source_columns into {columns}, "
+            _apply_step(step, working)
+        if tuple(working.order) != t.feature_names:
+            raise ConfigError(f"the steps turn source_columns into {working.order}, "
                               f"not feature_names {list(t.feature_names)}")
         return t
 
@@ -303,18 +295,18 @@ def normalize_recipe(recipe) -> list[tuple[str, list[str] | None]]:
 
 
 def _apply_step(step: Step, working: _Working) -> None:
+    absent = [col for col in step.params if col not in working.values]
+    if absent:  # only a malformed model document names one
+        raise ConfigError(f"{step.kind} params name columns absent at that step: {absent}")
     if step.kind == "impute_mean":
         for col, mean in step.params.items():
-            if col in working.values:
-                values, mask = working.floats(col)
-                if mask is not None:
-                    values = np.where(mask, mean, values)
-                working.set(col, values, None)
+            values, mask = working.floats(col)
+            if mask is not None:
+                values = np.where(mask, mean, values)
+            working.set(col, values, None)
         return
     if step.kind == "standardize":
         for col, (mean, std) in step.params.items():
-            if col not in working.values:
-                continue
             values, mask = working.floats(col)
             if std == 0.0:
                 out = np.zeros(len(values))

@@ -58,10 +58,6 @@ class ProvenanceRegistry:
         self._guard_mode = "on"
 
     @property
-    def guard_mode(self) -> str:
-        return self._guard_mode
-
-    @property
     def guards_on(self) -> bool:
         return self._guard_mode == "on"
 

@@ -13,7 +13,7 @@ from .errors import ConfigError, CVError, GuardError
 from .frame import DataFrame
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
-from .signatures import check_arguments
+from .signatures import Count, check_arguments
 from .split import Partition, deal, groups, largest_remainder
 
 _BLOCKED_ATTRS = ("train", "valid", "test", "dev")
@@ -114,7 +114,7 @@ def _pair_with_rest(n: int, valid_sides) -> list[tuple[tuple[int, ...], tuple[in
 def cv(
     p: Partition,
     folds: int = 5,
-    seed: int = 0,
+    seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:
     """Shuffled k-fold rotation over dev; valid-set sizes differ by at most one."""
@@ -177,7 +177,7 @@ def cv_temporal(
 def cv_group(
     p: Partition,
     folds: int = 5,
-    seed: int = 0,
+    seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:
     """Grouped rotation: whole groups rotate; no group appears in both the

@@ -26,7 +26,7 @@ from .frame import DataFrame, fingerprint
 from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
-from .signatures import check_arguments
+from .signatures import Count, check_arguments
 
 RATIO_TOLERANCE = 1e-9
 
@@ -161,7 +161,7 @@ def split(
     df: DataFrame,
     target: str,
     ratios: Sequence[float] = (0.6, 0.2, 0.2),
-    seed: int = 0,
+    seed: Count = 0,
     stratify: bool = False,
     registry: ProvenanceRegistry | None = None,
 ) -> Partition:
@@ -271,7 +271,7 @@ def split_group(
     target: str,
     group_col: str,
     ratios: Sequence[float] = (0.6, 0.2, 0.2),
-    seed: int = 0,
+    seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> Partition:
     """Grouped split: every group's rows land in exactly one member.

@@ -21,7 +21,7 @@ from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .rotate import CVResult
 from .scoring import PRIMARY_METRIC
-from .signatures import check_arguments
+from .signatures import Count, check_arguments
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def screen(
     c: CVResult,
     target: str | None = None,
     algorithms: Sequence[str] = (),
-    seed: int = 0,
+    seed: Count = 0,
     hyperparameters: Mapping[str, Mapping] | None = None,
     registry: ProvenanceRegistry | None = None,
 ) -> Leaderboard:
@@ -105,7 +105,7 @@ def tune(
     space: Mapping[str, Sequence] | None = None,
     budget: int = 10,
     method: str = "grid",
-    seed: int = 0,
+    seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> TuningResult:
     """Hyperparameter search over identical folds.
@@ -152,7 +152,7 @@ def stack(
     target: str | None = None,
     base_algorithms: Sequence[str] = (),
     meta_algorithm: str = "logistic",
-    seed: int = 0,
+    seed: Count = 0,
     hyperparameters: Mapping[str, Mapping] | None = None,
     registry: ProvenanceRegistry | None = None,
 ) -> StackedModel:

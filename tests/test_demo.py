@@ -1,6 +1,10 @@
+import json
+
 import pytest
+from click.testing import CliRunner
 
 from holdout import ConfigError, demo_leakage
+from holdout.cli import main
 from holdout.demo import sign_test_p, two_gaussian_frame
 
 
@@ -12,6 +16,24 @@ def test_replicate_floor():
 def test_unknown_kind():
     with pytest.raises(ConfigError, match="unknown demo kind"):
         demo_leakage("label_peek", replicates=20)
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        # A bare ValueError traceback with exit 1, from the SeedSequence.
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        # Exit 0 with "mean_inflation": -Infinity, which is not JSON.
+        (["--n-seeds", "0"], "n_seeds must be at least 1, got 0"),
+    ],
+    ids=["seed -1", "n-seeds 0"],
+)
+def test_cli_demo_refuses_bad_settings_with_exit_2(option, message):
+    args = ["demo", "seed_selection", "--replicates", "20", *option]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    payload = json.loads(result.stderr)
+    assert (payload["error"], payload["message"]) == ("ConfigError", message)
 
 
 def test_sign_test_exact_values():

@@ -1,3 +1,6 @@
+import typing
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,10 @@ from holdout import (
     select_columns,
     split,
 )
+
+from holdout.learn import ModelDocument
+from holdout.learners import LEARNERS, _Leaf, _Split
+from holdout.prepare import Step, Transformer
 
 from conftest import make_classification_frame, make_regression_frame
 
@@ -332,7 +339,7 @@ class TestModelSerialization:
              "model document key 'transformer' is malformed"),
             ("knn", ("learner", "train_X"), "ab",
              "learner key 'train_X' must be a list of rows of numbers"),
-            ("knn", ("learner", "k"), "ab", "learner key 'k' must be a whole number"),
+            ("knn", ("learner", "k"), "ab", "learner key 'k' must be an integer"),
         ],
         ids=["learner 5", "hyperparameters null", "weights 'ab'", "bias null",
              "transformer steps null",
@@ -477,6 +484,112 @@ class TestModelSerialization:
         edit(doc)
         with pytest.raises(ConfigError, match=message):
             model_from_dict(doc)
+
+    @staticmethod
+    def _chain(depth):
+        """A valid tree of `depth` splits, each left child the next split."""
+        node = {"value": 0.5}
+        for _ in range(depth):
+            node = {"feature": 0, "threshold": 0.0, "gain": 0.0, "left": node,
+                    "right": {"value": 1.0}}
+        return node
+
+    @pytest.mark.parametrize(
+        "algorithm, edit, message",
+        [
+            # The first four used to load: predict then raised a TypeError,
+            # a matmul ValueError, a broadcast ValueError and an IndexError.
+            ("decision_tree", lambda doc: doc["learner"].__setitem__("root", 5),
+             "learner key 'root' must be a mapping, got 5"),
+            ("logistic", lambda doc: doc["learner"]["weights"].pop(),
+             "'logistic' learner document does not fit a model of 3 features"),
+            ("knn", lambda doc: [row.pop() for row in doc["learner"]["train_X"]],
+             "'knn' learner document does not fit a model of 3 features"),
+            ("random_forest", lambda doc: doc["learner"]["trees"][1].__setitem__("feature", 99),
+             "'random_forest' learner document does not fit a model of 3 features"),
+            ("decision_tree", lambda doc: doc["learner"]["root"].pop("gain"),
+             "tree node lacks key 'gain'"),
+            ("decision_tree", lambda doc: doc["learner"]["root"].__setitem__("value", 1.0),
+             "tree node has unknown key 'feature'"),
+            ("decision_tree", lambda doc: doc["learner"]["root"].__setitem__("threshold", "x"),
+             "tree node key 'threshold' must be a number, got 'x'"),
+            ("random_forest", lambda doc: doc["learner"]["trees"].clear(),
+             "'random_forest' learner document does not fit"),
+            ("knn", lambda doc: doc["learner"].__setitem__("k", 0),
+             "'knn' learner document does not fit"),
+            ("knn", lambda doc: doc["learner"]["train_y"].pop(),
+             "'knn' learner document does not fit"),
+            ("knn", lambda doc: doc["learner"]["train_X"][0].pop(),
+             "'knn' learner document does not fit"),
+            # Each used to load: predict then returned NaN, or raised an
+            # OverflowError.
+            ("logistic", lambda doc: doc["learner"].__setitem__("bias", float("nan")),
+             "a model document must be JSON data: Out of range float"),
+            ("decision_tree", lambda doc: doc["learner"]["root"]["left"].__setitem__(
+                "threshold", float("inf")), "a model document must be JSON data"),
+            ("logistic", lambda doc: doc["transformer"]["steps"][0]["params"].__setitem__(
+                "x0", float("nan")), "a model document must be JSON data"),
+            ("logistic", lambda doc: doc["learner"]["weights"].__setitem__(0, 10**400),
+             "learner key 'weights' must be a list of numbers"),
+            # Used to load, and then KeyError and SchemaError at load.
+            ("logistic", lambda doc: doc["transformer"]["source_columns"].append("x0"),
+             r"a transformer needs distinct source_columns, got \['x0', 'x1', 'x2', 'x0'\]"),
+            ("logistic", lambda doc: doc["transformer"]["source_columns"].clear(),
+             "a transformer needs distinct source_columns, got"),
+            ("decision_tree", lambda doc: doc["learner"].__setitem__(
+                "root", TestModelSerialization._chain(5000)), "a model document must be JSON data"),
+            ("logistic", lambda doc: doc.__setitem__("notes", "hello"),
+             "model document has unknown key 'notes'"),
+        ],
+        ids=["root 5", "2 weights for 3 features", "narrowed train_X", "forest feature 99",
+             "split without gain", "split with value", "threshold 'x'", "no trees", "k 0",
+             "short train_y", "ragged train_X", "bias NaN", "threshold inf", "mean NaN",
+             "weight 10**400", "repeated source column", "no source columns",
+             "5000 nested splits", "unknown top-level key"],
+    )
+    def test_document_structure_checked_at_load(self, registry, partition, algorithm, edit,
+                                                message):
+        hp = {"n_trees": 3} if algorithm == "random_forest" else None
+        m = fit(partition.train, "y", algorithm=algorithm, hyperparameters=hp, registry=registry)
+        doc = model_to_dict(m)
+        assert model_to_dict(model_from_dict(doc)) == doc
+        edit(doc)
+        with pytest.raises(ConfigError, match=message):
+            model_from_dict(doc)
+
+    def test_a_deep_tree_loads_and_predicts(self, registry, partition):
+        # The node walk keeps its own stack, as predict does.
+        doc = model_to_dict(fit(partition.train, "y", algorithm="decision_tree",
+                                registry=registry))
+        doc["learner"]["root"] = self._chain(300)
+        values = np.array(predict(model_from_dict(doc), partition.valid).values)
+        assert np.isin(values, [0.5, 1.0]).all()
+
+
+@pytest.mark.parametrize("algorithm", list(LEARNERS))
+def test_written_keys_are_the_declared_keys(registry, algorithm):
+    # What model_to_dict and each to_dict write is what their declarations
+    # declare, required and optional keys together.
+    df = make_regression_frame(60) if algorithm == "linear" else make_classification_frame(60)
+    cells = df.columns()
+    cells["c"] = ["ab"[i % 2] for i in range(60)]
+    p = split(DataFrame(cells), "y", seed=4, registry=registry)
+    hp = {"n_trees": 2} if algorithm == "random_forest" else None
+    m = fit(p.train, "y", algorithm=algorithm, hyperparameters=hp, registry=registry)
+    doc = model_to_dict(m)
+    assert set(doc) == set(typing.get_type_hints(ModelDocument))
+    assert set(m.transformer.to_dict()) == {f.name for f in fields(Transformer)}
+    assert {s.kind for s in m.transformer.steps} == {"impute_mean", "one_hot", "standardize"}
+    for step in m.transformer.steps:
+        assert set(step.to_dict()) == {f.name for f in fields(Step)}
+    learner = m.state.to_dict()
+    assert set(learner) == {f.name for f in fields(type(m.state))}
+    nodes = [learner["root"]] if "root" in learner else list(learner.get("trees", []))
+    while nodes:
+        node = nodes.pop()
+        kind = _Leaf if "value" in node else _Split
+        assert set(node) == set(typing.get_type_hints(kind))
+        nodes += [node[k] for k in ("left", "right") if k in node]
 
 
 def test_capacity_ordering_through_fit(registry):

@@ -349,7 +349,7 @@ class TestDispatch:
             y = SEP_Y if task == "classification" else SEP_X[:, 0] * 2.0
             small = {"n_trees": 3} if algo == "random_forest" else None
             state = train(algo, SEP_X, y, resolve_hyperparameters(algo, small), 1, task)
-            clone = state_from_dict(algo, state.to_dict())
+            clone = state_from_dict(algo, state.to_dict(), SEP_X.shape[1])
             assert np.allclose(clone.predict(SEP_X), state.predict(SEP_X))
 
 

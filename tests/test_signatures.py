@@ -164,7 +164,7 @@ def test_abc_sequence_checked_like_typing_sequence(annotation, same):
         (DataFrame, "a DataFrame", TypeError),
         (Model | StackedModel, "a Model or a StackedModel", TypeError),
         (ProvenanceRegistry | None, "a ProvenanceRegistry", TypeError),
-        (str | None, "a string", ConfigError),
+        (str | None, "a string or null", ConfigError),
         # A union with a setting among its members is a setting.
         (str | DataFrame, "a string or a DataFrame", ConfigError),
     ],

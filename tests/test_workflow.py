@@ -137,8 +137,10 @@ class TestParsing:
         [
             ("  seed: 42\nreport", "  seed: '42'\nreport"),
             ("  k: 3\n", "  k: true\n"),
+            # Used to pass the parser and fail at fit, after the data was read.
+            ("  seed: 42\nreport", "  seed: -1\nreport"),
         ],
-        ids=["model.seed", "cv.k"],
+        ids=["model.seed", "cv.k", "model.seed -1"],
     )
     def test_value_types_checked(self, data_csv, line, typo):
         text = workflow_text(data_csv)
