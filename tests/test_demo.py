@@ -63,3 +63,43 @@ def test_seed_selection_report_shape():
     assert report["replicates"] == 20
     assert report["positive"] + report["negative"] + report["ties"] == 20
     assert 0.0 <= report["p_value"] <= 1.0
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# Each kind's full report at replicates=20, seed=3, n_seeds=4. A change to
+# how the demos are built must reproduce every value exactly.
+DEMO_GOLDEN = {
+    "seed_selection": {
+        "kind": "seed_selection", "metric": "roc_auc", "replicates": 20,
+        "mean_inflation": 0.03441195839614537, "positive": 14, "negative": 0, "ties": 6,
+        "p_value": 6.103515625e-05, "direction_confirmed": True, "n_seeds": 4,
+    },
+    "screen_selection": {
+        "kind": "screen_selection", "metric": "roc_auc", "replicates": 20,
+        "mean_inflation": 0.004581054910002274, "positive": 2, "negative": 0, "ties": 18,
+        "p_value": 0.25, "direction_confirmed": False,
+        "algorithms": ["logistic", "decision_tree", "random_forest", "knn"],
+    },
+    "duplicate_injection": {
+        "kind": "duplicate_injection", "metric": "accuracy", "replicates": 20,
+        "inflation": {"decision_tree": 0.01499999999999999, "logistic": -0.00500000000000001},
+        "p_value": {"decision_tree": 0.0245208740234375, "logistic": 0.91015625},
+        "capacity_ordering_confirmed": True, "direction_confirmed": True,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEMO_GOLDEN))
+def test_demo_report_golden(kind):
+    report = _strict_json(json.dumps(demo_leakage(kind, replicates=20, seed=3, n_seeds=4)))
+    assert report == DEMO_GOLDEN[kind]
+    args = ["demo", kind, "--replicates", "20", "--seed", "3", "--n-seeds", "4"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0
+    assert _strict_json(result.stdout) == report
