@@ -1,8 +1,8 @@
 """Command-line interface: run workflows, check conformance, demo leakage.
 
 All command output is JSON on stdout; diagnostics go to stderr. Exit codes:
-0 success, 1 conformance/demo verdict failure, 2 workflow spec errors,
-3 guard rejections, 4 data errors.
+0 success, 1 failed conformance checks (a demo never exits 1: its verdict is
+`direction_confirmed`), 2 workflow spec errors, 3 guard rejections, 4 data errors.
 """
 
 from __future__ import annotations

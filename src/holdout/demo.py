@@ -65,13 +65,13 @@ def sign_test_p(positives: int, n: int) -> float:
     return total / 2.0**n
 
 
-def _summarize(kind: str, metric: str, diffs: list[float], extra: dict | None = None) -> dict:
+def _summarize(kind: str, metric: str, diffs: list[float]) -> dict:
     arr = np.asarray(diffs)
     positives = int((arr > 0).sum())
     negatives = int((arr < 0).sum())
     ties = int((arr == 0).sum())
     p = sign_test_p(positives, positives + negatives)
-    report = {
+    return {
         "kind": kind,
         "metric": metric,
         "replicates": len(diffs),
@@ -82,9 +82,6 @@ def _summarize(kind: str, metric: str, diffs: list[float], extra: dict | None = 
         "p_value": p,
         "direction_confirmed": bool(arr.mean() > 0 and p < 0.05),
     }
-    if extra:
-        report.update(extra)
-    return report
 
 
 def _replicate_seeds(seed: int, replicates: int) -> list[int]:
@@ -92,92 +89,58 @@ def _replicate_seeds(seed: int, replicates: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in ss.spawn(replicates)]
 
 
-def _seed_selection_once(rep_seed: int, n_seeds: int) -> float:
+def _arms(rep_seed: int):
+    """The replicate's frame split with its seed twice, as (partition, registry)
+    pairs: the honest arm guarded, the leaky arm with guards off."""
     df = two_gaussian_frame(seed=rep_seed)
+    registries = [ProvenanceRegistry(), ProvenanceRegistry()]
+    registries[1].set_guards("off")
+    return [(split(df, "y", seed=rep_seed, registry=reg), reg) for reg in registries]
 
-    honest_reg = ProvenanceRegistry()
-    s = split(df, "y", seed=rep_seed, registry=honest_reg)
-    honest_model = fit(
-        s.dev, "y", algorithm="random_forest", seed=0,
-        hyperparameters=FOREST_DEMO_HP, registry=honest_reg,
-    )
-    honest = assess(honest_model, s.test, registry=honest_reg)["roc_auc"]
 
-    leaky_reg = ProvenanceRegistry()
-    leaky_reg.set_guards("off")
-    s2 = split(df, "y", seed=rep_seed, registry=leaky_reg)
-    best = -math.inf
-    for model_seed in range(n_seeds):
-        m = fit(
-            s2.dev, "y", algorithm="random_forest", seed=model_seed,
-            hyperparameters=FOREST_DEMO_HP, registry=leaky_reg,
-        )
-        best = max(best, evaluate(m, s2.test, registry=leaky_reg)["roc_auc"])
-    return best - honest
+def _assessed(s, reg, metric: str, algorithm: str, hp: dict | None = None) -> float:
+    """The honest arm's one score: a seed-0 fit on dev, assessed once."""
+    model = fit(s.dev, "y", algorithm=algorithm, seed=0, hyperparameters=hp, registry=reg)
+    return assess(model, s.test, registry=reg)[metric]
+
+
+def _best_on_test(s, reg, metric: str, candidates) -> float:
+    """The leaky arm's score: the best test score over (algorithm, seed,
+    hyperparameters) fits on dev."""
+    models = (fit(s.dev, "y", algorithm=algorithm, seed=seed, hyperparameters=hp, registry=reg)
+              for algorithm, seed, hp in candidates)
+    return max(evaluate(m, s.test, registry=reg)[metric] for m in models)
+
+
+def _seed_selection_once(rep_seed: int, n_seeds: int) -> float:
+    honest, leaky = _arms(rep_seed)
+    seeds = [("random_forest", seed, FOREST_DEMO_HP) for seed in range(n_seeds)]
+    return (_best_on_test(*leaky, "roc_auc", seeds)
+            - _assessed(*honest, "roc_auc", "random_forest", FOREST_DEMO_HP))
 
 
 def _screen_selection_once(rep_seed: int) -> float:
-    df = two_gaussian_frame(seed=rep_seed)
-
-    honest_reg = ProvenanceRegistry()
-    s = split(df, "y", seed=rep_seed, registry=honest_reg)
-    rotation = cv(s, 3, seed=rep_seed, registry=honest_reg)
-    board = screen(
-        rotation, "y", algorithms=SCREEN_ALGOS, seed=0,
-        hyperparameters=SCREEN_HP, registry=honest_reg,
-    )
-    winner = fit(
-        s.dev, "y", algorithm=board.best, seed=0,
-        hyperparameters=SCREEN_HP.get(board.best), registry=honest_reg,
-    )
-    honest = assess(winner, s.test, registry=honest_reg)["roc_auc"]
-
-    leaky_reg = ProvenanceRegistry()
-    leaky_reg.set_guards("off")
-    s2 = split(df, "y", seed=rep_seed, registry=leaky_reg)
-    best = -math.inf
-    for algo in SCREEN_ALGOS:
-        m = fit(
-            s2.dev, "y", algorithm=algo, seed=0,
-            hyperparameters=SCREEN_HP.get(algo), registry=leaky_reg,
-        )
-        best = max(best, evaluate(m, s2.test, registry=leaky_reg)["roc_auc"])
-    return best - honest
+    (s, reg), leaky = _arms(rep_seed)
+    rotation = cv(s, 3, seed=rep_seed, registry=reg)
+    best = screen(
+        rotation, "y", algorithms=SCREEN_ALGOS, seed=0, hyperparameters=SCREEN_HP, registry=reg,
+    ).best
+    algorithms = [(algorithm, 0, SCREEN_HP.get(algorithm)) for algorithm in SCREEN_ALGOS]
+    return (_best_on_test(*leaky, "roc_auc", algorithms)
+            - _assessed(s, reg, "roc_auc", best, SCREEN_HP.get(best)))
 
 
-def _append_rows(df: DataFrame, other: DataFrame, indices) -> DataFrame:
-    columns = {}
-    for name in df.column_names:
-        cells = other.column(name)
-        extra = tuple(cells[i] for i in indices)
-        columns[name] = df.column(name) + extra
-    return DataFrame(columns)
-
-
-def _duplicate_injection_once(rep_seed: int, algorithm: str, hp: dict | None) -> float:
-    df = two_gaussian_frame(seed=rep_seed)
-
-    honest_reg = ProvenanceRegistry()
-    s = split(df, "y", seed=rep_seed, registry=honest_reg)
-    honest_model = fit(
-        s.dev, "y", algorithm=algorithm, seed=0, hyperparameters=hp,
-        registry=honest_reg,
-    )
-    honest = assess(honest_model, s.test, registry=honest_reg)["accuracy"]
-
-    leaky_reg = ProvenanceRegistry()
-    leaky_reg.set_guards("off")
-    s2 = split(df, "y", seed=rep_seed, registry=leaky_reg)
-    rng = generator(rep_seed)
-    n_dup = max(1, int(round(0.10 * s2.test.row_count)))
-    picked = sorted(int(i) for i in rng.choice(s2.test.row_count, size=n_dup, replace=False))
-    contaminated = _append_rows(s2.dev, s2.test, picked)
-    leaky_model = fit(
-        contaminated, "y", algorithm=algorithm, seed=0, hyperparameters=hp,
-        registry=leaky_reg,
-    )
-    leaky = evaluate(leaky_model, s2.test, registry=leaky_reg)["accuracy"]
-    return leaky - honest
+def _duplicate_injection_once(rep_seed: int, algorithm: str) -> float:
+    honest, (s, reg) = _arms(rep_seed)
+    n_dup = max(1, round(0.10 * s.test.row_count))
+    picked = sorted(generator(rep_seed).choice(s.test.row_count, size=n_dup, replace=False))
+    contaminated = DataFrame({
+        name: s.dev.column(name) + tuple(s.test.column(name)[i] for i in picked)
+        for name in s.dev.column_names
+    })
+    model = fit(contaminated, "y", algorithm=algorithm, seed=0, registry=reg)
+    leaky = evaluate(model, s.test, registry=reg)["accuracy"]
+    return leaky - _assessed(*honest, "accuracy", algorithm)
 
 
 def demo_leakage(kind: str, replicates: int = 50, seed: Count = 0, n_seeds: int = 10) -> dict:
@@ -195,31 +158,25 @@ def demo_leakage(kind: str, replicates: int = 50, seed: Count = 0, n_seeds: int 
 
     if kind == "seed_selection":
         diffs = [_seed_selection_once(rs, n_seeds) for rs in rep_seeds]
-        return _summarize(kind, "roc_auc", diffs, {"n_seeds": n_seeds})
+        return {**_summarize(kind, "roc_auc", diffs), "n_seeds": n_seeds}
 
     if kind == "screen_selection":
         diffs = [_screen_selection_once(rs) for rs in rep_seeds]
-        return _summarize(kind, "roc_auc", diffs, {"algorithms": list(SCREEN_ALGOS)})
+        return {**_summarize(kind, "roc_auc", diffs), "algorithms": list(SCREEN_ALGOS)}
 
     # duplicate_injection: memorization inflation, capacity-dependent.
-    tree_diffs = [_duplicate_injection_once(rs, "decision_tree", None) for rs in rep_seeds]
-    logistic_diffs = [_duplicate_injection_once(rs, "logistic", None) for rs in rep_seeds]
-    tree_report = _summarize(kind, "accuracy", tree_diffs)
-    logistic_report = _summarize(kind, "accuracy", logistic_diffs)
+    reports = {
+        algorithm: _summarize(kind, "accuracy",
+                              [_duplicate_injection_once(rs, algorithm) for rs in rep_seeds])
+        for algorithm in ("decision_tree", "logistic")
+    }
+    tree, logistic = reports["decision_tree"], reports["logistic"]
     return {
         "kind": kind,
         "metric": "accuracy",
         "replicates": replicates,
-        "inflation": {
-            "decision_tree": tree_report["mean_inflation"],
-            "logistic": logistic_report["mean_inflation"],
-        },
-        "p_value": {
-            "decision_tree": tree_report["p_value"],
-            "logistic": logistic_report["p_value"],
-        },
-        "capacity_ordering_confirmed": bool(
-            tree_report["mean_inflation"] >= logistic_report["mean_inflation"]
-        ),
-        "direction_confirmed": tree_report["direction_confirmed"],
+        "inflation": {algorithm: r["mean_inflation"] for algorithm, r in reports.items()},
+        "p_value": {algorithm: r["p_value"] for algorithm, r in reports.items()},
+        "capacity_ordering_confirmed": bool(tree["mean_inflation"] >= logistic["mean_inflation"]),
+        "direction_confirmed": tree["direction_confirmed"],
     }

@@ -10,6 +10,7 @@ is refit on the full dev set with a dev-fitted transformer.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
@@ -437,6 +438,16 @@ def model_from_dict(d: Mapping) -> Model:
     except (TypeError, ValueError, RecursionError) as e:
         raise ConfigError(f"a model document must be JSON data: {e}") from None
     doc = ModelDocument(**d)
+    pair = doc.classes is not None and len(doc.classes) == 2 and all(
+        isinstance(c, (str, int, float)) for c in doc.classes)  # a bool is an int
+    if not {"classification": pair, "regression": doc.classes is None}.get(doc.task):
+        raise ConfigError("a model document needs task 'classification' and a pair of classes "
+                          "(strings, numbers or booleans), or task 'regression' and classes null; "
+                          f"got {reprlib.repr(doc.task)} and {reprlib.repr(doc.classes)}")
+    if doc.learner.get("task", doc.task) != doc.task:
+        raise ConfigError(f"a {doc.task} model document has a learner of task "
+                          f"{reprlib.repr(doc.learner['task'])}")
+    learners.check_task(doc.algorithm, doc.task)
     transformer = Transformer.from_dict(doc.transformer)
     m = Model(
         algorithm=doc.algorithm,

@@ -540,12 +540,31 @@ class TestModelSerialization:
                 "root", TestModelSerialization._chain(5000)), "a model document must be JSON data"),
             ("logistic", lambda doc: doc.__setitem__("notes", "hello"),
              "model document has unknown key 'notes'"),
+            # Each used to load: the first two were scored as regression,
+            # evaluate then raised an IndexError and a TypeError, and a third
+            # class was never looked at.
+            ("logistic", lambda doc: doc.__setitem__("task", "bogus"),
+             "a model document needs task 'classification' and a pair of classes"),
+            ("logistic", lambda doc: doc.__setitem__("task", "regression"),
+             r"or task 'regression' and classes null; got 'regression' and \[0, 1\]"),
+            ("logistic", lambda doc: doc.__setitem__("classes", [0]),
+             r"got 'classification' and \[0\]"),
+            ("logistic", lambda doc: doc.__setitem__("classes", [[0], 1]),
+             r"got 'classification' and \[\[0\], 1\]"),
+            ("logistic", lambda doc: doc.__setitem__("classes", [0, 1, 2]),
+             r"got 'classification' and \[0, 1, 2\]"),
+            ("decision_tree", lambda doc: doc["learner"].__setitem__("task", "bogus"),
+             "a classification model document has a learner of task 'bogus'"),
+            ("logistic", lambda doc: doc.update(task="regression", classes=None),
+             "logistic supports classification targets only"),
         ],
         ids=["root 5", "2 weights for 3 features", "narrowed train_X", "forest feature 99",
              "split without gain", "split with value", "threshold 'x'", "no trees", "k 0",
              "short train_y", "ragged train_X", "bias NaN", "threshold inf", "mean NaN",
              "weight 10**400", "repeated source column", "no source columns",
-             "5000 nested splits", "unknown top-level key"],
+             "5000 nested splits", "unknown top-level key", "task bogus",
+             "logistic task regression", "one class", "list class", "three classes",
+             "tree learner task bogus", "logistic regression without classes"],
     )
     def test_document_structure_checked_at_load(self, registry, partition, algorithm, edit,
                                                 message):

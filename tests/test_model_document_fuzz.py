@@ -1,6 +1,7 @@
 """A model document is outside input: one mutated value in a fitted
 document either fails to load with a ConfigError, or the model it loads
-predicts a finite value for every row.
+predicts a finite value for every row and evaluates to finite metrics or a
+WorkflowError, never a bare Python error.
 
 Each mutant starts from a fitted document of one algorithm and changes one
 value: another JSON type, a list shortened or lengthened, a tree node
@@ -20,6 +21,8 @@ from holdout import (
     ConfigError,
     DataFrame,
     ProvenanceRegistry,
+    WorkflowError,
+    evaluate,
     fit,
     model_from_dict,
     model_to_dict,
@@ -105,6 +108,13 @@ def _check(mutant):
         return
     values = np.array(predict(m, frame).values)
     assert values.shape == (frame.row_count,) and np.isfinite(values).all()
+    guards_off = ProvenanceRegistry()
+    guards_off.set_guards("off")
+    try:
+        metrics = evaluate(m, frame, registry=guards_off)
+    except WorkflowError:
+        return
+    assert np.isfinite(list(metrics.values.values())).all()
 
 
 @settings(max_examples=150, deadline=None)
