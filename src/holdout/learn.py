@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import reprlib
-from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -226,19 +225,10 @@ class _CrossValidation(NamedTuple):
     oof: np.ndarray  # (dev rows, runs) out-of-fold predictions, NaN where uncovered
 
 
-def _pinned(value) -> bool:
-    # Values whose type and repr fix what a learner does with them.
-    return type(value) in (bool, int, float, str, type(None)) or isinstance(
-        value, (np.bool_, np.number)
-    )
-
-
-def _run_key(target, recipe, seed, algorithm, hp) -> tuple | None:
-    """The key a rotation remembers a cross-validated run under, or None
-    when a hyperparameter value is not pinned by its type and repr (such a
-    run is trained on every call)."""
-    if not all(map(_pinned, hp.values())):
-        return None
+def _run_key(target, recipe, seed, algorithm, hp) -> tuple:
+    """The key a rotation remembers a cross-validated run under. A
+    hyperparameter is a number or a named choice, so its type and repr pin
+    what a learner does with it."""
     values = tuple((name, type(v), repr(v)) for name, v in sorted(hp.items()))
     # Fold seeds depend on int(seed) only: see _fold_seed.
     return (target, recipe, int(seed), algorithm, values)
@@ -251,11 +241,11 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
     The target, the rotation's registration and every run's
     hyperparameters are checked on every call, before anything trains.
     A run's fold predictions depend only on the rotation and the run, so
-    the rotation remembers each run it has cross-validated (`c._runs`:
-    mean scores and out-of-fold column, plus one tuple of fold
-    transformers per target and recipe) and only runs it has not seen
-    train, in one fold-outer pass. Entries are written after the whole
-    pass succeeds; callers get copies.
+    the rotation remembers each run it has cross-validated (`c._runs`, one
+    entry per run: mean scores, out-of-fold column and the fold
+    transformers its pass shares) and only runs it has not seen train, in
+    one fold-outer pass. Entries are written after the whole pass
+    succeeds; callers get copies.
     """
     target = target or c.target
     if target != c.target:
@@ -279,62 +269,50 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
         for step, cols in normalize_recipe(recipe)
     )
 
-    memo = c._runs
     keys = [_run_key(target, recipe, seed, algorithm, hp) for algorithm, hp in resolved]
-    # Each run still to train, once: under its key, or under its position
-    # when it has none.
-    pending: dict = {}
-    for r, key in enumerate(keys):
-        if key is None or key not in memo:
-            pending.setdefault(r if key is None else key, r)
-    fresh: dict = {}
-    if pending:
-        scores, oof, fold_transformers = _fold_pass(
-            c, target, task, classes, y, recipe, [resolved[r] for r in pending.values()], seed
-        )
-        for j, key in enumerate(pending):
-            fresh[key] = (scores[j], oof[:, j].copy())
-        fresh[(target, recipe)] = fold_transformers
-        memo.update((key, v) for key, v in fresh.items() if type(key) is tuple)
-    found = ChainMap(fresh, memo)
-    picked = [found[r if key is None else key] for r, key in enumerate(keys)]
+    pending = {key: run for key, run in zip(keys, resolved) if key not in c._runs}
+    if pending:  # each run not seen yet, once
+        entries = _fold_pass(c, target, task, classes, y, recipe, list(pending.values()), seed)
+        c._runs.update(zip(pending, entries))
+    scores, columns, fold_transformers = zip(*(c._runs[key] for key in keys))
     return _CrossValidation(
         target, task, classes, y, recipe, resolved,
-        [dict(run_scores) for run_scores, _ in picked],
-        found[(target, recipe)],
-        np.column_stack([column for _, column in picked]),
+        [dict(run_scores) for run_scores in scores],
+        fold_transformers[0],  # the runs share target and recipe
+        np.column_stack(columns),
     )
 
 
-def _fold_pass(c, target, task, classes, y, recipe, runs, seed):
+def _fold_pass(c, target, task, classes, y, recipe, runs, seed) -> list[tuple]:
     """Train every run on each fold in turn, each fold prepared once, with
     the fold's seed, so a run scores exactly as it would alone.
 
-    Returns per-run mean scores, the (dev rows, runs) out-of-fold matrix
-    and the fold transformers.
+    Returns each run's memo entry: its mean scores, its out-of-fold column
+    (NaN where no fold validates a row) and the pass's fold transformers.
     """
     fold_metrics: list[list[dict[str, float]]] = [[] for _ in runs]
     fold_transformers: list[Transformer] = []
-    oof = np.full((c._dev_frame.row_count, len(runs)), np.nan)
+    oof = [np.full(c._dev_frame.row_count, np.nan) for _ in runs]
     for fold_index, (train_idx, valid_idx) in enumerate(c.folds):
         prepared = fit_transformer(_materialize(c, train_idx), target, recipe, (task, classes))
         fold_valid = _materialize(c, valid_idx)
         X_valid = feature_matrix(
             apply(prepared.state, fold_valid), prepared.state.feature_names
         )
-        y_valid = y[list(valid_idx)]
+        valid = list(valid_idx)
+        y_valid = y[valid]
         fold_seed = _fold_seed(seed, fold_index)
         for r, (algorithm, hp) in enumerate(runs):
             preds = _train_on_prepared(prepared, algorithm, hp, fold_seed).predict(X_valid)
             fold_metrics[r].append(score(task, y_valid, preds, CV_METRICS[task]))
-            oof[list(valid_idx), r] = preds
+            oof[r][valid] = preds
         fold_transformers.append(prepared.state)
 
-    scores = [
-        {name: float(np.mean([m[name] for m in metrics])) for name in metrics[0]}
-        for metrics in fold_metrics
+    shared = tuple(fold_transformers)
+    return [
+        ({name: float(np.mean([m[name] for m in metrics])) for name in metrics[0]}, column, shared)
+        for metrics, column in zip(fold_metrics, oof)
     ]
-    return scores, oof, tuple(fold_transformers)
 
 
 def _refit_on_dev(c, cvr: _CrossValidation, run: int, seed, reg) -> Model:

@@ -18,10 +18,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import generator
-from .signatures import Count, check_document
+from .signatures import Count, _is_number, check_document
 
-# Each hyperparameter's domain: (type, lower bound, bound allowed, other
-# choices). An int is a whole number, 6 and 6.0 alike; a float is finite.
+# Each hyperparameter's domain: (type, lower bound, bound allowed, named
+# choices). A value is a Python or numpy number, finite, and whole for an
+# int (6 and 6.0 alike), or one of the choices.
 HYPERPARAMETER_DOMAINS: dict[str, tuple[type, float, bool, tuple]] = {
     "learning_rate": (float, 0.0, False, ()),
     "max_iter": (int, 1, True, ()),
@@ -37,14 +38,10 @@ HYPERPARAMETER_DOMAINS: dict[str, tuple[type, float, bool, tuple]] = {
 
 
 def _in_domain(value, kind: type, bound: float, allowed: bool, choices: tuple) -> bool:
-    if isinstance(value, (str, bool)):
-        return value in choices
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        return False  # not a number, or int() of inf or NaN
-    whole = kind is float or not isinstance(value, (float, np.floating)) or number == value
-    return whole and math.isfinite(number) and (number >= bound if allowed else number > bound)
+    if not _is_number(value):
+        return isinstance(value, str) and value in choices
+    whole = kind is float or float(value).is_integer()
+    return whole and math.isfinite(value) and (value >= bound if allowed else value > bound)
 
 
 def _learner(algorithm: str) -> Learner:
@@ -349,16 +346,15 @@ KNN_BLOCK_CELLS = 1 << 15
 
 
 def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k smallest values, in stable-sort order:
-    equal to `np.argsort(dists, axis=1, kind="mergesort")[:, :k]`, ties
-    to the lower index and NaN last, without sorting whole rows.
+    """Column indices of each row's k smallest values (1 <= k <= its length),
+    in stable-sort order: equal to `np.argsort(dists, axis=1,
+    kind="mergesort")[:, :k]`, ties to the lower index and NaN last, without
+    sorting whole rows.
 
     A row's k-th smallest value comes from `np.partition`. The row keeps
     every value below it and, of the values tied with it, the lowest
     indices that bring the count to k; a stable sort orders those k.
     """
-    if not 1 <= k <= dists.shape[1]:  # degenerate k: the plain definition
-        return np.argsort(dists, axis=1, kind="mergesort")[:, :k]
     kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
     nan_kth = np.isnan(kth)
     nan = np.isnan(dists)
@@ -398,7 +394,7 @@ class KnnState:
         k = min(self.k, n)
         m = len(X)
         out = np.empty(m)
-        block = max(1, KNN_BLOCK_CELLS // max(n, 1))
+        block = max(1, KNN_BLOCK_CELLS // n)
         total = np.empty((min(block, m), n))
         d = np.empty_like(total)
         for start in range(0, m, block):

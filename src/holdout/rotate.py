@@ -27,10 +27,10 @@ class CVResult:
 
     A cross-validated run's fold predictions depend only on the rotation
     and the run, so the rotation keeps each run it has seen (its mean fold
-    scores and its out-of-fold column, dev rows x 8 bytes) plus one tuple
-    of fold transformers per recipe, and later `fit(c)`, `screen`, `tune`
-    and `stack` calls reuse them instead of training again. It keeps no
-    frames and no prepared matrices.
+    scores, its out-of-fold column of dev rows x 8 bytes and the tuple of
+    fold transformers its pass shared), and later `fit(c)`, `screen`,
+    `tune` and `stack` calls reuse them instead of training again. It
+    keeps no frames and no prepared matrices.
     """
 
     __slots__ = (
@@ -136,7 +136,7 @@ def cv_temporal(
     folds: int = 5,
     window: str = "expanding",
     min_train: int = 1,
-    embargo: int = 0,
+    embargo: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:
     """Ordered rotation: every fold's train rows precede its valid rows with
@@ -152,8 +152,6 @@ def cv_temporal(
         raise ConfigError(f"window must be 'expanding' or 'sliding', got {window!r}")
     if min_train < 1:
         raise CVError(f"min_train must be at least 1, got {min_train}")
-    if embargo < 0:
-        raise CVError(f"embargo must be nonnegative, got {embargo}")
     n = p.dev.row_count
     span = n - min_train - embargo
     if folds < 2 or span < folds:

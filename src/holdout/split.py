@@ -213,7 +213,7 @@ def split_temporal(
     target: str,
     time_col: str,
     ratios: Sequence[float] = (0.6, 0.2, 0.2),
-    embargo: int = 0,
+    embargo: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> Partition:
     """Ordered split: all train times precede all valid times precede all
@@ -228,8 +228,6 @@ def split_temporal(
     _validate_common(df, target, ratios)
     if time_col not in df.column_names:
         raise SchemaError(f"time column {time_col!r} not in frame")
-    if embargo < 0:
-        raise PartitionError(f"embargo must be a nonnegative integer, got {embargo!r}")
     times = df.column(time_col)
     if any(t is None for t in times):
         raise PartitionError("time column has missing values; ordering is undefined")

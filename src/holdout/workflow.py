@@ -34,11 +34,19 @@ _LINE_KEY = "__line__"
 
 
 class _LineLoader(yaml.SafeLoader):
-    """SafeLoader that records the source line of every mapping."""
+    """SafeLoader that records the source line of every mapping and refuses
+    one that repeats a key (a `<<` merge may still be overridden)."""
 
 
 def _construct_mapping(loader, node, deep=False):
+    explicit = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
     mapping = yaml.SafeLoader.construct_mapping(loader, node, deep=deep)
+    seen = set()
+    for key_node in explicit:
+        key = loader.construct_object(key_node, deep=deep)
+        if key in seen:
+            raise ConfigError(f"key {key!r} is repeated (line {key_node.start_mark.line + 1})")
+        seen.add(key)
     mapping[_LINE_KEY] = node.start_mark.line + 1
     return mapping
 
@@ -155,6 +163,8 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
         raw = yaml.load(text, Loader=_LineLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"{source}: invalid YAML: {exc}") from exc
+    except ConfigError as exc:  # a repeated key
+        raise ConfigError(f"{source}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{source}: workflow must be a mapping at the top level")
 

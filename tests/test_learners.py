@@ -1,5 +1,7 @@
 import itertools
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -353,6 +355,13 @@ class TestDispatch:
             assert np.allclose(clone.predict(SEP_X), state.predict(SEP_X))
 
 
+class _Three:
+    """A value that converts to 3 but is no number: its repr says nothing."""
+
+    def __int__(self):
+        return 3
+
+
 class TestHyperparameterDomains:
     @pytest.mark.parametrize(
         "algorithm, key, value",
@@ -373,6 +382,18 @@ class TestHyperparameterDomains:
             ("random_forest", "max_features", "log2"),
             ("random_forest", "max_features", 0),
             ("random_forest", "max_depth", float("inf")),
+            # Values int() or float() accepts that are no Python or numpy
+            # number: a learner would truncate 7/2 to 3, and np.True_ is no
+            # more a count than True.
+            pytest.param("knn", "k", _Three(), id="knn-k-_Three()"),
+            pytest.param("knn", "k", Fraction(7, 2), id="knn-k-Fraction(7, 2)"),
+            pytest.param("knn", "k", Decimal("3"), id="knn-k-Decimal('3')"),
+            pytest.param("knn", "k", Decimal("3.5"), id="knn-k-Decimal('3.5')"),
+            pytest.param("knn", "k", np.True_, id="knn-k-np.True_"),
+            pytest.param("logistic", "learning_rate", Fraction(1, 10),
+                         id="logistic-learning_rate-Fraction(1, 10)"),
+            pytest.param("decision_tree", "max_depth", 10**400,
+                         id="decision_tree-max_depth-10**400"),
         ],
     )
     def test_out_of_domain_values_rejected(self, algorithm, key, value):
@@ -384,6 +405,8 @@ class TestHyperparameterDomains:
         [
             ("knn", {"k": 1}),
             ("knn", {"k": np.int64(3)}),
+            ("knn", {"k": np.float32(3.0)}),
+            ("logistic", {"learning_rate": np.float64(0.5), "max_iter": np.uint8(7)}),
             ("decision_tree", {"max_depth": 0}),
             ("decision_tree", {"max_depth": 6.0}),
             ("logistic", {"learning_rate": 1e-6, "tol": 0.0, "l2": 0, "max_iter": 1}),

@@ -179,7 +179,7 @@ class TestTemporalRotation:
         [
             ({"window": "rolling"}, ConfigError, "window must be 'expanding' or 'sliding'"),
             ({"min_train": 0}, CVError, "min_train must be at least 1"),
-            ({"embargo": -1}, CVError, "embargo must be nonnegative"),
+            ({"embargo": -1}, ConfigError, "embargo must be a non-negative integer"),
         ],
         ids=["window", "min_train", "embargo"],
     )

@@ -3,6 +3,7 @@ import warnings
 import pytest
 
 from holdout import (
+    ConfigError,
     DataFrame,
     GroupError,
     PartitionError,
@@ -241,7 +242,7 @@ class TestTemporalSplit:
             split_temporal(self.make(20), "y", "when", registry=registry)
 
     def test_negative_embargo_rejected(self, registry):
-        with pytest.raises(PartitionError, match="nonnegative"):
+        with pytest.raises(ConfigError, match="embargo must be a non-negative integer"):
             split_temporal(self.make(20), "y", "t", embargo=-1, registry=registry)
 
     def test_mixed_time_kinds_rejected(self, registry):

@@ -421,13 +421,6 @@ def _model_view(m):
     return (m.scores_, m.state.to_dict(), m.transformer, m.fold_transformers_)
 
 
-class _Three:
-    """A hyperparameter value whose repr says nothing about its value."""
-
-    def __int__(self):
-        return 3
-
-
 class TestRunMemo:
     """A rotation remembers the runs it has cross-validated."""
 
@@ -519,15 +512,6 @@ class TestRunMemo:
         with pytest.raises(ConfigError, match="target"):
             fit(c, "x0", algorithm="decision_tree", seed=1, registry=registry)
         assert calls == {"prepare": 0, "train": 0}
-
-    def test_unpinned_hyperparameter_trains_every_call(self, registry, rotation, calls):
-        _, c = rotation
-        first = fit(c, "y", algorithm="knn", hyperparameters={"k": _Three()}, seed=1,
-                    registry=registry)
-        second = fit(c, "y", algorithm="knn", hyperparameters={"k": _Three()}, seed=1,
-                     registry=registry)
-        assert calls == {"prepare": 2 * (c.k + 1), "train": 2 * (c.k + 1)}
-        assert first.scores_ == second.scores_
 
     def test_duplicate_runs_in_one_call_train_once(self, registry, rotation, calls):
         _, c = rotation

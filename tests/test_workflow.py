@@ -139,14 +139,34 @@ class TestParsing:
             ("  k: 3\n", "  k: true\n"),
             # Used to pass the parser and fail at fit, after the data was read.
             ("  seed: 42\nreport", "  seed: -1\nreport"),
+            # Used to pass the parser and fail as a guard rejection (exit 3).
+            (SPLIT_BLOCK[7:], "  kind: temporal\n  time_col: x0\n  embargo: -1\n"),
         ],
-        ids=["model.seed", "cv.k", "model.seed -1"],
+        ids=["model.seed", "cv.k", "model.seed -1", "split.embargo -1"],
     )
     def test_value_types_checked(self, data_csv, line, typo):
         text = workflow_text(data_csv)
         assert line in text
         with pytest.raises(ConfigError, match="must be"):
             parse_workflow(text.replace(line, typo, 1))
+
+    @pytest.mark.parametrize(
+        "old, new, key, line",
+        [
+            ("report:", "model:\n  algorithm: knn\nreport:", "model", 15),  # a whole block
+            ("  seed: 42\ncv", "  seed: 1\n  seed: 2\ncv", "seed", 8),  # a key in a block
+        ],
+        ids=["block", "key in a block"],
+    )
+    def test_repeated_key_cites_line(self, data_csv, old, new, key, line):
+        text = workflow_text(data_csv).replace(old, new, 1)
+        with pytest.raises(ConfigError, match=rf"key '{key}' is repeated \(line {line}\)"):
+            parse_workflow(text)
+
+    def test_merge_key_may_be_overridden(self, data_csv):
+        text = workflow_text(data_csv).replace(
+            "  seed: 42\ncv", "  <<: {seed: 1}\n  seed: 2\ncv", 1)
+        assert parse_workflow(text).split["seed"] == 2
 
     def test_data_path_must_be_text(self, data_csv):
         text = workflow_text(data_csv).replace(str(data_csv), "7")
@@ -489,8 +509,9 @@ class TestCli:
         [
             ("  seed: 42\ncv:", "  seed: -1\ncv:"),
             ("  algorithm: logistic\n", "  algorithm: knn\n  hyperparameters: {k: 0}\n"),
+            ("  seed: 42\ncv:", "  seed: 1\n  seed: 2\ncv:"),
         ],
-        ids=["split.seed", "knn.k"],
+        ids=["split.seed", "knn.k", "split.seed repeated"],
     )
     def test_out_of_domain_value_exit_2(self, tmp_path, data_csv, line, bad):
         wf = tmp_path / "bad.yaml"
