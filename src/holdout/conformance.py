@@ -141,7 +141,7 @@ def _check_5_per_fold_preparation():
             cells = dev.column(col)
             values = [cells[i] for i in train_idx]
             expect_mean = sum(values) / len(values)
-            expect_var = sum((v - expect_mean) ** 2 for v in values) / len(values)
+            expect_var = sum((v - expect_mean) * (v - expect_mean) for v in values) / len(values)
             assert math.isclose(mean, expect_mean, abs_tol=1e-12), (
                 f"fold transformer mean for {col} uses non-fold-train rows"
             )

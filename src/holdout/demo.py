@@ -20,7 +20,7 @@ from .learn import fit
 from .registry import ProvenanceRegistry
 from .rng import generator
 from .rotate import cv
-from .signatures import Count, check_arguments
+from .signatures import Count, Positive, check_arguments
 from .split import split
 from .strategy import screen
 
@@ -143,7 +143,7 @@ def _duplicate_injection_once(rep_seed: int, algorithm: str) -> float:
     return leaky - _assessed(*honest, "accuracy", algorithm)
 
 
-def demo_leakage(kind: str, replicates: int = 50, seed: Count = 0, n_seeds: int = 10) -> dict:
+def demo_leakage(kind: str, replicates: int = 50, seed: Count = 0, n_seeds: Positive = 10) -> dict:
     """Run one leakage demonstration and report the paired effect."""
     check_arguments(demo_leakage, locals())
     if kind not in DEMO_KINDS:
@@ -152,8 +152,6 @@ def demo_leakage(kind: str, replicates: int = 50, seed: Count = 0, n_seeds: int 
         raise ConfigError(
             f"need at least 20 replicates for a meaningful sign test, got {replicates}"
         )
-    if n_seeds < 1:  # the leaky arm picks the best of n_seeds fits
-        raise ConfigError(f"n_seeds must be at least 1, got {n_seeds}")
     rep_seeds = _replicate_seeds(seed, replicates)
 
     if kind == "seed_selection":

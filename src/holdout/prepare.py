@@ -10,10 +10,10 @@ the per-cell Python arithmetic the statistics are defined by:
 
 - a mean is the left-to-right float sum of the present values in row
   order, divided by their count (numpy's pairwise `sum` rounds otherwise);
-- the population variance sums, left to right, `d ** 2` for each
-  deviation `d = v - mean`. Python's float power calls libm `pow`, and so
-  does `np.float_power(d, 2.0)`; `np.power` and `d * d` differ in the last
-  bit on a few values (see the README);
+- the population variance sums, left to right, `d * d` for each
+  deviation `d = v - mean`: one correctly rounded IEEE multiply, so no
+  libm decides it (libm `pow`, behind Python's `d ** 2`, is not correctly
+  rounded and differs in the last bit on a few values; see the README);
 - a finite column whose sum or squared deviations overflow float64 is a
   data error naming the column; a column holding ±inf keeps inf/NaN
   statistics;
@@ -247,10 +247,10 @@ def _mean_std(name: str, present: np.ndarray) -> tuple[float, float]:
     if not len(present):
         return 0.0, 0.0
     m = _mean(name, present)
-    # C pow per deviation, as Python's float ** is: see the module docstring.
+    # One IEEE multiply per deviation, not pow: see the module docstring.
     with np.errstate(all="ignore"):  # Python float arithmetic never warns
         deviations = present - m
-        squares = np.float_power(deviations, 2.0)
+        squares = deviations * deviations
     total = _sum(squares)
     if not math.isfinite(total) and (
         np.isinf(squares) & np.isfinite(deviations)

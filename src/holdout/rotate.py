@@ -13,7 +13,7 @@ from .errors import ConfigError, CVError, GuardError
 from .frame import DataFrame
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
-from .signatures import Count, check_arguments
+from .signatures import Count, Positive, check_arguments
 from .split import Partition, deal, groups, largest_remainder
 
 _BLOCKED_ATTRS = ("train", "valid", "test", "dev")
@@ -135,7 +135,7 @@ def cv_temporal(
     p: Partition,
     folds: int = 5,
     window: str = "expanding",
-    min_train: int = 1,
+    min_train: Positive = 1,
     embargo: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:
@@ -150,8 +150,6 @@ def cv_temporal(
     _check_partition(p, "temporal", reg, "cv_temporal")
     if window not in ("expanding", "sliding"):
         raise ConfigError(f"window must be 'expanding' or 'sliding', got {window!r}")
-    if min_train < 1:
-        raise CVError(f"min_train must be at least 1, got {min_train}")
     n = p.dev.row_count
     span = n - min_train - embargo
     if folds < 2 or span < folds:

@@ -36,12 +36,14 @@ def _is_list(v, item=lambda _: True) -> bool:  # a str is not a list of anything
 
 
 Count = typing.NewType("Count", int)  # a seed, count or index: never negative
+Positive = typing.NewType("Positive", int)  # a size that needs at least one
 
 
 # What each setting annotation of a verb or a document admits, keyed as written.
 _CHECKS = {
     int: ("an integer", _is_int),
     Count: ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    Positive: ("a positive integer", lambda v: _is_int(v) and v >= 1),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("a boolean", lambda v: isinstance(v, (bool, np.bool_))),

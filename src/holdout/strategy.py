@@ -21,7 +21,7 @@ from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .rotate import CVResult
 from .scoring import PRIMARY_METRIC
-from .signatures import Count, check_arguments
+from .signatures import Count, Positive, check_arguments
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def tune(
     target: str | None = None,
     algorithm: str | None = "logistic",
     space: Mapping[str, Sequence] | None = None,
-    budget: int = 10,
+    budget: Positive = 10,
     method: str = "grid",
     seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
@@ -125,8 +125,6 @@ def tune(
             raise ConfigError(
                 f"search dimension {name!r} must be a nonempty list of values, got {values!r}"
             )
-    if budget < 1:
-        raise ConfigError(f"budget must be at least 1, got {budget}")
     if method == "grid":
         trial_params = _grid_trials(space, budget)
     elif method == "random":

@@ -24,7 +24,7 @@ def test_unknown_kind():
         # A bare ValueError traceback with exit 1, from the SeedSequence.
         (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
         # Exit 0 with "mean_inflation": -Infinity, which is not JSON.
-        (["--n-seeds", "0"], "n_seeds must be at least 1, got 0"),
+        (["--n-seeds", "0"], "n_seeds must be a positive integer, got 0"),
     ],
     ids=["seed -1", "n-seeds 0"],
 )

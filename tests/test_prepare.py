@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from holdout import (
     prepare,
     split,
 )
+import holdout
 from holdout.prepare import fit_transformer
 
 from conftest import left_sum, make_classification_frame
@@ -144,8 +150,8 @@ class TestExactStatistics:
             # 500 three-decimal values: numpy's pairwise mean rounds
             # differently from a left-to-right sum on this column.
             [4.536, None] + _three_decimals(498, seed=11),
-            # Mean exactly 0.0: squaring 4.536 as `d * d` instead of `d ** 2`
-            # moves the stddev by one ulp.
+            # Mean exactly 0.0: squaring 4.536 as `d ** 2` (libm pow) instead
+            # of `d * d` moves the stddev by two ulps.
             [4.536, -4.536, None],
         ],
         ids=["mean", "variance"],
@@ -158,7 +164,7 @@ class TestExactStatistics:
         mean = left_sum(present) / len(present)
         imputed = [mean if v is None else v for v in values]
         m = left_sum(imputed) / len(imputed)
-        std = math.sqrt(left_sum((v - m) ** 2 for v in imputed) / len(imputed))
+        std = math.sqrt(left_sum((v - m) * (v - m) for v in imputed) / len(imputed))
         assert params["impute_mean"].hex() == mean.hex()
         got_m, got_std = params["standardize"]
         assert (got_m.hex(), got_std.hex()) == (m.hex(), std.hex())
@@ -204,18 +210,19 @@ class TestExactStatistics:
         assert params["standardize"][0] == math.inf
         assert math.isnan(params["standardize"][1])
 
-    def test_variance_of_a_wide_column_matches_python_power(self):
-        # 2,000 values over many magnitudes. Squaring some deviations as
-        # `d * d` differs from `d ** 2`, and with this seed the difference
-        # reaches the stddev, so only a C pow per deviation reproduces the
-        # per-cell formula.
+    def test_variance_of_a_wide_column_sums_python_products(self):
+        # 2,000 values over many magnitudes. Squaring some deviations with
+        # libm pow (`d ** 2`) differs from `d * d`, and with this seed the
+        # difference reaches the stddev (0x1.86b36aa24868fp+7 by pow), so
+        # only one multiply per deviation reproduces the per-cell formula.
         rng = np.random.default_rng(7809)
         values = (rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000)).tolist()
         m = left_sum(values) / len(values)
         deviations = [v - m for v in values]
         assert any(d * d != d ** 2 for d in deviations)
-        std = math.sqrt(left_sum(d ** 2 for d in deviations) / len(values))
-        assert math.sqrt(left_sum(d * d for d in deviations) / len(values)) != std
+        std = math.sqrt(left_sum(d * d for d in deviations) / len(values))
+        assert math.sqrt(left_sum(d ** 2 for d in deviations) / len(values)) != std
+        assert std.hex() == "0x1.86b36aa24868ep+7"
         df = DataFrame({"x": values, "y": [i % 2 for i in range(len(values))]})
         got = fit_transformer(df, "y", ["standardize"]).state.steps[0].params["x"]
         assert (got[0].hex(), got[1].hex()) == (m.hex(), std.hex())
@@ -257,11 +264,48 @@ def _same_bits(a: float, b: float) -> bool:
     return a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
 
 
+_EDGES = pytest.mark.parametrize(
+    "d",
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+     1.3407807929942596e154, 1.3407807929942597e154],
+    ids=["zero", "negative-zero", "inf", "negative-inf", "nan",
+         "smallest-subnormal", "negative-subnormal", "largest-finite-square",
+         "first-overflow"],
+)
+
+
+class TestProductPremise:
+    """numpy's `d * d` over an array is one IEEE multiply per cell: it equals
+    Python's `d * d` bit for bit, overflow to inf included. `prepare`'s
+    variance and its overflow check rest on this."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_python_product_on_finite_values(self, values):
+        d = np.array(values, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            squares = d * d
+        for v, got in zip(values, squares.tolist()):
+            assert _same_bits(got, v * v), v
+
+    @_EDGES
+    def test_equals_python_product_on_edges(self, d):
+        # 37 copies run both the vector body and the scalar tail of the loop.
+        cells = np.full(37, d)
+        with np.errstate(all="ignore"):
+            got = (cells * cells).tolist()
+        assert all(_same_bits(g, d * d) for g in got)
+        if d == 1.3407807929942597e154:
+            assert got[0] == math.inf  # a finite input whose square overflows
+        if d == 1.3407807929942596e154:
+            assert math.isfinite(got[0])
+
+
 class TestFloatPowerPremise:
     """`np.float_power(d, 2.0)` is the C `pow` loop: it equals Python's
-    `d ** 2` bit for bit, while `d * d` and `np.power` do not. `prepare`'s
-    variance rests on this; a numpy that vectorises `float_power` fails
-    here by name."""
+    `d ** 2` bit for bit. That was `prepare`'s squared deviation before it
+    took `d * d`; the tests of the variance contrast the two."""
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=50))
@@ -272,14 +316,7 @@ class TestFloatPowerPremise:
         for d, got in zip(values, squares.tolist()):
             assert _same_bits(got, _python_square(d)), d
 
-    @pytest.mark.parametrize(
-        "d",
-        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
-         1.3407807929942596e154, 1.3407807929942597e154],
-        ids=["zero", "negative-zero", "inf", "negative-inf", "nan",
-             "smallest-subnormal", "negative-subnormal", "largest-finite-square",
-             "first-overflow"],
-    )
+    @_EDGES
     def test_equals_python_power_on_edges(self, d):
         with np.errstate(all="ignore"):
             got = float(np.float_power(np.array([d]), 2.0)[0])
@@ -288,6 +325,48 @@ class TestFloatPowerPremise:
             assert got == math.inf  # a finite input whose square overflows
         if d == 1.3407807929942596e154:
             assert math.isfinite(got)
+
+
+def _fitted_statistics() -> dict:
+    """Hex of every fitted statistic on the seed-7809 wide column, on three
+    10,000-row normal columns and on 300 five-row ones, 2% of their cells
+    missing. In a short column one square's last bit often reaches the
+    stddev, so a per-cell kernel that varies with the CPU shows there."""
+    rng = np.random.default_rng(7809)
+    frames = [{"wide": (rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000)).tolist()}]
+    rng = np.random.default_rng(21)
+    for n, count in ((10_000, 3), (5, 300)):
+        columns = {f"n{n}_{j}": rng.normal(3.0 * j, 2.0, n).tolist() for j in range(count)}
+        frames += [{name: [None if rng.random() < 0.02 else v for v in values]
+                    for name, values in columns.items()}]
+    out = {}
+    for columns in frames:
+        n = len(next(iter(columns.values())))
+        df = DataFrame({**columns, "y": [i % 2 for i in range(n)]})
+        for step in fit_transformer(df, "y", ["impute_mean", "standardize"]).state.steps:
+            for name, stat in step.params.items():
+                out[f"{name} {step.kind}"] = [v.hex() for v in np.atleast_1d(stat).tolist()]
+    return out
+
+
+# numpy's AVX2 kernels in place of its AVX-512 ones.
+_AVX2_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def test_statistics_do_not_depend_on_simd_dispatch():
+    tests = Path(__file__).parent
+    path = [str(Path(holdout.__file__).parents[1]), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **_AVX2_DISPATCH, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True)
+    if probe.returncode:
+        last_line = probe.stderr.strip().rpartition("\n")[2]
+        pytest.skip(f"numpy does not start under {_AVX2_DISPATCH}: {last_line}")
+    script = ("import json, test_prepare\n"
+              "print(json.dumps(test_prepare._fitted_statistics()))\n")
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tests,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout) == _fitted_statistics()
 
 
 def _reference_default_recipe(columns: dict, target: str):
@@ -322,7 +401,7 @@ def _reference_default_recipe(columns: dict, target: str):
     for name in order:
         values = work[name]
         mean = left_sum(values) / len(values)
-        std = math.sqrt(left_sum((v - mean) ** 2 for v in values) / len(values))
+        std = math.sqrt(left_sum((v - mean) * (v - mean) for v in values) / len(values))
         work[name] = [0.0 if std == 0.0 else (v - mean) / std for v in values]
     return order, work
 
@@ -422,7 +501,7 @@ class TestLeakageFreedomOracle:
         for col, (mean, std) in standardize.params.items():
             values = [float(v) for v in p.train.column(col)]
             m = left_sum(values) / len(values)
-            var = left_sum((v - m) ** 2 for v in values) / len(values)
+            var = left_sum((v - m) * (v - m) for v in values) / len(values)
             assert abs(mean - m) < 1e-12
             assert abs(std - math.sqrt(var)) < 1e-12
 

@@ -178,7 +178,7 @@ class TestTemporalRotation:
         "kwargs, error, message",
         [
             ({"window": "rolling"}, ConfigError, "window must be 'expanding' or 'sliding'"),
-            ({"min_train": 0}, CVError, "min_train must be at least 1"),
+            ({"min_train": 0}, ConfigError, "min_train must be a positive integer, got 0"),
             ({"embargo": -1}, ConfigError, "embargo must be a non-negative integer"),
         ],
         ids=["window", "min_train", "embargo"],

@@ -178,7 +178,7 @@ class TestTune:
 
     def test_zero_budget_rejected(self, registry, rotation, calls):
         _, c = rotation
-        with pytest.raises(ConfigError, match="budget must be at least 1, got 0"):
+        with pytest.raises(ConfigError, match="budget must be a positive integer, got 0"):
             tune(c, "y", algorithm="knn", space={"k": [1]}, budget=0, registry=registry)
         assert calls["train"] == 0
 

@@ -522,6 +522,22 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert json.loads(result.stderr)["error"] == "ConfigError"
 
+    def test_temporal_min_train_0_exit_2_before_the_data_is_read(self, tmp_path):
+        # Used to exit 3, a CVError raised after the CSV was read and split.
+        wf = tmp_path / "temporal.yaml"
+        wf.write_text(
+            f"data:\n  path: {tmp_path / 'absent.csv'}\n  target: y\n"
+            "split:\n  kind: temporal\n  time_col: t\n"
+            "cv:\n  kind: temporal\n  k: 3\n  min_train: 0\n"
+            "model:\n  algorithm: logistic\n"
+        )
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.stderr) == {
+            "error": "ConfigError", "exit_code": 2,
+            "message": f"{wf}: cv.min_train must be a positive integer, got 0 (line 8)",
+        }
+
     @pytest.mark.parametrize(
         "old, new",
         [
