@@ -20,7 +20,10 @@ that some row still uses. Cells are normalised once, where data enters
 returns Python cells with ``None`` for missing, and equality, hashing and
 fingerprints depend on cell content only. A fingerprint encodes float
 columns with numpy and each dictionary entry once, gathered by code; both
-equal the per-cell ``canonical_encode`` stream byte for byte.
+equal the per-cell ``canonical_encode`` stream byte for byte. A split's
+train, valid and dev members are built together (``_take_train_valid_dev``):
+dev is train's rows then valid's, so its digests continue train's SHA-256
+states with valid's bytes, and no member's cells are encoded twice.
 """
 
 from __future__ import annotations
@@ -239,30 +242,36 @@ def canonical_encode(value: Cell) -> bytes:
     raise SchemaError(f"unsupported cell value of type {type(value).__name__!r}")
 
 
+# A number's canonical encoding as one packed 9-byte record.
+_FLOAT_RECORD = np.dtype([("tag", "u1"), ("value", ">f8")])
+
+
 def _float_column_bytes(a: np.ndarray) -> bytes:
     """The canonical encodings of a float column, concatenated.
 
-    Builds every cell's 0x01 + big-endian float64 record in one (n, 9) byte
-    array, then keeps only the first byte, set to 0xFF, of missing rows.
-    Equal to joining `canonical_encode` over the cells.
+    Builds every cell's 0x01 + big-endian float64 record in one array of
+    packed records, then keeps only the first byte, set to 0xFF, of missing
+    rows. Equal to joining `canonical_encode` over the cells.
     """
-    n = len(a)
-    records = np.empty((n, 9), dtype=np.uint8)
-    records[:, 0] = _TAG_FLOAT[0]
+    records = np.empty(len(a), dtype=_FLOAT_RECORD)
+    records["tag"] = _TAG_FLOAT[0]
     # Adding +0.0 turns -0.0 into +0.0 and leaves every other value as is.
-    records[:, 1:] = (a + 0.0).astype(">f8").view(np.uint8).reshape(n, 8)
+    records["value"] = a + 0.0
     missing = np.isnan(a)
     if not missing.any():
         return records.tobytes()
-    records[missing, 0] = _MISSING_SENTINEL[0]
-    keep = np.ones((n, 9), dtype=bool)
+    records["tag"][missing] = _MISSING_SENTINEL[0]
+    keep = np.ones((len(a), 9), dtype=bool)
     keep[missing, 1:] = False
-    return records[keep].tobytes()
+    return records.view(np.uint8)[keep.ravel()].tobytes()
 
 
-def _coded_column_bytes(col: Coded) -> bytes:
-    """The canonical encodings of a coded column: each dictionary entry
-    encoded once, then gathered by code (-1 reads the trailing None)."""
+def _column_bytes(col: Column) -> bytes:
+    """The canonical encodings of a column's cells, concatenated. A coded
+    column's dictionary entries are encoded once, then gathered by code
+    (-1 reads the trailing None)."""
+    if not isinstance(col, Coded):
+        return _float_column_bytes(col)
     encoded = list(map(canonical_encode, col.values))
     return b"".join(map(encoded.__getitem__, col.codes.tolist()))
 
@@ -448,16 +457,43 @@ def fingerprint(df: DataFrame) -> FrameFingerprint:
     cached = df._fp
     if cached is not None:
         return cached
-    digests = {}
-    for name, col in zip(df._names, df._columns):
-        if isinstance(col, Coded):
-            encoded = _coded_column_bytes(col)
-        else:
-            encoded = _float_column_bytes(col)
-        digests[name] = hashlib.sha256(encoded).digest()
+    digests = {name: hashlib.sha256(_column_bytes(col)).digest()
+               for name, col in zip(df._names, df._columns)}
     fp = FrameFingerprint(digests, df._row_count)
     object.__setattr__(df, "_fp", fp)
     return fp
+
+
+def _take_train_valid_dev(
+    df: DataFrame, idx_train: Sequence[int], idx_valid: Sequence[int]
+) -> tuple[DataFrame, DataFrame, DataFrame]:
+    """The rows at `idx_train` tagged train, at `idx_valid` tagged valid,
+    and both, train's first, tagged dev, each with its fingerprint set.
+
+    Each side's cells are encoded and hashed once: SHA-256 reads its input
+    as one stream, so dev's digest of a column is train's hash state fed
+    valid's bytes, the digest `fingerprint` gives dev.
+    """
+    sides = [np.asarray(idx, dtype=np.intp) for idx in (idx_train, idx_valid)]
+    rows = [*sides, np.concatenate(sides)]
+    columns: list[list[Column]] = [[], [], []]  # of train, valid and dev
+    digests: list[dict[str, bytes]] = [{}, {}, {}]
+    for name, col in zip(df._names, df._columns):
+        taken = [_take_column(col, idx) for idx in rows]
+        train_bytes, valid_bytes = map(_column_bytes, taken[:2])
+        h = hashlib.sha256(train_bytes)
+        digests[0][name] = h.digest()  # digest() leaves the state open
+        h.update(valid_bytes)
+        digests[2][name] = h.digest()
+        digests[1][name] = hashlib.sha256(valid_bytes).digest()
+        for member_columns, c in zip(columns, taken):
+            member_columns.append(c)
+    frames = []
+    for tag, idx, cols, d in zip(("train", "valid", "dev"), rows, columns, digests):
+        member = DataFrame._from_storage(df._names, cols, tag)
+        object.__setattr__(member, "_fp", FrameFingerprint(d, len(idx)))
+        frames.append(member)
+    return tuple(frames)
 
 
 def select_columns(df: DataFrame, names: Sequence[str]) -> DataFrame:
@@ -533,6 +569,40 @@ def _eight_digits(words: np.ndarray) -> np.ndarray:
     return ((words * _U64(10000 << 32 | 1)) >> _U64(32)).view(np.int64)
 
 
+def _last_16(raw: bytes, ends: np.ndarray) -> np.ndarray:
+    """The 16 bytes of `raw` before each of `ends`, one (n, 16) uint8 row
+    each: a cell of at most 16 bytes right-aligned in its row."""
+    windows = np.ndarray((len(raw) - 15,), dtype="V16", buffer=raw, strides=(1,))
+    return windows[ends - 16].view(np.uint8).reshape(-1, 16)
+
+
+def _distinct_short_cells(raw: bytes, starts: np.ndarray, ends: np.ndarray):
+    """For cells of at most 15 bytes: the row where each distinct cell
+    first appears, in that order, and each row's position in that list.
+
+    A cell's key is its 16-byte window with the bytes outside the cell
+    zeroed and its length in the first byte, which no such cell reaches:
+    equal keys are equal cells, NUL bytes included. Keys are sorted as two
+    words, stably, so each run of equal keys starts at its first row.
+    """
+    lengths = ends - starts
+    keys = _last_16(raw, ends) * _INSIDE[lengths]
+    keys[:, 0] = lengths
+    words = keys.view("<u8")
+    order = np.lexsort((words[:, 1], words[:, 0]))
+    high, low = words[order, 0], words[order, 1]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    new[1:] = (high[1:] != high[:-1]) | (low[1:] != low[:-1])
+    firsts = order[new]
+    appearance = np.argsort(firsts)
+    position = np.empty(len(firsts), dtype=np.intp)
+    position[appearance] = np.arange(len(firsts))
+    positions = np.empty(len(order), dtype=np.intp)
+    positions[order] = position[np.cumsum(new) - 1]
+    return firsts[appearance], positions
+
+
 def _fixed_point(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each cell of `raw` between `starts` and `ends` as a float, and a mask
     of the cells parsed here: empty cells (NaN) and cells of the form
@@ -545,10 +615,8 @@ def _fixed_point(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.n
     to the caller. `raw` must hold 16 bytes before every cell's end.
     """
     lengths = ends - starts
-    # Each cell's last 16 bytes as a row, right-aligned; the '-' of a
-    # 17-byte cell is read from its first byte.
-    windows = np.ndarray((len(raw) - 15,), dtype="V16", buffer=raw, strides=(1,))
-    window = windows[ends - 16].view(np.uint8).reshape(-1, 16)
+    # The '-' of a 17-byte cell is read from its first byte.
+    window = _last_16(raw, ends)
     inside = np.take(_INSIDE, np.minimum(lengths, 16), axis=0)
     digits = window - np.uint8(_ZERO)
     is_digit = (digits < 10).view(np.uint8) & inside
@@ -571,8 +639,8 @@ def _fixed_point(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.n
     a = halves[:, 0] * 10**8 + halves[:, 1]
     scale = np.take(_POW10, k, mode="clip")  # k only counts with one dot
     f = a % scale
-    values = np.where(n_dots == 1, (a - f) // 10 + f, a) / scale
-    np.negative(values, out=values, where=negative)
+    # IEEE division rounds alike in either sign: m / -s is -(m / s), -0.0 too.
+    values = np.where(n_dots == 1, (a - f) // 10 + f, a) / np.where(negative, -scale, scale)
     empty = lengths == 0
     values[empty] = math.nan
     return values, ok | empty
@@ -609,8 +677,15 @@ class _ColumnBuilder:
         self.floats.append(values.copy())  # not a view that holds the whole batch
 
     def add_codes(self, raw: bytes, starts, ends) -> None:
-        cells = list(map(raw.__getitem__, map(slice, starts.tolist(), ends.tolist())))
         index = self.index
+        if (ends - starts).max() <= 15:
+            # Only the block's distinct cells are sliced out of `raw`.
+            firsts, positions = _distinct_short_cells(raw, starts, ends)
+            cells = map(raw.__getitem__, map(slice, starts[firsts].tolist(), ends[firsts].tolist()))
+            codes = np.array([index.setdefault(cell, len(index)) for cell in cells], np.int32)
+            self.codes.append(codes[positions])
+            return
+        cells = list(map(raw.__getitem__, map(slice, starts.tolist(), ends.tolist())))
         for cell in dict.fromkeys(cells):
             index.setdefault(cell, len(index))
         self.codes.append(np.fromiter(map(index.__getitem__, cells), np.int32, len(cells)))

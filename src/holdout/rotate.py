@@ -13,7 +13,7 @@ from .errors import ConfigError, CVError, GuardError
 from .frame import DataFrame
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
-from .signatures import Count, Positive, check_arguments
+from .signatures import Count, Folds, Positive, check_arguments
 from .split import Partition, deal, groups, largest_remainder
 
 _BLOCKED_ATTRS = ("train", "valid", "test", "dev")
@@ -113,7 +113,7 @@ def _pair_with_rest(n: int, valid_sides) -> list[tuple[tuple[int, ...], tuple[in
 
 def cv(
     p: Partition,
-    folds: int = 5,
+    folds: Folds = 5,
     seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:
@@ -122,7 +122,7 @@ def cv(
     reg = resolve(registry)
     _check_partition(p, "random", reg, "cv")
     n = p.dev.row_count
-    if not 2 <= folds <= n:
+    if folds > n:
         raise CVError(f"folds must be between 2 and {n} (dev rows), got {folds}")
     # Equal shares tie on every remainder, so the last (n mod folds) folds
     # get one extra row: 7 rows in 3 folds give [2, 2, 3].
@@ -133,7 +133,7 @@ def cv(
 
 def cv_temporal(
     p: Partition,
-    folds: int = 5,
+    folds: Folds = 5,
     window: str = "expanding",
     min_train: Positive = 1,
     embargo: Count = 0,
@@ -152,7 +152,7 @@ def cv_temporal(
         raise ConfigError(f"window must be 'expanding' or 'sliding', got {window!r}")
     n = p.dev.row_count
     span = n - min_train - embargo
-    if folds < 2 or span < folds:
+    if span < folds:
         raise CVError(
             f"cannot cut {folds} validation blocks from {n} dev rows with "
             f"min_train={min_train} and embargo={embargo}"
@@ -172,7 +172,7 @@ def cv_temporal(
 
 def cv_group(
     p: Partition,
-    folds: int = 5,
+    folds: Folds = 5,
     seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:
@@ -182,7 +182,7 @@ def cv_group(
     reg = resolve(registry)
     _check_partition(p, "group", reg, "cv_group")
     group_rows = list(groups(p.dev.column(p.group_col)).values())
-    if folds < 2 or folds > len(group_rows):
+    if folds > len(group_rows):
         raise CVError(
             f"folds must be between 2 and {len(group_rows)} (dev groups), got {folds}"
         )

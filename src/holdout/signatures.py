@@ -37,6 +37,7 @@ def _is_list(v, item=lambda _: True) -> bool:  # a str is not a list of anything
 
 Count = typing.NewType("Count", int)  # a seed, count or index: never negative
 Positive = typing.NewType("Positive", int)  # a size that needs at least one
+Folds = typing.NewType("Folds", int)  # a rotation's fold count
 
 
 # What each setting annotation of a verb or a document admits, keyed as written.
@@ -44,6 +45,7 @@ _CHECKS = {
     int: ("an integer", _is_int),
     Count: ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
     Positive: ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    Folds: ("an integer of at least 2", lambda v: _is_int(v) and v >= 2),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("a boolean", lambda v: isinstance(v, (bool, np.bool_))),
@@ -90,8 +92,10 @@ def signature(fn) -> inspect.Signature:
 
 @functools.cache
 def _checked(fn) -> dict:  # of a function's parameters or a declaration's keys
-    found = {name: _check(hint) for name, hint in typing.get_type_hints(fn).items()
-             if name != "return"}
+    # A wrapper that sets __wrapped__ (functools.wraps, a tracer) has the
+    # wrapped function's checks, as it has its signature.
+    hints = typing.get_type_hints(inspect.unwrap(fn))
+    found = {name: _check(hint) for name, hint in hints.items() if name != "return"}
     return {name: check for name, check in found.items() if check}
 
 

@@ -22,7 +22,7 @@ from .errors import (
     StratifyError,
     TemporalTieError,
 )
-from .frame import DataFrame, fingerprint
+from .frame import DataFrame, _take_train_valid_dev, fingerprint
 from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
@@ -127,10 +127,8 @@ def _build_partition(
             raise PartitionError(
                 f"{name} partition would be empty; adjust ratios or provide more rows"
             )
-    train = df._take(idx_train, tag="train")
-    valid = df._take(idx_valid, tag="valid")
+    train, valid, dev = _take_train_valid_dev(df, idx_train, idx_valid)
     test = df._take(idx_test, tag="test")
-    dev = df._take(list(idx_train) + list(idx_valid), tag="dev")
     members = {"train": train, "valid": valid, "test": test, "dev": dev}
     roles_by_content: dict = {}
     for role, member in members.items():

@@ -616,14 +616,16 @@ def _reference_from_csv(path, schema_hints=None):
 
 
 def _load(load, path, hints=None):
-    """What a loader makes of a file: each column's kind and the frame's
-    fingerprint, or the error's class and message."""
+    """What a loader makes of a file: each column's kind, a coded column's
+    codes and dictionary (in its order), and the frame's fingerprint, or
+    the error's class and message."""
     try:
         df = load(path, hints)
     except (WorkflowError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
-    kinds = ["float" if isinstance(c, np.ndarray) else "coded" for c in df._columns]
-    return df.column_names, kinds, fingerprint(df), df.columns()
+    storage = [(c.codes.tolist(), c.values) if isinstance(c, frame.Coded) else "float"
+               for c in df._columns]
+    return df.column_names, storage, fingerprint(df), df.columns()
 
 
 @st.composite
@@ -647,10 +649,28 @@ _NUMBER_TEXT = st.one_of(
     st.floats(allow_nan=False).map(repr),
     st.integers(-(10**20), 10**20).map(str),
 )
+# Cells the loader keys by their 16-byte window (up to 15 bytes) or slices
+# (longer), either side of the edge: a NUL byte next to its NUL-free twin,
+# ASCII of 14 to 17 bytes, multi-byte UTF-8 of about 15 bytes.
+_NUL_TWINS = ["\x00", "\x00a", "a", "a\x00b", "ab", "\x00\x00", "b\x00"]
+
+
+@st.composite
+def _about_15_utf8_bytes(draw):
+    """Text of 13 to 16 UTF-8 bytes that starts with a multi-byte character."""
+    text = draw(st.characters(min_codepoint=0x80, exclude_categories=("Cs",)))
+    while len(text.encode("utf-8")) < 13:
+        text += draw(st.characters(exclude_categories=("Cs",)))
+    return text
+
+
 _CELL_TEXT = st.one_of(
     _NUMBER_TEXT,
     st.sampled_from(_ODD_CELLS),
     st.text(st.characters(exclude_categories=("Cs",)), max_size=4),
+    st.sampled_from(_NUL_TWINS),
+    st.text(st.characters(max_codepoint=0x7F), min_size=14, max_size=17),
+    _about_15_utf8_bytes(),
 )
 _COLUMN_CELLS = st.sampled_from([
     _NUMBER_TEXT,
@@ -670,6 +690,39 @@ def test_odd_cell_matches_the_reference_reader(tmp_path, cell, quote):
     path = tmp_path / "odd.csv"
     path.write_text(f"x,y\n1.5,{quote}a{quote}\n{cell},b\n-2,c\n", encoding="utf-8")
     assert _load(from_csv, path) == _load(_reference_from_csv, path)
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["bytes", "csv.reader"])
+def test_nul_bytes_and_window_edges_match_the_reference_reader(tmp_path, quote):
+    # t's cells have at most 15 bytes, so its block is keyed by window; u's
+    # have 16, told apart only by their first byte, so its block is sliced.
+    short = _NUL_TWINS + ["", "x" * 15, "y" + "x" * 14, "\u00e9" * 7 + "a", "\x00" * 15]
+    wide = ["x" * 16, "y" + "x" * 15, "\u00e9" * 8, "\x00" + "x" * 15]
+    rows = [(short[i % len(short)], wide[i % len(wide)]) for i in range(2 * len(short))]
+    path = tmp_path / "edges.csv"
+    path.write_text("t,u\n" + "".join(f"{quote}{t}{quote},{quote}{u}{quote}\n" for t, u in rows),
+                    encoding="utf-8")
+    got = _load(from_csv, path)
+    assert got == _load(_reference_from_csv, path)
+    (_, t_values), (_, u_values) = got[1]
+    assert len(t_values) == len(short) and len(u_values) == len(wide) + 1  # "" is missing
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["bytes", "csv.reader"])
+def test_long_text_cell_in_a_late_block(tmp_path, quote):
+    # Every block keys its cells by window but one, late in the file, whose
+    # one cell of 16 bytes makes it slice them all: codes and dictionary
+    # order are still those of first appearance.
+    rows = [f"{quote}k{i % 7}{'é' * (i % 3)}{quote},{i}" for i in range(40000)]
+    rows[-100] = f"{quote}{'long' * 4}{quote},0"
+    path = tmp_path / "late_long.csv"
+    path.write_text("t,n\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert path.stat().st_size > 3 * frame._BLOCK_BYTES
+    got = _load(from_csv, path)
+    assert got == _load(_reference_from_csv, path)
+    codes, values = got[1][0]
+    assert values[:3] == ("k0", "k1é", "k2éé") and values[-2:] == ("long" * 4, None)
+    assert codes[-100] == len(values) - 2
+
 
 @st.composite
 def _csv_files(draw):

@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import re
+import sys
 import typing
 from collections import abc
 from pathlib import Path
@@ -207,6 +208,10 @@ def test_wrongly_typed_setting_names_its_parameter(session, train_calls, verb, p
          "budget"),
         (lambda s: cv(s.p, True, registry=s.reg), "folds"),
         (lambda s: cv(s.p, "3", registry=s.reg), "folds"),
+        # A single fold used to be a CVError from each rotation's own check.
+        (lambda s: cv(s.p, 1, registry=s.reg), "folds"),
+        (lambda s: cv_temporal(s.temporal, 1, registry=s.reg), "folds"),
+        (lambda s: cv_group(s.grouped, 1, registry=s.reg), "folds"),
         (lambda s: screen(s.c, "y", algorithms=["knn"], hyperparameters=3, registry=s.reg),
          "hyperparameters"),
         (lambda s: tune(s.c, "y", algorithm="knn", space=[1, 2], registry=s.reg), "space"),
@@ -219,6 +224,7 @@ def test_wrongly_typed_setting_names_its_parameter(session, train_calls, verb, p
         (lambda s: fit(s.p.train, "y", recipe="standardize", registry=s.reg), "recipe"),
     ],
     ids=["stratify 'no'", "budget True", "budget '2'", "folds True", "folds '3'",
+         "cv folds 1", "cv_temporal folds 1", "cv_group folds 1",
          "hyperparameters 3", "space list", "schema_hints pairs", "path None", "algorithms str",
          "metrics str", "recipe str"],
 )
@@ -226,6 +232,30 @@ def test_regressions(session, train_calls, call, param):
     with pytest.raises(ConfigError, match=rf"^{param} must be"):
         call(session)
     assert train_calls == []
+
+
+def test_checks_survive_a_wrapper(session, monkeypatch):
+    # A verb checks itself through its module-global name. Rebound there to
+    # a wrapper that carries nothing but __wrapped__ (as perfbench's tracer
+    # does), the name finds the wrapper, and the checks must still be the
+    # wrapped verb's.
+    for module, name in (("holdout.frame", "select_columns"), ("holdout.split", "split")):
+        fn = getattr(sys.modules[module], name)
+
+        def wrapper(*args, fn=fn, **kwargs):
+            return fn(*args, **kwargs)
+
+        wrapper.__wrapped__ = fn
+        monkeypatch.setattr(sys.modules[module], name, wrapper)
+    reg = ProvenanceRegistry()
+    wrapped_select = sys.modules["holdout.frame"].select_columns
+    wrapped_split = sys.modules["holdout.split"].split
+    for select_fn, split_fn in ((select_columns, split), (wrapped_select, wrapped_split)):
+        with pytest.raises(ConfigError, match=r"^names must be a list of names, got 'xy'$"):
+            select_fn(session.df, "xy")
+        with pytest.raises(ConfigError, match=r"^seed must be a non-negative integer, got -1$"):
+            split_fn(session.df, "y", seed=-1, registry=reg)
+    assert reg.dump() == {}
 
 
 def test_numpy_scalars_and_none_where_declared(session):

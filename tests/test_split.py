@@ -7,6 +7,7 @@ from holdout import (
     DataFrame,
     GroupError,
     PartitionError,
+    ProvenanceRegistry,
     SchemaError,
     StratifyError,
     TemporalTieError,
@@ -316,3 +317,36 @@ def test_nan_ratio_rejected():
     for ratios in ((float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5)):
         with pytest.raises(PartitionError, match="positive"):
             split(df, "y", ratios=ratios)
+
+
+def _every_kind_frame(n=60):
+    """Floats with missing cells and -0.0, ints beyond 2**53, bools, text
+    with non-ASCII cells, a mixed column, classes, times and groups."""
+    return DataFrame({
+        "f": [None if i % 7 == 3 else -0.0 if i % 5 == 0 else i / 8 - 2.0 for i in range(n)],
+        "big": [2**53 + 3 * i if i % 2 else -(2**60) + i for i in range(n)],
+        "b": [i % 3 == 0 for i in range(n)],
+        "txt": [["é", "日本", "", "plain", "naïve text", None][i % 6] for i in range(n)],
+        "mixed": [[1, 1.0, True, "1", None, -0.0, 0.0, 2**63 - 1][i % 8] for i in range(n)],
+        "y": ["abc"[i % 3] for i in range(n)],
+        "t": [float(i) for i in range(n)],
+        "g": [f"g{i % 12}" for i in range(n)],
+    })
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda df, reg: split(df, "y", seed=5, registry=reg),
+        lambda df, reg: split(df, "y", seed=5, stratify=True, registry=reg),
+        lambda df, reg: split_temporal(df, "y", time_col="t", embargo=2, registry=reg),
+        lambda df, reg: split_group(df, "y", group_col="g", seed=5, registry=reg),
+    ],
+    ids=["random", "stratified", "temporal embargo", "group"],
+)
+def test_member_digests_equal_cold_fingerprints(make):
+    # split hashes train, valid and dev together, dev's digests continuing
+    # train's; each must be the fingerprint of the member's cells alone.
+    p = make(_every_kind_frame(), ProvenanceRegistry())
+    for member in (p.train, p.valid, p.test, p.dev):
+        assert fingerprint(member) == fingerprint(DataFrame(member.columns()))

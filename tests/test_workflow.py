@@ -538,6 +538,22 @@ class TestCli:
             "message": f"{wf}: cv.min_train must be a positive integer, got 0 (line 8)",
         }
 
+    def test_one_fold_exit_2_before_the_data_is_read(self, tmp_path):
+        # Used to exit 3, a CVError raised after the CSV was read and split.
+        wf = tmp_path / "one_fold.yaml"
+        wf.write_text(
+            f"data:\n  path: {tmp_path / 'absent.csv'}\n  target: y\n"
+            "split:\n  seed: 1\n"
+            "cv:\n  k: 1\n"
+            "model:\n  algorithm: logistic\n"
+        )
+        result = CliRunner().invoke(main, ["run", str(wf)])
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.stderr) == {
+            "error": "ConfigError", "exit_code": 2,
+            "message": f"{wf}: cv.k must be an integer of at least 2, got 1 (line 7)",
+        }
+
     @pytest.mark.parametrize(
         "old, new",
         [
