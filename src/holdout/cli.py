@@ -10,20 +10,21 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from typing import get_args
 
 import click
 
 from .demo import DEMO_KINDS, demo_leakage
 from .conformance import run_conformance
 from .errors import WorkflowError
-from .registry import ProvenanceRegistry
+from .registry import GuardMode, ProvenanceRegistry
 from .workflow import classify_exit, execute_workflow, load_workflow
 
 
 @click.group()
 @click.option(
     "--guards",
-    type=click.Choice(["on", "off"]),
+    type=click.Choice(get_args(GuardMode)),
     default=None,
     help="Override guard enforcement for this invocation.",
 )

@@ -10,6 +10,7 @@ magnitudes at this scale are noise.
 from __future__ import annotations
 
 import math
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .signatures import Count, Positive, check_arguments
 from .split import split
 from .strategy import screen
 
-DEMO_KINDS = ("seed_selection", "screen_selection", "duplicate_injection")
+DemoKind = Literal["seed_selection", "screen_selection", "duplicate_injection"]
+DEMO_KINDS = get_args(DemoKind)
 
 # Two well-separated Gaussians: honest accuracy ~0.75-0.80 leaves visible
 # headroom for inflation.
@@ -143,11 +145,10 @@ def _duplicate_injection_once(rep_seed: int, algorithm: str) -> float:
     return leaky - _assessed(*honest, "accuracy", algorithm)
 
 
-def demo_leakage(kind: str, replicates: int = 50, seed: Count = 0, n_seeds: Positive = 10) -> dict:
+def demo_leakage(kind: DemoKind, replicates: int = 50, seed: Count = 0,
+                 n_seeds: Positive = 10) -> dict:
     """Run one leakage demonstration and report the paired effect."""
     check_arguments(demo_leakage, locals())
-    if kind not in DEMO_KINDS:
-        raise ConfigError(f"unknown demo kind {kind!r}; expected one of {list(DEMO_KINDS)}")
     if replicates < 20:
         raise ConfigError(
             f"need at least 20 replicates for a meaningful sign test, got {replicates}"

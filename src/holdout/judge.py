@@ -20,7 +20,7 @@ from .learn import Model, StackedModel, encode_eval_target, predict_values
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .scoring import PRIMARY_METRIC, score
-from .signatures import Count, check_arguments
+from .signatures import Count, Positive, check_arguments
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def assess(
 def explain(
     m: Model | StackedModel,
     df: DataFrame | None = None,
-    repeats: int = 10,
+    repeats: Positive = 10,
     seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> Explanation:
@@ -155,8 +155,6 @@ def explain(
     before and after assessment.
     """
     check_arguments(explain, locals())
-    if repeats < 1:
-        raise ConfigError(f"repeats must be a whole number >= 1, got {repeats!r}")
     if df is None:
         return _intrinsic_explanation(m)
     _, bypassed = resolve(registry).admit(df, "explain")

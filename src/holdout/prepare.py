@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class Step:
     one_hot.
     """
 
-    kind: str
+    kind: Literal[STEP_KINDS]
     params: Mapping[str, Any]
 
     def to_dict(self) -> dict:
@@ -83,8 +83,6 @@ class Step:
     def from_dict(cls, d) -> "Step":
         check_document(cls, d, "preparation step")
         kind, params = d["kind"], d["params"]
-        if kind not in STEP_KINDS:
-            raise ConfigError(f"unknown preparation step kind {reprlib.repr(kind)}")
         what, fits = _STEP_PARAMS[kind]
         for col, v in params.items():
             if not fits(v):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from typing import Literal
 
 from .errors import (
     AmbiguousProvenance,
@@ -23,8 +24,10 @@ from .errors import (
     RegistryError,
 )
 from .frame import DataFrame, FrameFingerprint, fingerprint
+from .signatures import check_arguments
 
 ROLES = ("train", "valid", "test", "dev")
+GuardMode = Literal["on", "off"]
 
 # The paper's typed DAG as data: the partition roles each guarded verb may
 # consume. Every guard decision in the package is read from this table.
@@ -61,10 +64,9 @@ class ProvenanceRegistry:
     def guards_on(self) -> bool:
         return self._guard_mode == "on"
 
-    def set_guards(self, mode: str) -> None:
+    def set_guards(self, mode: GuardMode) -> None:
         """Switch enforcement on or off; off-mode artifacts carry a bypass marker."""
-        if mode not in ("on", "off"):
-            raise RegistryError(f"guard mode must be 'on' or 'off', got {mode!r}")
+        check_arguments(ProvenanceRegistry.set_guards, locals())
         with self._lock:
             self._guard_mode = mode
 
@@ -217,7 +219,7 @@ def resolve(registry: ProvenanceRegistry | None) -> ProvenanceRegistry:
     return _default if registry is None else registry
 
 
-def set_guards(mode: str) -> None:
+def set_guards(mode: GuardMode) -> None:
     """Toggle guard enforcement on the default session registry."""
     _default.set_guards(mode)
 

@@ -7,9 +7,11 @@ stays on the originating Partition and is reachable only through assess.
 
 from __future__ import annotations
 
+from typing import Literal
+
 import numpy as np
 
-from .errors import ConfigError, CVError, GuardError
+from .errors import CVError, GuardError
 from .frame import DataFrame
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
@@ -134,7 +136,7 @@ def cv(
 def cv_temporal(
     p: Partition,
     folds: Folds = 5,
-    window: str = "expanding",
+    window: Literal["expanding", "sliding"] = "expanding",
     min_train: Positive = 1,
     embargo: Count = 0,
     registry: ProvenanceRegistry | None = None,
@@ -148,8 +150,6 @@ def cv_temporal(
     check_arguments(cv_temporal, locals())
     reg = resolve(registry)
     _check_partition(p, "temporal", reg, "cv_temporal")
-    if window not in ("expanding", "sliding"):
-        raise ConfigError(f"window must be 'expanding' or 'sliding', got {window!r}")
     n = p.dev.row_count
     span = n - min_train - embargo
     if span < folds:

@@ -1,9 +1,9 @@
 """A verb's signature is the one declaration of everything it takes: its
 annotations type each argument here, and the workflow parser derives its
-keys. A setting's annotation is in the table below; any other class is an
-artifact, an edge of the verbs' typed DAG (frame, partition, rotation, model,
-registry...), so terminal types such as Evidence are refused at entry.
-Documents read from outside are declared by dataclasses: see check_document."""
+keys. A setting is in the table below or is a named choice (a Literal);
+any other class is an artifact, an edge of the verbs' typed DAG (frame,
+partition, rotation, model...), so terminal types such as Evidence are
+refused at entry. Documents read from outside are declared by dataclasses."""
 
 from __future__ import annotations
 
@@ -75,6 +75,10 @@ def _check(annotation):
         return " or ".join(d for d, _, _ in checks) + null, lambda v: (
             v is None and type(None) in members or any(test(v) for test in tests)), error
     origin = typing.get_origin(annotation) or annotation
+    if origin is typing.Literal:  # a named choice: one of its strings
+        names = typing.get_args(annotation)
+        return "one of " + ", ".join(map(repr, names)), lambda v: (
+            isinstance(v, str) and v in names), ConfigError
     if origin is abc.Mapping:  # Mapping and Mapping[K, V]
         annotation = abc.Mapping
     elif origin is abc.Sequence:  # from typing or collections.abc alike

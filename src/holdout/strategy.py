@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -104,7 +104,7 @@ def tune(
     algorithm: str | None = "logistic",
     space: Mapping[str, Sequence] | None = None,
     budget: Positive = 10,
-    method: str = "grid",
+    method: Literal["grid", "random"] = "grid",
     seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> TuningResult:
@@ -125,12 +125,8 @@ def tune(
             raise ConfigError(
                 f"search dimension {name!r} must be a nonempty list of values, got {values!r}"
             )
-    if method == "grid":
-        trial_params = _grid_trials(space, budget)
-    elif method == "random":
-        trial_params = _random_trials(space, budget, seed)
-    else:
-        raise ConfigError(f"tune method must be 'grid' or 'random', got {method!r}")
+    trial_params = (_grid_trials(space, budget) if method == "grid"
+                    else _random_trials(space, budget, seed))
 
     cvr = _cross_validate(
         c, target, [(algorithm, params) for params in trial_params], seed, None, reg

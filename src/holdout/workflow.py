@@ -205,8 +205,7 @@ def parse_workflow(text: str, source: str = "<workflow>") -> WorkflowSpec:
     guards = raw.get("guards", "on")
     if isinstance(guards, bool):  # YAML 1.1 reads bare on/off as booleans
         guards = "on" if guards else "off"
-    if guards not in ("on", "off"):
-        raise ConfigError(f"{source}: guards must be 'on' or 'off', got {guards!r}")
+    check_arguments(ProvenanceRegistry.set_guards, {"mode": guards}, lambda _: f"{source}: guards")
 
     repeats = raw.get("assess", True)
     if not isinstance(repeats, int) or repeats < 0:  # a boolean is 0 or 1

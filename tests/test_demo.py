@@ -14,7 +14,9 @@ def test_replicate_floor():
 
 
 def test_unknown_kind():
-    with pytest.raises(ConfigError, match="unknown demo kind"):
+    with pytest.raises(ConfigError, match=(
+            r"^kind must be one of 'seed_selection', 'screen_selection', "
+            r"'duplicate_injection', got 'label_peek'$")):
         demo_leakage("label_peek", replicates=20)
 
 

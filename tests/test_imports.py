@@ -2,8 +2,9 @@
 
 Every module imports at its top: an import inside a function body hides a
 dependency (often a circular one) from the reader. And a verb's signature is
-the one declaration of the artifacts it takes, so only `signatures` raises
-TypeError."""
+the one declaration of what it takes, so only `signatures` raises TypeError,
+and a setting's named choices are a `Literal` there, never a membership test
+in the function's body."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,24 @@ def test_only_signatures_raises_type_error(path):
         and "TypeError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
     ]
     assert raised == [] or path.name == "signatures.py"
+
+
+def _is_names(node) -> bool:  # a literal tuple, list or set of strings
+    return isinstance(node, (ast.Tuple, ast.List, ast.Set)) and bool(node.elts) and all(
+        isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_parameter_is_checked_against_written_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    checked = [
+        f"{path.name}:{node.lineno} {fn.name}({node.left.id})"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+        and node.left.id in {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        and any(isinstance(op, (ast.In, ast.NotIn)) and _is_names(right)
+                for op, right in zip(node.ops, node.comparators))
+    ]
+    assert checked == []

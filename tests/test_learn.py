@@ -364,7 +364,8 @@ class TestModelSerialization:
         "step, kind, params, message",
         [
             # Used to load; predict then raised "'float' object is not iterable".
-            (0, "bogus", None, "unknown preparation step kind 'bogus'"),
+            (0, "bogus", None, "^preparation step key 'kind' must be one of 'impute_mean', "
+                               "'one_hot', 'standardize', got 'bogus'$"),
             # Used to load and predict unstandardized values without a word.
             (2, "impute_mean", None, "impute_mean params of column 'x0' must be a number, got "),
             (0, "standardize", None, "standardize params of column 'x0' must be a pair of numbers"),

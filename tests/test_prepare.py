@@ -253,13 +253,6 @@ class TestExactStatistics:
         assert math.copysign(1.0, got) == math.copysign(1.0, mean) or math.isnan(mean)
 
 
-def _python_square(d: float) -> float:
-    try:
-        return d ** 2
-    except OverflowError:
-        return math.inf
-
-
 def _same_bits(a: float, b: float) -> bool:
     return a.hex() == b.hex() or (math.isnan(a) and math.isnan(b))
 
@@ -300,31 +293,6 @@ class TestProductPremise:
             assert got[0] == math.inf  # a finite input whose square overflows
         if d == 1.3407807929942596e154:
             assert math.isfinite(got[0])
-
-
-class TestFloatPowerPremise:
-    """`np.float_power(d, 2.0)` is the C `pow` loop: it equals Python's
-    `d ** 2` bit for bit. That was `prepare`'s squared deviation before it
-    took `d * d`; the tests of the variance contrast the two."""
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                    min_size=1, max_size=50))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_python_power_on_finite_values(self, values):
-        with np.errstate(all="ignore"):
-            squares = np.float_power(np.array(values, dtype=np.float64), 2.0)
-        for d, got in zip(values, squares.tolist()):
-            assert _same_bits(got, _python_square(d)), d
-
-    @_EDGES
-    def test_equals_python_power_on_edges(self, d):
-        with np.errstate(all="ignore"):
-            got = float(np.float_power(np.array([d]), 2.0)[0])
-        assert _same_bits(got, _python_square(d))
-        if d == 1.3407807929942597e154:
-            assert got == math.inf  # a finite input whose square overflows
-        if d == 1.3407807929942596e154:
-            assert math.isfinite(got)
 
 
 def _fitted_statistics() -> dict:

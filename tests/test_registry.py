@@ -2,6 +2,7 @@ import pytest
 
 from holdout import (
     AmbiguousProvenance,
+    ConfigError,
     DataFrame,
     GuardError,
     PartitionError,
@@ -134,7 +135,7 @@ def test_guard_mode_switch(registry):
     assert not registry.guards_on
     registry.set_guards("on")
     assert registry.guards_on
-    with pytest.raises(RegistryError):
+    with pytest.raises(ConfigError, match=r"^mode must be one of 'on', 'off', got 'maybe'$"):
         registry.set_guards("maybe")
 
 

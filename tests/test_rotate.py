@@ -178,7 +178,8 @@ class TestTemporalRotation:
     @pytest.mark.parametrize(
         "kwargs, error, message",
         [
-            ({"window": "rolling"}, ConfigError, "window must be 'expanding' or 'sliding'"),
+            ({"window": "rolling"}, ConfigError,
+             "^window must be one of 'expanding', 'sliding', got 'rolling'$"),
             ({"min_train": 0}, ConfigError, "min_train must be a positive integer, got 0"),
             ({"embargo": -1}, ConfigError, "embargo must be a non-negative integer"),
         ],

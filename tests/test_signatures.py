@@ -168,13 +168,26 @@ def test_abc_sequence_checked_like_typing_sequence(annotation, same):
         (str | None, "a string or null", ConfigError),
         # A union with a setting among its members is a setting.
         (str | DataFrame, "a string or a DataFrame", ConfigError),
+        (typing.Literal["grid", "random"], "one of 'grid', 'random'", ConfigError),
+        (typing.Literal["grid", "random"] | None, "one of 'grid', 'random' or null",
+         ConfigError),
     ],
     ids=["DataFrame", "Model | StackedModel", "ProvenanceRegistry | None", "str | None",
-         "str | DataFrame"],
+         "str | DataFrame", "Literal", "Literal | None"],
 )
 def test_a_class_outside_the_table_is_an_artifact(annotation, kind, error):
     assert _check(annotation)[::2] == (kind, error)
     assert _check(annotation)[1](None) == (type(None) in typing.get_args(annotation))
+
+
+@pytest.mark.parametrize(
+    "value, admitted",
+    [("grid", True), ("random", True), (np.str_("grid"), True), ("Grid", False),
+     ("", False), (True, False), (1, False), (None, False), (["grid"], False)],
+    ids=repr,
+)
+def test_a_named_choice_admits_only_its_strings(value, admitted):
+    assert _check(typing.Literal["grid", "random"])[1](value) is admitted
 
 
 @pytest.mark.parametrize(
@@ -222,11 +235,18 @@ def test_wrongly_typed_setting_names_its_parameter(session, train_calls, verb, p
         (lambda s: evaluate(s.model, s.p.valid, metrics="accuracy", registry=s.reg),
          "metrics"),
         (lambda s: fit(s.p.train, "y", recipe="standardize", registry=s.reg), "recipe"),
+        # Named choices and a repeat count used to be checked in each body.
+        (lambda s: cv_temporal(s.temporal, window="rolling", registry=s.reg), "window"),
+        (lambda s: tune(s.c, "y", space={"max_iter": [5]}, method="bayesian", registry=s.reg),
+         "method"),
+        (lambda s: explain(s.model, s.p.valid, repeats=0, registry=s.reg), "repeats"),
+        (lambda s: ProvenanceRegistry().set_guards("on "), "mode"),
     ],
     ids=["stratify 'no'", "budget True", "budget '2'", "folds True", "folds '3'",
          "cv folds 1", "cv_temporal folds 1", "cv_group folds 1",
          "hyperparameters 3", "space list", "schema_hints pairs", "path None", "algorithms str",
-         "metrics str", "recipe str"],
+         "metrics str", "recipe str", "window 'rolling'", "method 'bayesian'", "repeats 0",
+         "guards 'on '"],
 )
 def test_regressions(session, train_calls, call, param):
     with pytest.raises(ConfigError, match=rf"^{param} must be"):

@@ -522,20 +522,33 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert json.loads(result.stderr)["error"] == "ConfigError"
 
-    def test_temporal_min_train_0_exit_2_before_the_data_is_read(self, tmp_path):
-        # Used to exit 3, a CVError raised after the CSV was read and split.
-        wf = tmp_path / "temporal.yaml"
-        wf.write_text(
-            f"data:\n  path: {tmp_path / 'absent.csv'}\n  target: y\n"
-            "split:\n  kind: temporal\n  time_col: t\n"
-            "cv:\n  kind: temporal\n  k: 3\n  min_train: 0\n"
-            "model:\n  algorithm: logistic\n"
-        )
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            # Used to exit 3, a CVError raised after the CSV was read and split.
+            ("split:\n  kind: temporal\n  time_col: t\n"
+             "cv:\n  kind: temporal\n  k: 3\n  min_train: 0\nmodel:\n  algorithm: logistic\n",
+             "cv.min_train must be a positive integer, got 0 (line 8)"),
+            # These two used to exit 4 here, the absent file hiding them; with
+            # a file present, the CSV was read and split before they exited 2.
+            ("split:\n  kind: temporal\n  time_col: t\n"
+             "cv:\n  kind: temporal\n  window: rolling\nmodel:\n  algorithm: logistic\n",
+             "cv.window must be one of 'expanding', 'sliding', got 'rolling' (line 8)"),
+            ("split:\n  seed: 1\ncv:\n  k: 3\n"
+             "tune:\n  space: {max_iter: [5]}\n  method: bayesian\n",
+             "tune.method must be one of 'grid', 'random', got 'bayesian' (line 9)"),
+            ("split:\n  seed: 1\nmodel:\n  algorithm: logistic\nguards: maybe\n",
+             "guards must be one of 'on', 'off', got 'maybe'"),
+        ],
+        ids=["cv min_train 0", "cv window rolling", "tune method bayesian", "guards maybe"],
+    )
+    def test_bad_setting_exit_2_before_the_data_is_read(self, tmp_path, blocks, message):
+        wf = tmp_path / "bad_setting.yaml"
+        wf.write_text(f"data:\n  path: {tmp_path / 'absent.csv'}\n  target: y\n" + blocks)
         result = CliRunner().invoke(main, ["run", str(wf)])
         assert result.exit_code == 2, result.output
         assert json.loads(result.stderr) == {
-            "error": "ConfigError", "exit_code": 2,
-            "message": f"{wf}: cv.min_train must be a positive integer, got 0 (line 8)",
+            "error": "ConfigError", "exit_code": 2, "message": f"{wf}: {message}",
         }
 
     def test_one_fold_exit_2_before_the_data_is_read(self, tmp_path):
