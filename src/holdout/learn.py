@@ -426,6 +426,8 @@ def model_from_dict(d: Mapping) -> Model:
         raise ConfigError(f"a {doc.task} model document has a learner of task "
                           f"{reprlib.repr(doc.learner['task'])}")
     learners.check_task(doc.algorithm, doc.task)
+    # Checked as a verb's would be; the model keeps the document's own mapping.
+    learners.resolve_hyperparameters(doc.algorithm, doc.hyperparameters)
     transformer = Transformer.from_dict(doc.transformer)
     m = Model(
         algorithm=doc.algorithm,

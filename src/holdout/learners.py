@@ -4,44 +4,24 @@ Every learner trains on a float64 matrix, predicts a single numeric column
 (class-1 probability for classification, a point estimate for regression),
 and is deterministic given its seed. State is plain data so fitted models
 serialize to JSON. `LEARNERS` declares each algorithm once: how it trains,
-its state (whose fields declare its document), its default hyperparameters,
-the one task it may be limited to and whether a document fits a model.
+its state (whose fields declare its document), the one task it may be
+limited to and whether a document fits a model. A fit's keyword-only
+parameters declare its hyperparameters, their defaults and, through the
+`signatures` table, their domains.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .rng import generator
-from .signatures import Count, _is_number, check_document
-
-# Each hyperparameter's domain: (type, lower bound, bound allowed, named
-# choices). A value is a Python or numpy number, finite, and whole for an
-# int (6 and 6.0 alike), or one of the choices.
-HYPERPARAMETER_DOMAINS: dict[str, tuple[type, float, bool, tuple]] = {
-    "learning_rate": (float, 0.0, False, ()),
-    "max_iter": (int, 1, True, ()),
-    "tol": (float, 0.0, True, ()),
-    "l2": (float, 0.0, True, ()),
-    "ridge": (float, 0.0, True, ()),
-    "max_depth": (int, 0, True, ()),
-    "min_leaf": (int, 1, True, ()),
-    "n_trees": (int, 1, True, ()),
-    "max_features": (int, 1, True, ("sqrt",)),
-    "k": (int, 1, True, ()),
-}
-
-
-def _in_domain(value, kind: type, bound: float, allowed: bool, choices: tuple) -> bool:
-    if not _is_number(value):
-        return isinstance(value, str) and value in choices
-    whole = kind is float or float(value).is_integer()
-    return whole and math.isfinite(value) and (value >= bound if allowed else value > bound)
+from .signatures import (Count, Depth, Penalty, Rate, Size, check_arguments, check_document,
+                         signature)
 
 
 def _learner(algorithm: str) -> Learner:
@@ -52,26 +32,18 @@ def _learner(algorithm: str) -> Learner:
 
 def resolve_hyperparameters(algorithm: str, overrides) -> dict:
     """The algorithm's defaults with `overrides` applied, each value checked
-    against its domain before any training."""
-    learner = _learner(algorithm)
+    against its fit's annotation before any training and kept as given."""
+    fit = _learner(algorithm).fit
     if overrides is not None and not isinstance(overrides, Mapping):
-        raise ConfigError(
-            f"hyperparameters for {algorithm!r} must be a mapping, got {overrides!r}"
-        )
-    hp = dict(learner.defaults)
-    for key, value in (overrides or {}).items():
-        if key not in hp:
+        raise ConfigError(f"hyperparameters for {algorithm!r} must be a mapping, got {overrides!r}")
+    defaults = {name: p.default for name, p in signature(fit).parameters.items()
+                if p.kind is p.KEYWORD_ONLY}
+    overrides = overrides or {}
+    for key in overrides:
+        if key not in defaults:
             raise ConfigError(f"unknown hyperparameter {key!r} for {algorithm!r}")
-        kind, bound, allowed, choices = domain = HYPERPARAMETER_DOMAINS[key]
-        if not _in_domain(value, *domain):
-            expected = f"{'a whole' if kind is int else 'a finite'} number "
-            expected += f"{'>=' if allowed else '>'} {bound}"
-            expected += "".join(f" or {c!r}" for c in choices)
-            raise ConfigError(
-                f"hyperparameter {key!r} for {algorithm!r} must be {expected}, got {value!r}"
-            )
-        hp[key] = value
-    return hp
+    check_arguments(fit, overrides, lambda key: f"hyperparameter {key!r} for {algorithm!r}")
+    return {**defaults, **overrides}
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -100,19 +72,18 @@ class LogisticState(_Affine):
         return _sigmoid(X @ np.asarray(self.weights, dtype=np.float64) + self.bias)
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> LogisticState:
+def fit_logistic(X: np.ndarray, y: np.ndarray, seed: int, task: str, *, learning_rate: Rate = 0.1,
+                 max_iter: Size = 2000, tol: Penalty = 1e-8, l2: Penalty = 0.0) -> LogisticState:
     """Full-batch gradient descent on the log-loss, optional L2 penalty.
     Labels are 0.0 or 1.0 (`encode_target`), so a row's loss is the log of
     its own label's probability. A mean is np.mean's pairwise sum over n."""
     n, p = X.shape
     w = np.zeros(p)
     b = 0.0
-    lr = float(hp["learning_rate"])
-    l2 = float(hp["l2"])
-    tol = float(hp["tol"])
+    lr, l2, tol = float(learning_rate), float(l2), float(tol)
     positive = y == 1.0
     prev_loss = math.inf
-    for _ in range(int(hp["max_iter"])):
+    for _ in range(int(max_iter)):
         prob = _sigmoid(X @ w + b)
         r = prob - y
         w -= lr * (X.T @ r / n + l2 * w)
@@ -130,14 +101,15 @@ class LinearState(_Affine):
         return X @ np.asarray(self.weights, dtype=np.float64) + self.bias
 
 
-def fit_linear(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> LinearState:
+def fit_linear(X: np.ndarray, y: np.ndarray, seed: int, task: str, *,
+               ridge: Penalty = 0.0) -> LinearState:
     """Least squares via the normal equations; falls back to a small ridge
     term when the Gram matrix is singular."""
     n, p = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
     gram = Xb.T @ Xb
     rhs = Xb.T @ y
-    ridge = float(hp["ridge"])
+    ridge = float(ridge)
     if ridge > 0.0:
         gram = gram + ridge * np.eye(p + 1)
     try:
@@ -221,7 +193,7 @@ def _best_split(Xt, ranks, y, rows, features, criterion, min_leaf):
     return best
 
 
-def _grow_trees(X, y, hp, task, samples, n_subsample=None) -> list[dict]:
+def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> list[dict]:
     """One CART tree per (rng, rows) sample: gini impurity for classification,
     variance for regression, grown depth first, each node drawing its
     `n_subsample` features from the tree's rng.
@@ -235,7 +207,7 @@ def _grow_trees(X, y, hp, task, samples, n_subsample=None) -> list[dict]:
     for col, out in zip(Xt, ranks):
         out[:] = np.unique(col, return_inverse=True)[1]
     criterion = "gini" if task == "classification" else "variance"
-    fit = (Xt, ranks, y, criterion, int(hp["max_depth"]), int(hp["min_leaf"]), n_subsample)
+    fit = (Xt, ranks, y, criterion, int(max_depth), int(min_leaf), n_subsample)
     return [_grow_tree(fit, rows, 0, rng) for rng, rows in samples]
 
 
@@ -304,9 +276,10 @@ class TreeState:
         return {"root": self.root, "task": self.task}
 
 
-def fit_decision_tree(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> TreeState:
+def fit_decision_tree(X: np.ndarray, y: np.ndarray, seed: int, task: str, *,
+                      max_depth: Depth = 6, min_leaf: Size = 2) -> TreeState:
     """CART over every row, no feature sampling."""
-    [root] = _grow_trees(X, y, hp, task, [(generator(seed), np.arange(len(y)))])
+    [root] = _grow_trees(X, y, task, max_depth, min_leaf, [(generator(seed), np.arange(len(y)))])
     return TreeState(root=root, task=task)
 
 
@@ -325,18 +298,21 @@ class ForestState:
         return {"trees": self.trees, "task": self.task}
 
 
-def fit_random_forest(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> ForestState:
+def fit_random_forest(X: np.ndarray, y: np.ndarray, seed: int, task: str, *, n_trees: Size = 50,
+                      max_depth: Depth = 6, min_leaf: Size = 2,
+                      max_features: Size | Literal["sqrt"] = "sqrt") -> ForestState:
     """Bagged CART ensemble with per-split feature subsampling (default √p)."""
     n, p = X.shape
     # A node samples features only when fewer than p are asked for.
-    if hp["max_features"] == "sqrt":
+    if max_features == "sqrt":
         n_subsample = round(math.sqrt(p))
     else:
-        n_subsample = int(hp["max_features"])
+        n_subsample = int(max_features)
     # Each tree draws its bootstrap rows, then grows, from its own stream.
-    rngs = generator(seed).spawn(int(hp["n_trees"]))
+    rngs = generator(seed).spawn(int(n_trees))
     samples = ((rng, rng.integers(0, n, size=n)) for rng in rngs)
-    return ForestState(trees=_grow_trees(X, y, hp, task, samples, n_subsample), task=task)
+    trees = _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample)
+    return ForestState(trees=trees, task=task)
 
 
 # Distance cells (queries x train rows) computed per block: two float64
@@ -417,16 +393,15 @@ class KnnState:
                 "train_y": self.train_y.tolist()}
 
 
-def fit_knn(X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str) -> KnnState:
-    return KnnState(k=int(hp["k"]), task=task, train_X=X, train_y=y)
+def fit_knn(X: np.ndarray, y: np.ndarray, seed: int, task: str, *, k: Size = 5) -> KnnState:
+    return KnnState(k=int(k), task=task, train_X=X, train_y=y)
 
 
 class Learner(NamedTuple):
     """One algorithm: how it trains and reloads, and what it may learn."""
 
-    fit: Callable  # (X, y, hp, seed, task) -> state
+    fit: Callable  # (X, y, seed, task, **hyperparameters) -> state
     state: type  # rebuilt from its `to_dict()` as state(**document)
-    defaults: dict
     only_task: str | None  # the one task it learns; None learns both
     fits: Callable  # (document, features) -> whether it predicts from that many
 
@@ -436,20 +411,15 @@ def _affine_fits(d, features: int) -> bool:
 
 
 LEARNERS: dict[str, Learner] = {
-    "logistic": Learner(
-        fit_logistic, LogisticState,
-        {"learning_rate": 0.1, "max_iter": 2000, "tol": 1e-8, "l2": 0.0}, "classification",
-        _affine_fits,
-    ),
-    "linear": Learner(fit_linear, LinearState, {"ridge": 0.0}, "regression", _affine_fits),
-    "decision_tree": Learner(fit_decision_tree, TreeState, {"max_depth": 6, "min_leaf": 2}, None,
+    "logistic": Learner(fit_logistic, LogisticState, "classification", _affine_fits),
+    "linear": Learner(fit_linear, LinearState, "regression", _affine_fits),
+    "decision_tree": Learner(fit_decision_tree, TreeState, None,
                              lambda d, features: _trees_fit([d["root"]], features)),
     "random_forest": Learner(
-        fit_random_forest, ForestState,
-        {"n_trees": 50, "max_depth": 6, "min_leaf": 2, "max_features": "sqrt"}, None,
+        fit_random_forest, ForestState, None,
         lambda d, features: len(d["trees"]) > 0 and _trees_fit(d["trees"], features),
     ),
-    "knn": Learner(fit_knn, KnnState, {"k": 5}, None, lambda d, features: (
+    "knn": Learner(fit_knn, KnnState, None, lambda d, features: (
         d["k"] >= 1 and len(d["train_X"]) == len(d["train_y"]) > 0
         and all(len(row) == features for row in d["train_X"]))),
 }
@@ -464,7 +434,7 @@ def check_task(algorithm: str, task: str) -> None:
 
 def train(algorithm: str, X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str):
     check_task(algorithm, task)
-    return LEARNERS[algorithm].fit(X, y, hp, seed, task)
+    return LEARNERS[algorithm].fit(X, y, seed, task, **hp)
 
 
 def state_from_dict(algorithm: str, d, features: int):

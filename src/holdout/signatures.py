@@ -3,13 +3,16 @@ annotations type each argument here, and the workflow parser derives its
 keys. A setting is in the table below or is a named choice (a Literal);
 any other class is an artifact, an edge of the verbs' typed DAG (frame,
 partition, rotation, model...), so terminal types such as Evidence are
-refused at entry. Documents read from outside are declared by dataclasses."""
+refused at entry. A learner's fit declares its hyperparameters the same
+way, as keyword-only parameters with defaults. Documents read from outside
+are declared by dataclasses."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
 import inspect
+import math
 import os
 import reprlib
 import sys
@@ -31,6 +34,10 @@ def _is_number(v) -> bool:  # a value a float64 holds: NaN too, not 10**400
     return isinstance(v, (float, np.floating)) or _is_int(v) and abs(int(v)) <= sys.float_info.max
 
 
+def _is_finite(v, whole=False) -> bool:  # a whole number may be written 6.0
+    return _is_number(v) and math.isfinite(v) and (not whole or float(v).is_integer())
+
+
 def _is_list(v, item=lambda _: True) -> bool:  # a str is not a list of anything
     return isinstance(v, abc.Sequence) and not isinstance(v, str) and all(map(item, v))
 
@@ -38,6 +45,10 @@ def _is_list(v, item=lambda _: True) -> bool:  # a str is not a list of anything
 Count = typing.NewType("Count", int)  # a seed, count or index: never negative
 Positive = typing.NewType("Positive", int)  # a size that needs at least one
 Folds = typing.NewType("Folds", int)  # a rotation's fold count
+Rate = typing.NewType("Rate", float)  # a learner's step size
+Penalty = typing.NewType("Penalty", float)  # a tolerance or penalty, 0 for none
+Depth = typing.NewType("Depth", int)  # a tree's depth limit, 0 for a single leaf
+Size = typing.NewType("Size", int)  # an iteration, leaf, tree or neighbour count
 
 
 # What each setting annotation of a verb or a document admits, keyed as written.
@@ -46,6 +57,10 @@ _CHECKS = {
     Count: ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
     Positive: ("a positive integer", lambda v: _is_int(v) and v >= 1),
     Folds: ("an integer of at least 2", lambda v: _is_int(v) and v >= 2),
+    Rate: ("a finite number > 0.0", lambda v: _is_finite(v) and v > 0.0),
+    Penalty: ("a finite number >= 0.0", lambda v: _is_finite(v) and v >= 0.0),
+    Depth: ("a whole number >= 0", lambda v: _is_finite(v, whole=True) and v >= 0),
+    Size: ("a whole number >= 1", lambda v: _is_finite(v, whole=True) and v >= 1),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
     bool: ("a boolean", lambda v: isinstance(v, (bool, np.bool_))),

@@ -558,6 +558,15 @@ class TestModelSerialization:
              "a classification model document has a learner of task 'bogus'"),
             ("logistic", lambda doc: doc.update(task="regression", classes=None),
              "logistic supports classification targets only"),
+            # Each used to load, and model_to_dict wrote it back.
+            ("knn", lambda doc: doc.__setitem__("hyperparameters", {"k": -3}),
+             "hyperparameter 'k' for 'knn' must be a whole number >= 1, got -3"),
+            ("knn", lambda doc: doc.__setitem__("hyperparameters", {"zzz": 1}),
+             "unknown hyperparameter 'zzz' for 'knn'"),
+            ("knn", lambda doc: doc.__setitem__("hyperparameters", {"k": "x"}),
+             "hyperparameter 'k' for 'knn' must be a whole number >= 1, got 'x'"),
+            ("knn", lambda doc: doc.__setitem__("hyperparameters", {"k": [1]}),
+             r"hyperparameter 'k' for 'knn' must be a whole number >= 1, got \[1\]"),
         ],
         ids=["root 5", "2 weights for 3 features", "narrowed train_X", "forest feature 99",
              "split without gain", "split with value", "threshold 'x'", "no trees", "k 0",
@@ -565,7 +574,9 @@ class TestModelSerialization:
              "weight 10**400", "repeated source column", "no source columns",
              "5000 nested splits", "unknown top-level key", "task bogus",
              "logistic task regression", "one class", "list class", "three classes",
-             "tree learner task bogus", "logistic regression without classes"],
+             "tree learner task bogus", "logistic regression without classes",
+             "hyperparameter k -3", "hyperparameter zzz", "hyperparameter k 'x'",
+             "hyperparameter k [1]"],
     )
     def test_document_structure_checked_at_load(self, registry, partition, algorithm, edit,
                                                 message):

@@ -24,6 +24,8 @@ from holdout.learners import (
     train,
 )
 
+from holdout.signatures import _check, signature
+
 from conftest import left_sum
 
 
@@ -71,23 +73,24 @@ class TestLogistic:
         assert separating_hyperplane_exists(SEP_X, SEP_Y)
 
     def test_training_accuracy_one_on_separable(self):
-        state = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=0, task="classification")
+        state = fit_logistic(SEP_X, SEP_Y, seed=0, task="classification", **hp("logistic"))
         prob = state.predict(SEP_X)
         assert np.all((prob >= 0.5) == (SEP_Y == 1.0))
 
     def test_probabilities_in_unit_interval(self):
-        state = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=0, task="classification")
+        state = fit_logistic(SEP_X, SEP_Y, seed=0, task="classification", **hp("logistic"))
         prob = state.predict(SEP_X)
         assert np.all(prob >= 0.0) and np.all(prob <= 1.0)
 
     def test_l2_shrinks_weights(self):
-        plain = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=0, task="classification")
-        ridged = fit_logistic(SEP_X, SEP_Y, hp("logistic", l2=1.0), seed=0, task="classification")
+        plain = fit_logistic(SEP_X, SEP_Y, seed=0, task="classification", **hp("logistic"))
+        ridged = fit_logistic(SEP_X, SEP_Y, seed=0, task="classification",
+                              **hp("logistic", l2=1.0))
         assert np.linalg.norm(ridged.weights) < np.linalg.norm(plain.weights)
 
     def test_deterministic(self):
-        a = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=5, task="classification")
-        b = fit_logistic(SEP_X, SEP_Y, hp("logistic"), seed=5, task="classification")
+        a = fit_logistic(SEP_X, SEP_Y, seed=5, task="classification", **hp("logistic"))
+        b = fit_logistic(SEP_X, SEP_Y, seed=5, task="classification", **hp("logistic"))
         assert a.weights == b.weights and a.bias == b.bias
 
 
@@ -96,7 +99,7 @@ class TestLinear:
         rng = np.random.Generator(np.random.Philox(1))
         X = rng.normal(size=(50, 3))
         y = X @ np.array([2.0, -1.0, 0.5]) + 3.0
-        state = fit_linear(X, y, hp("linear"), seed=0, task="regression")
+        state = fit_linear(X, y, seed=0, task="regression", **hp("linear"))
         assert np.allclose(state.weights, [2.0, -1.0, 0.5], atol=1e-8)
         assert abs(state.bias - 3.0) < 1e-8
 
@@ -106,7 +109,7 @@ class TestLinear:
         x = rng.normal(size=30)
         X = np.column_stack([x, x])
         y = 2.0 * x + 1.0
-        state = fit_linear(X, y, hp("linear"), seed=0, task="regression")
+        state = fit_linear(X, y, seed=0, task="regression", **hp("linear"))
         pred = state.predict(X)
         assert np.allclose(pred, y, atol=1e-3)
 
@@ -115,7 +118,7 @@ class TestLinear:
         rng = np.random.Generator(np.random.Philox(1))
         X = rng.normal(size=(50, 3))
         y = X @ np.array([2.0, -1.0, 0.5]) + 3.0
-        state = fit_linear(X, y, hp("linear", ridge=10.0), seed=0, task="regression")
+        state = fit_linear(X, y, seed=0, task="regression", **hp("linear", ridge=10.0))
         Xb = np.hstack([X, np.ones((50, 1))])
         coef = np.linalg.solve(Xb.T @ Xb + 10.0 * np.eye(4), Xb.T @ y)
         assert [*state.weights, state.bias] == coef.tolist()
@@ -126,22 +129,22 @@ class TestDecisionTree:
     def test_fits_axis_aligned_pattern(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [10.0], [11.0], [12.0], [13.0]])
         y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
-        state = fit_decision_tree(X, y, hp("decision_tree"), seed=0, task="classification")
+        state = fit_decision_tree(X, y, seed=0, task="classification", **hp("decision_tree"))
         assert np.all((state.predict(X) >= 0.5) == (y == 1.0))
         root = state.root
         assert 3.0 < root["threshold"] < 10.0
 
     def test_max_depth_zero_like_leaf(self):
         X = SEP_X
-        state = fit_decision_tree(X, SEP_Y, hp("decision_tree", max_depth=0), seed=0,
-                                  task="classification")
+        state = fit_decision_tree(X, SEP_Y, seed=0, task="classification",
+                                  **hp("decision_tree", max_depth=0))
         assert state.root == {"value": 0.5}
 
     def test_min_leaf_respected(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=float)
-        state = fit_decision_tree(X, y, hp("decision_tree", min_leaf=4), seed=0,
-                                  task="classification")
+        state = fit_decision_tree(X, y, seed=0, task="classification",
+                                  **hp("decision_tree", min_leaf=4))
 
         def check(node, n_rows):
             if "value" in node:
@@ -156,7 +159,7 @@ class TestDecisionTree:
     def test_regression_variance_split(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         y = np.array([1.0, 1.1, 0.9, 5.0, 5.1, 4.9])
-        state = fit_decision_tree(X, y, hp("decision_tree"), seed=0, task="regression")
+        state = fit_decision_tree(X, y, seed=0, task="regression", **hp("decision_tree"))
         pred = state.predict(X)
         assert abs(pred[0] - 1.0) < 0.2 and abs(pred[-1] - 5.0) < 0.2
 
@@ -175,20 +178,20 @@ class TestDecisionTree:
         # there would send every row to one side.
         X = np.array([[low]] * 3 + [[high]] * 3)
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        state = fit_decision_tree(X, y, hp("decision_tree"), seed=0, task="regression")
+        state = fit_decision_tree(X, y, seed=0, task="regression", **hp("decision_tree"))
         assert state.root["threshold"] == low
         assert state.root["left"] == {"value": 0.0}
         assert state.root["right"] == {"value": 1.0}
         assert list(state.predict(X)) == list(y)
 
     def test_deterministic(self):
-        a = fit_decision_tree(SEP_X, SEP_Y, hp("decision_tree"), seed=0, task="classification")
-        b = fit_decision_tree(SEP_X, SEP_Y, hp("decision_tree"), seed=0, task="classification")
+        a = fit_decision_tree(SEP_X, SEP_Y, seed=0, task="classification", **hp("decision_tree"))
+        b = fit_decision_tree(SEP_X, SEP_Y, seed=0, task="classification", **hp("decision_tree"))
         assert a.root == b.root
 
     def test_gain_recorded_on_splits(self):
-        state = fit_decision_tree(SEP_X, SEP_Y, hp("decision_tree"), seed=0,
-                                  task="classification")
+        state = fit_decision_tree(SEP_X, SEP_Y, seed=0, task="classification",
+                                  **hp("decision_tree"))
         gains = state.importances()
         assert gains and all(g >= 0 for g in gains.values())
 
@@ -198,34 +201,34 @@ class TestRandomForest:
         return hp("random_forest", n_trees=10, max_depth=4)
 
     def test_seeded_determinism(self):
-        a = fit_random_forest(SEP_X, SEP_Y, self.small(), seed=3, task="classification")
-        b = fit_random_forest(SEP_X, SEP_Y, self.small(), seed=3, task="classification")
+        a = fit_random_forest(SEP_X, SEP_Y, seed=3, task="classification", **self.small())
+        b = fit_random_forest(SEP_X, SEP_Y, seed=3, task="classification", **self.small())
         assert a.trees == b.trees
 
     def test_seed_changes_forest(self):
-        a = fit_random_forest(SEP_X, SEP_Y, self.small(), seed=3, task="classification")
-        b = fit_random_forest(SEP_X, SEP_Y, self.small(), seed=4, task="classification")
+        a = fit_random_forest(SEP_X, SEP_Y, seed=3, task="classification", **self.small())
+        b = fit_random_forest(SEP_X, SEP_Y, seed=4, task="classification", **self.small())
         assert a.trees != b.trees
 
     def test_predictions_are_probabilities(self):
-        state = fit_random_forest(SEP_X, SEP_Y, self.small(), seed=1, task="classification")
+        state = fit_random_forest(SEP_X, SEP_Y, seed=1, task="classification", **self.small())
         pred = state.predict(SEP_X)
         assert np.all(pred >= 0.0) and np.all(pred <= 1.0)
 
     def test_n_trees(self):
-        state = fit_random_forest(SEP_X, SEP_Y, self.small(), seed=1, task="classification")
+        state = fit_random_forest(SEP_X, SEP_Y, seed=1, task="classification", **self.small())
         assert len(state.trees) == 10
 
 
 class TestKnn:
     def test_k1_memorizes_distinct_points(self):
-        state = fit_knn(SEP_X, SEP_Y, hp("knn", k=1), seed=0, task="classification")
+        state = fit_knn(SEP_X, SEP_Y, seed=0, task="classification", **hp("knn", k=1))
         assert np.array_equal(state.predict(SEP_X), SEP_Y)
 
     def test_k_capped_at_train_size(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 1.0])
-        state = fit_knn(X, y, hp("knn", k=50), seed=0, task="classification")
+        state = fit_knn(X, y, seed=0, task="classification", **hp("knn", k=50))
         assert np.allclose(state.predict(X), [0.5, 0.5])
 
     def test_distance_tie_lower_index_wins(self):
@@ -233,13 +236,13 @@ class TestKnn:
         # k=1 neighbor must be row 0.
         X = np.array([[0.0], [2.0]])
         y = np.array([0.0, 1.0])
-        state = fit_knn(X, y, hp("knn", k=1), seed=0, task="classification")
+        state = fit_knn(X, y, seed=0, task="classification", **hp("knn", k=1))
         assert state.predict(np.array([[1.0]]))[0] == 0.0
 
     def test_regression_mean(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1.0, 3.0, 5.0])
-        state = fit_knn(X, y, hp("knn", k=3), seed=0, task="regression")
+        state = fit_knn(X, y, seed=0, task="regression", **hp("knn", k=3))
         assert np.allclose(state.predict(np.array([[1.0]])), [3.0])
 
     @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 129])
@@ -259,8 +262,8 @@ class TestKnn:
         Q[::2] = 0.0
         Q[:3] = A[:min(m, 3)]
         # Training input in the column-major layout feature_matrix gives.
-        state = fit_knn(np.asfortranarray(A), y, hp("knn", k=4), seed=0,
-                        task="regression")
+        state = fit_knn(np.asfortranarray(A), y, seed=0, task="regression",
+                        **hp("knn", k=4))
         monkeypatch.setattr(learners, "KNN_BLOCK_CELLS", 64 * len(A))  # 64-row blocks
         assert state.predict(Q).tobytes() == _knn_oracle(A, y, Q, 4).tobytes()
 
@@ -280,7 +283,7 @@ class TestKnn:
         Q = np.array(data.draw(st.lists(queries, min_size=1, max_size=6), label="queries"))
         k = data.draw(st.integers(1, n), label="k")
         cells = data.draw(st.integers(1, 3 * n), label="block cells")
-        state = fit_knn(A, y, hp("knn", k=k), seed=0, task="regression")
+        state = fit_knn(A, y, seed=0, task="regression", **hp("knn", k=k))
         expected = _knn_oracle(A, y, Q, k).tobytes()
         with mock.patch.object(learners, "KNN_BLOCK_CELLS", cells):
             assert state.predict(np.ascontiguousarray(Q)).tobytes() == expected
@@ -291,8 +294,8 @@ class TestKnn:
     def test_predict_memory_is_bounded(self):
         # A (queries x train rows x features) temporary would take 480 MB here.
         rng = np.random.Generator(np.random.Philox(9))
-        state = fit_knn(rng.normal(size=(5000, 40)), rng.normal(size=5000), hp("knn"),
-                        seed=0, task="regression")
+        state = fit_knn(rng.normal(size=(5000, 40)), rng.normal(size=5000),
+                        seed=0, task="regression", **hp("knn"))
         Q = np.asfortranarray(rng.normal(size=(300, 40)))
         tracemalloc.start()
         try:
@@ -341,9 +344,9 @@ class TestDispatch:
             train("linear", SEP_X, SEP_Y, hp("linear"), 0, "classification")
 
     def test_defaults_documented_shape(self):
-        assert LEARNERS["decision_tree"].defaults == {"max_depth": 6, "min_leaf": 2}
-        assert LEARNERS["random_forest"].defaults["n_trees"] == 50
-        assert LEARNERS["knn"].defaults == {"k": 5}
+        assert resolve_hyperparameters("decision_tree", None) == {"max_depth": 6, "min_leaf": 2}
+        assert resolve_hyperparameters("random_forest", None)["n_trees"] == 50
+        assert resolve_hyperparameters("knn", None) == {"k": 5}
 
     def test_state_roundtrip(self):
         for algo in ("logistic", "linear", "decision_tree", "random_forest", "knn"):
@@ -419,9 +422,18 @@ class TestHyperparameterDomains:
         for key, value in overrides.items():
             assert resolved[key] is value
 
-    def test_every_default_is_in_its_domain(self):
+    def test_every_fit_declares_its_hyperparameters(self):
+        # X, y, seed and task, then keyword-only hyperparameters, each with
+        # a checked annotation and a default that passes its own check.
         for algorithm, learner in LEARNERS.items():
-            assert resolve_hyperparameters(algorithm, learner.defaults) == learner.defaults
+            params = list(signature(learner.fit).parameters.values())
+            assert [p.name for p in params[:4]] == ["X", "y", "seed", "task"], algorithm
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:4])
+            assert params[4:], algorithm
+            for p in params[4:]:
+                assert p.kind is p.KEYWORD_ONLY, p.name
+                _, test, error = _check(p.annotation)
+                assert error is ConfigError and test(p.default), p.name
 
 
 def test_capacity_ordering_on_memorization_probe():
@@ -432,8 +444,8 @@ def test_capacity_ordering_on_memorization_probe():
     labels = np.array([0.0, 1.0] * 6)
     X = np.repeat(base, 4, axis=0)
     y = np.repeat(labels, 4)
-    tree = fit_decision_tree(X, y, hp("decision_tree"), seed=0, task="classification")
-    logistic = fit_logistic(X, y, hp("logistic"), seed=0, task="classification")
+    tree = fit_decision_tree(X, y, seed=0, task="classification", **hp("decision_tree"))
+    logistic = fit_logistic(X, y, seed=0, task="classification", **hp("logistic"))
     tree_acc = float(np.mean((tree.predict(X) >= 0.5) == y))
     logistic_acc = float(np.mean((logistic.predict(X) >= 0.5) == y))
     assert tree_acc >= logistic_acc

@@ -41,7 +41,8 @@ from holdout import (
     stack,
     tune,
 )
-from holdout.signatures import _check, _checked, signature
+from holdout.signatures import (Depth, Penalty, Positive, Rate, Size, _check, _checked,
+                                signature)
 
 from conftest import make_classification_frame
 
@@ -171,9 +172,15 @@ def test_abc_sequence_checked_like_typing_sequence(annotation, same):
         (typing.Literal["grid", "random"], "one of 'grid', 'random'", ConfigError),
         (typing.Literal["grid", "random"] | None, "one of 'grid', 'random' or null",
          ConfigError),
+        (Rate, "a finite number > 0.0", ConfigError),
+        (Penalty, "a finite number >= 0.0", ConfigError),
+        (Depth, "a whole number >= 0", ConfigError),
+        (Size, "a whole number >= 1", ConfigError),
+        (Size | typing.Literal["sqrt"], "a whole number >= 1 or one of 'sqrt'", ConfigError),
     ],
     ids=["DataFrame", "Model | StackedModel", "ProvenanceRegistry | None", "str | None",
-         "str | DataFrame", "Literal", "Literal | None"],
+         "str | DataFrame", "Literal", "Literal | None", "Rate", "Penalty", "Depth", "Size",
+         "Size | Literal"],
 )
 def test_a_class_outside_the_table_is_an_artifact(annotation, kind, error):
     assert _check(annotation)[::2] == (kind, error)
@@ -188,6 +195,21 @@ def test_a_class_outside_the_table_is_an_artifact(annotation, kind, error):
 )
 def test_a_named_choice_admits_only_its_strings(value, admitted):
     assert _check(typing.Literal["grid", "random"])[1](value) is admitted
+
+
+@pytest.mark.parametrize(
+    "value, admitted",
+    [(6, True), (6.0, True), (np.float32(3.0), True), (np.uint8(7), True), (2.5, False),
+     (True, False), (np.True_, False), (float("nan"), False), (float("inf"), False),
+     pytest.param(10**400, False, id="10**400"), (-1, False), ("3", False), (None, False)],
+    ids=repr,
+)
+def test_a_whole_number_may_be_written_as_a_float(value, admitted):
+    # A hyperparameter's whole number takes 6.0 for 6; a verb's Count,
+    # Positive and Folds do not.
+    for annotation in (Size, Depth):
+        assert bool(_check(annotation)[1](value)) is admitted
+    assert not _check(Positive)[1](6.0)
 
 
 @pytest.mark.parametrize(
