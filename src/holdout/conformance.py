@@ -49,6 +49,7 @@ _VERBS = {
     "fit": lambda m, df, reg: fit(df, "y", registry=reg),
     "evaluate": lambda m, df, reg: evaluate(m, df, registry=reg),
     "explain": lambda m, df, reg: explain(m, df, repeats=1, registry=reg),
+    "cv": lambda m, df, reg: cv(Partition(df, df, df, df, "y", "", 1), 2, registry=reg),
     "assess": lambda m, df, reg: assess(m, df, registry=reg),
 }
 

@@ -19,7 +19,7 @@ from .frame import DataFrame
 from .judge import assess, evaluate
 from .learn import fit
 from .registry import ProvenanceRegistry
-from .rng import generator
+from .rng import generator, replicate_seeds
 from .rotate import cv
 from .signatures import Count, Positive, check_arguments
 from .split import split
@@ -86,11 +86,6 @@ def _summarize(kind: str, metric: str, diffs: list[float]) -> dict:
     }
 
 
-def _replicate_seeds(seed: int, replicates: int) -> list[int]:
-    ss = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1)[0]) for child in ss.spawn(replicates)]
-
-
 def _arms(rep_seed: int):
     """The replicate's frame split with its seed twice, as (partition, registry)
     pairs: the honest arm guarded, the leaky arm with guards off."""
@@ -153,7 +148,7 @@ def demo_leakage(kind: DemoKind, replicates: int = 50, seed: Count = 0,
         raise ConfigError(
             f"need at least 20 replicates for a meaningful sign test, got {replicates}"
         )
-    rep_seeds = _replicate_seeds(seed, replicates)
+    rep_seeds = replicate_seeds(seed, replicates)
 
     if kind == "seed_selection":
         diffs = [_seed_selection_once(rs, n_seeds) for rs in rep_seeds]

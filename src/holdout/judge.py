@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AlreadyAssessedModel, ConfigError
+from .errors import ConfigError
 from .frame import DataFrame, _take_column, fingerprint
 from .learn import Model, StackedModel, encode_eval_target, predict_values
 from .registry import ProvenanceRegistry, resolve
@@ -113,25 +113,18 @@ def assess(
 ) -> Evidence:
     """Spend a test holdout: terminal judgment, once per holdout per session.
 
-    The guard demands, atomically: the model has never been assessed, the
-    frame resolves to a registered test partition, that partition's lineage
-    matches the model's split, and the holdout's assessed flag is still
-    clear. Success flips both the model counter and the registry flag.
+    The registry's `claim_assessment` demands, under one lock: the model
+    has never been assessed, the frame resolves to a registered test
+    partition whose lineage matches the model's split, and the holdout's
+    assessed flag is still clear. Success flips the model counter and the flag.
     """
     check_arguments(assess, locals())
-    reg = resolve(registry)
     # Everything that can fail (target encoding, each fitted transformer,
     # the learners and the scorer) runs before the claim, so the budget is
     # charged only for delivered Evidence; nothing is released before it.
     y_true = encode_eval_target(m, test)
     values = score(m.task, y_true, predict_values(m, test), metrics)
-    if reg.guards_on and m.assess_count > 0:
-        raise AlreadyAssessedModel(
-            "this model has already been assessed; assessment is terminal: "
-            "once per holdout"
-        )
-    _, bypassed = reg.admit(test, "assess", m.source_split_id)
-    m.assess_count += 1
+    _, bypassed = resolve(registry).admit(test, "assess", m)
     return Evidence(
         values=values,
         holdout_fingerprint=fingerprint(test).hex(),

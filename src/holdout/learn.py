@@ -29,6 +29,7 @@ from .prepare import (
     target_encoding,
 )
 from .registry import ProvenanceRegistry, resolve
+from .rng import fold_seed
 from .rotate import CVResult, _materialize
 from .scoring import CV_METRICS, score
 from .signatures import Count, check_arguments, check_document
@@ -110,11 +111,6 @@ class StackedModel:
             f"StackedModel(base={list(self.base_algorithms)}, "
             f"assess_count={self.assess_count})"
         )
-
-
-def _fold_seed(seed: int, fold_index: int) -> int:
-    # Stable per-fold stream: determinism must not depend on fold schedule.
-    return int(np.random.SeedSequence([int(seed), fold_index]).generate_state(1)[0])
 
 
 def _require_finite(names, values: np.ndarray) -> np.ndarray:
@@ -223,6 +219,7 @@ class _CrossValidation(NamedTuple):
     scores: list[dict[str, float]]  # mean fold metrics per run
     fold_transformers: tuple[Transformer, ...]
     oof: np.ndarray  # (dev rows, runs) out-of-fold predictions, NaN where uncovered
+    bypassed: bool  # what the registry's admission of the dev frame returned
 
 
 def _run_key(target, recipe, seed, algorithm, hp) -> tuple:
@@ -230,11 +227,11 @@ def _run_key(target, recipe, seed, algorithm, hp) -> tuple:
     hyperparameter is a number or a named choice, so its type and repr pin
     what a learner does with it."""
     values = tuple((name, type(v), repr(v)) for name, v in sorted(hp.items()))
-    # Fold seeds depend on int(seed) only: see _fold_seed.
+    # Fold seeds depend on int(seed) only: see rng.fold_seed.
     return (target, recipe, int(seed), algorithm, values)
 
 
-def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
+def _cross_validate(c, target, runs, seed, recipe, registry) -> _CrossValidation:
     """Cross-validate every (algorithm, hyperparameters) run on the
     rotation's folds.
 
@@ -253,7 +250,7 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
             f"rotation was built for target {c.target!r}, not {target!r}"
         )
     dev = c._dev_frame
-    reg.admit(dev, "fit")
+    _, bypassed = resolve(registry).admit(dev, "fit")
     # Every fold trains and validates under the dev rows' mapping, even
     # when its training rows miss a class.
     task, classes = target_encoding(dev._col(target))
@@ -280,6 +277,7 @@ def _cross_validate(c, target, runs, seed, recipe, reg) -> _CrossValidation:
         [dict(run_scores) for run_scores in scores],
         fold_transformers[0],  # the runs share target and recipe
         np.column_stack(columns),
+        bypassed,
     )
 
 
@@ -301,9 +299,9 @@ def _fold_pass(c, target, task, classes, y, recipe, runs, seed) -> list[tuple]:
         )
         valid = list(valid_idx)
         y_valid = y[valid]
-        fold_seed = _fold_seed(seed, fold_index)
+        seed_of_fold = fold_seed(seed, fold_index)
         for r, (algorithm, hp) in enumerate(runs):
-            preds = _train_on_prepared(prepared, algorithm, hp, fold_seed).predict(X_valid)
+            preds = _train_on_prepared(prepared, algorithm, hp, seed_of_fold).predict(X_valid)
             fold_metrics[r].append(score(task, y_valid, preds, CV_METRICS[task]))
             oof[r][valid] = preds
         fold_transformers.append(prepared.state)
@@ -315,18 +313,18 @@ def _fold_pass(c, target, task, classes, y, recipe, runs, seed) -> list[tuple]:
     ]
 
 
-def _refit_on_dev(c, cvr: _CrossValidation, run: int, seed, reg) -> Model:
+def _refit_on_dev(c, cvr: _CrossValidation, run: int, seed) -> Model:
     """The deployable model of one cross-validated run: refit on every
     non-test row with dev-fitted preparation, carrying the run's scores."""
     algorithm, hp = cvr.runs[run]
     prepared = fit_transformer(c._dev_frame, cvr.target, cvr.recipe, (cvr.task, cvr.classes))
-    return _fit_prepared(prepared, algorithm, seed, hp, c.source_split_id, not reg.guards_on,
+    return _fit_prepared(prepared, algorithm, seed, hp, c.source_split_id, cvr.bypassed,
                          cvr.scores[run], cvr.fold_transformers)
 
 
 def _fit_rotation(c, target, algorithm, seed, hyperparameters, recipe, reg) -> Model:
     cvr = _cross_validate(c, target, [(algorithm, hyperparameters)], seed, recipe, reg)
-    return _refit_on_dev(c, cvr, 0, seed, reg)
+    return _refit_on_dev(c, cvr, 0, seed)
 
 
 def predict(m: Model | StackedModel, df: DataFrame) -> Predictions:
@@ -427,12 +425,17 @@ def model_from_dict(d: Mapping) -> Model:
                           f"{reprlib.repr(doc.learner['task'])}")
     learners.check_task(doc.algorithm, doc.task)
     # Checked as a verb's would be; the model keeps the document's own mapping.
-    learners.resolve_hyperparameters(doc.algorithm, doc.hyperparameters)
+    hp = learners.resolve_hyperparameters(doc.algorithm, doc.hyperparameters)
     transformer = Transformer.from_dict(doc.transformer)
+    state = learners.state_from_dict(doc.algorithm, doc.learner, len(transformer.feature_names))
+    for name in hp.keys() & doc.learner.keys():
+        if hp[name] != doc.learner[name]:
+            raise ConfigError(f"hyperparameter {name!r} is {reprlib.repr(hp[name])}, but the "
+                              f"learner document records {reprlib.repr(doc.learner[name])}")
     m = Model(
         algorithm=doc.algorithm,
         task=doc.task,
-        state=learners.state_from_dict(doc.algorithm, doc.learner, len(transformer.feature_names)),
+        state=state,
         transformer=transformer,
         target=doc.target,
         classes=tuple(doc.classes) if doc.classes is not None else None,

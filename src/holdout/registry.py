@@ -4,7 +4,8 @@ Split registers the content fingerprint of each partition it produces;
 `admit`, the one guard of every verb, resolves incoming frames back to a
 role by content, not by metadata, so provenance survives column selection
 and tag erasure but dies on any value edit, and checks the role against
-`ADMITS`. The registry also owns the per-holdout assessed flag and the
+`ADMITS`; the assess guard's four checks run in `claim_assessment` under
+one lock. The registry also owns the per-holdout assessed flag and the
 guards-on/off switch.
 """
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import (
+    AlreadyAssessedModel,
     AmbiguousProvenance,
     GuardError,
     HoldoutSpent,
@@ -36,6 +38,7 @@ ADMITS = {
     "fit": ("train", "valid", "dev"),
     "evaluate": ("train", "valid", "dev"),
     "explain": ("train", "valid", "dev"),
+    "cv": ("dev",),
     "assess": ("test",),
 }
 
@@ -92,31 +95,31 @@ class ProvenanceRegistry:
         with self._lock:
             return self._resolve_locked(fp)
 
-    def admit(
-        self, df: DataFrame, verb: str, split_id: str | None = None
-    ) -> tuple[ProvenanceRecord | None, bool]:
+    def admit(self, df: DataFrame, verb: str, model=None) -> tuple[ProvenanceRecord | None, bool]:
         """The one admission point of every guarded verb: (record, bypassed).
 
         With guards on, the frame must resolve to a registered partition
-        whose role `ADMITS[verb]` lists; `assess` also claims the holdout
-        through `claim_assessment`, checking lineage against `split_id`.
-        With guards off nothing raises: the record is resolved when it can
-        be, and `assess` still spends a test holdout it resolves to, so
+        whose role `ADMITS[verb]` lists; `assess` claims the holdout for
+        `model` through `claim_assessment`. With guards off nothing raises:
+        the record is resolved when it can be, and `assess` still counts
+        the model's assessment and spends a test holdout it resolves to, so
         switching guards back on keeps the session's history honest.
         """
         if self.guards_on:
             if verb == "assess":
-                return self.claim_assessment(df, split_id), False
+                return self.claim_assessment(df, model), False
             record = self.lookup(df)
             _check(record, verb)
             return record, False
         try:
             record = self.lookup(df)
         except AmbiguousProvenance:
-            return None, True
-        if verb == "assess" and record is not None and record.role == "test":
+            record = None
+        if verb == "assess":
             with self._lock:
-                record.assessed = True
+                model.assess_count += 1
+                if record is not None and record.role == "test":
+                    record.assessed = True
         return record, True
 
     def _resolve_locked(self, fp: FrameFingerprint) -> ProvenanceRecord | None:
@@ -139,25 +142,27 @@ class ProvenanceRegistry:
             )
         return matches[0][1]
 
-    def claim_assessment(
-        self, df: DataFrame, expected_split_id: str | None
-    ) -> ProvenanceRecord:
-        """Atomically verify and spend a test holdout.
+    def claim_assessment(self, df: DataFrame, model) -> ProvenanceRecord:
+        """Atomically verify and spend a test holdout for `model`.
 
-        Checks, in order and under one lock: the frame is admitted to
-        `assess` (registered, test role); its lineage matches
-        `expected_split_id`; the holdout has not been assessed. On success
-        the assessed flag is set and the record returned, so concurrent
-        claims on one holdout yield exactly one winner.
-        """
+        Checks, in order and under one lock: the model was never assessed;
+        the frame is admitted to `assess`; its lineage matches the model's
+        `source_split_id`; the holdout was not assessed. Success sets the
+        flag and counts the model's assessment, so concurrent claims on one
+        holdout, or by one model, yield exactly one winner."""
         fp = fingerprint(df)
         with self._lock:
+            if model.assess_count > 0:
+                raise AlreadyAssessedModel(
+                    "this model has already been assessed; assessment is terminal: "
+                    "once per holdout"
+                )
             rec = self._resolve_locked(fp)
             _check(rec, "assess")
-            if expected_split_id is not None and rec.split_id != expected_split_id:
+            if model.source_split_id not in (None, rec.split_id):
                 raise LineageMismatch(
                     "test data comes from a different split than the model "
-                    f"(model split {expected_split_id!r}, data split {rec.split_id!r})"
+                    f"(model split {model.source_split_id!r}, data split {rec.split_id!r})"
                 )
             if rec.assessed:
                 raise HoldoutSpent(
@@ -165,11 +170,8 @@ class ProvenanceRegistry:
                     "assessment is terminal: once per holdout, regardless of model"
                 )
             rec.assessed = True
+            model.assess_count += 1
             return rec
-
-    def has_split(self, split_id: str) -> bool:
-        with self._lock:
-            return any(rec.split_id == split_id for rec in self._entries.values())
 
     def reset(self) -> None:
         """Empty the registry and restore guards; nothing survives a session reset."""

@@ -3,6 +3,8 @@
 A CVResult is a schedule of (train-index, valid-index) pairs into the dev
 frame. It deliberately exposes no partition accessors: the test holdout
 stays on the originating Partition and is reachable only through assess.
+Each rotation verb checks its partition's kind, then the registry admits
+the dev frame it cuts as `cv`.
 """
 
 from __future__ import annotations
@@ -95,16 +97,14 @@ def _materialize(cv_result: CVResult, indices) -> DataFrame:
     return cv_result._dev_frame._take(list(indices), tag="dev")
 
 
-def _check_partition(p: Partition, expected_kind: str, registry: ProvenanceRegistry, verb: str):
+def _check_partition(p: Partition, expected_kind: str, registry: ProvenanceRegistry | None,
+                     verb: str):
     if p.kind != expected_kind:
         raise CVError(
             f"{verb} requires a partition of kind {expected_kind!r}, got {p.kind!r}; "
             "rotation variant must match the split variant"
         )
-    if not registry.has_split(p.split_id):
-        raise CVError(
-            "partition is not registered in this session; re-run split before rotating"
-        )
+    resolve(registry).admit(p.dev, "cv")
 
 
 def _pair_with_rest(n: int, valid_sides) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -121,8 +121,7 @@ def cv(
 ) -> CVResult:
     """Shuffled k-fold rotation over dev; valid-set sizes differ by at most one."""
     check_arguments(cv, locals())
-    reg = resolve(registry)
-    _check_partition(p, "random", reg, "cv")
+    _check_partition(p, "random", registry, "cv")
     n = p.dev.row_count
     if folds > n:
         raise CVError(f"folds must be between 2 and {n} (dev rows), got {folds}")
@@ -148,8 +147,7 @@ def cv_temporal(
     fixed length of `min_train` rows.
     """
     check_arguments(cv_temporal, locals())
-    reg = resolve(registry)
-    _check_partition(p, "temporal", reg, "cv_temporal")
+    _check_partition(p, "temporal", registry, "cv_temporal")
     n = p.dev.row_count
     span = n - min_train - embargo
     if span < folds:
@@ -179,8 +177,7 @@ def cv_group(
     """Grouped rotation: whole groups rotate; no group appears in both the
     train and valid side of any fold."""
     check_arguments(cv_group, locals())
-    reg = resolve(registry)
-    _check_partition(p, "group", reg, "cv_group")
+    _check_partition(p, "group", registry, "cv_group")
     group_rows = list(groups(p.dev.column(p.group_col)).values())
     if folds > len(group_rows):
         raise CVError(

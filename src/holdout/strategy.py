@@ -17,7 +17,7 @@ from . import learners
 from .errors import ConfigError
 from .learn import StackedModel, _cross_validate, _refit_on_dev
 from .prepare import infer_task
-from .registry import ProvenanceRegistry, resolve
+from .registry import ProvenanceRegistry
 from .rng import generator
 from .rotate import CVResult
 from .scoring import PRIMARY_METRIC
@@ -73,11 +73,10 @@ def screen(
     before any training, so an unknown one fails fast.
     """
     check_arguments(screen, locals())
-    reg = resolve(registry)
     algorithms = list(algorithms)
     if not algorithms:
         raise ConfigError("screen requires at least one algorithm")
-    cvr = _cross_validate(c, target, _runs(algorithms, hyperparameters), seed, None, reg)
+    cvr = _cross_validate(c, target, _runs(algorithms, hyperparameters), seed, None, registry)
     metric = PRIMARY_METRIC[cvr.task]
     ranked = sorted(zip(algorithms, cvr.scores), key=lambda row: (-row[1][metric], row[0]))
     return Leaderboard(rows=tuple(ranked), best=ranked[0][0], metric=metric)
@@ -117,7 +116,6 @@ def tune(
     are checked before any training, so an unknown one fails fast.
     """
     check_arguments(tune, locals())
-    reg = resolve(registry)
     if not space:
         raise ConfigError("tune requires a nonempty search space")
     for name, values in space.items():
@@ -129,7 +127,7 @@ def tune(
                     else _random_trials(space, budget, seed))
 
     cvr = _cross_validate(
-        c, target, [(algorithm, params) for params in trial_params], seed, None, reg
+        c, target, [(algorithm, params) for params in trial_params], seed, None, registry
     )
     metric = PRIMARY_METRIC[cvr.task]
     trials = list(zip(trial_params, cvr.scores))
@@ -158,20 +156,19 @@ def stack(
     names base algorithms only.
     """
     check_arguments(stack, locals())
-    reg = resolve(registry)
     base_algorithms = list(base_algorithms)
     if len(base_algorithms) < 2:
         raise ConfigError("stack requires at least 2 base algorithms")
     runs = _runs(base_algorithms, hyperparameters)
     meta_hp = learners.resolve_hyperparameters(meta_algorithm, None)
     learners.check_task(meta_algorithm, infer_task(c._dev_frame._col(c.target)))
-    cvr = _cross_validate(c, target, runs, seed, None, reg)
+    cvr = _cross_validate(c, target, runs, seed, None, registry)
     covered = ~np.isnan(cvr.oof).any(axis=1)
     meta_state = learners.train(
         meta_algorithm, cvr.oof[covered], cvr.y[covered], meta_hp, seed, cvr.task
     )
     base_models = tuple(
-        _refit_on_dev(c, cvr, r, seed, reg) for r in range(len(base_algorithms))
+        _refit_on_dev(c, cvr, r, seed) for r in range(len(base_algorithms))
     )
     return StackedModel(
         base=base_models,
@@ -181,5 +178,5 @@ def stack(
         target=cvr.target,
         source_split_id=c.source_split_id,
         classes=cvr.classes,
-        guards_bypassed=not reg.guards_on,
+        guards_bypassed=cvr.bypassed,
     )

@@ -19,7 +19,7 @@ def test_conditions_carry_names_and_details():
 def test_suite_detects_disabled_assess_guard(monkeypatch):
     # Sensitivity check: sabotage the atomic holdout claim so a second
     # assessment sails through; condition 4 must fail, the rest must not.
-    def complacent_claim(self, df, expected_split_id):
+    def complacent_claim(self, df, model):
         fp_record = self.lookup(df)
         return fp_record
 

@@ -4,7 +4,10 @@ Every module imports at its top: an import inside a function body hides a
 dependency (often a circular one) from the reader. And a verb's signature is
 the one declaration of what it takes, so only `signatures` raises TypeError,
 and a setting's named choices are a `Literal` there, never a membership test
-in the function's body."""
+in the function's body. Every guard decision is the registry's, so only
+`registry` compares a model's `assess_count` or raises an assess-guard error,
+and a verb reads the bypass flag `admit` returns, not `guards_on`. Only `rng`
+names `np.random`."""
 
 import ast
 from pathlib import Path
@@ -60,3 +63,44 @@ def test_no_parameter_is_checked_against_written_names(path):
                 for op, right in zip(node.ops, node.comparators))
     ]
     assert checked == []
+
+
+
+ASSESS_GUARD_ERRORS = {"AlreadyAssessedModel", "HoldoutSpent", "LineageMismatch"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_registry_decides_the_assess_guard(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    decided = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Attribute) and n.attr == "assess_count" for n in ast.walk(node))
+        or isinstance(node, ast.Raise) and node.exc is not None and any(
+            isinstance(n, ast.Name) and n.id in ASSESS_GUARD_ERRORS for n in ast.walk(node.exc))
+    ]
+    assert decided == [] or path.name == "registry.py"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_registry_and_the_run_report_read_guards_on(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "guards_on"
+    ]
+    assert read == [] or path.name in ("registry.py", "workflow.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_rng_names_np_random(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "random"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert named == [] or path.name == "rng.py"

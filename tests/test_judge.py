@@ -1,5 +1,7 @@
 import inspect
 import json
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -312,8 +314,6 @@ class TestAssessOnceProperty:
 def test_concurrent_assess_single_winner(registry, partition):
     # Eight models race one holdout: the claim is atomic, so exactly one
     # Evidence emerges and every other contender is told the budget is spent.
-    import threading
-
     models = [fit(partition.train, "y", seed=i, registry=registry) for i in range(8)]
     results = []
     lock = threading.Lock()
@@ -336,6 +336,42 @@ def test_concurrent_assess_single_winner(registry, partition):
         t.join()
     assert results.count("evidence") == 1
     assert results.count("spent") == 7
+
+
+def test_concurrent_assess_of_one_model_single_winner(registry, monkeypatch):
+    # One model without lineage races itself on two holdouts. The model
+    # check runs under the claim's lock, so exactly one Evidence emerges and
+    # the other call is told the model is spent; a sleep around the
+    # registry's fingerprinting widens the window between the two.
+    df = make_classification_frame(60)
+    registry.set_guards("off")
+    m = fit(df, "y", registry=registry)
+    registry.set_guards("on")
+    holdouts = [split(df, "y", seed=seed, registry=registry).test for seed in (1, 2)]
+    unslowed = holdout.registry.fingerprint
+
+    def slow_fingerprint(frame):
+        time.sleep(0.05)
+        return unslowed(frame)
+
+    monkeypatch.setattr(holdout.registry, "fingerprint", slow_fingerprint)
+    barrier = threading.Barrier(2)
+    results = []
+
+    def racer(test):
+        barrier.wait()
+        try:
+            results.append(assess(m, test, registry=registry))
+        except AlreadyAssessedModel as e:
+            results.append(e)
+
+    threads = [threading.Thread(target=racer, args=(test,)) for test in holdouts]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert sorted(type(r).__name__ for r in results) == ["AlreadyAssessedModel", "Evidence"]
+    assert m.assess_count == 1
 
 
 def test_evidence_values_sane(registry, partition, model):

@@ -567,6 +567,11 @@ class TestModelSerialization:
              "hyperparameter 'k' for 'knn' must be a whole number >= 1, got 'x'"),
             ("knn", lambda doc: doc.__setitem__("hyperparameters", {"k": [1]}),
              r"hyperparameter 'k' for 'knn' must be a whole number >= 1, got \[1\]"),
+            # Each used to load: the model reported one k and predicted with another.
+            ("knn", lambda doc: doc.__setitem__("hyperparameters", {"k": 1}),
+             "hyperparameter 'k' is 1, but the learner document records 5"),
+            ("knn", lambda doc: doc.update(hyperparameters={}, learner={**doc["learner"], "k": 3}),
+             "hyperparameter 'k' is 5, but the learner document records 3"),
         ],
         ids=["root 5", "2 weights for 3 features", "narrowed train_X", "forest feature 99",
              "split without gain", "split with value", "threshold 'x'", "no trees", "k 0",
@@ -576,7 +581,8 @@ class TestModelSerialization:
              "logistic task regression", "one class", "list class", "three classes",
              "tree learner task bogus", "logistic regression without classes",
              "hyperparameter k -3", "hyperparameter zzz", "hyperparameter k 'x'",
-             "hyperparameter k [1]"],
+             "hyperparameter k [1]", "hyperparameter k 1 over learner k 5",
+             "no hyperparameters over learner k 3"],
     )
     def test_document_structure_checked_at_load(self, registry, partition, algorithm, edit,
                                                 message):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from holdout import (
@@ -21,6 +23,12 @@ def frame():
     return DataFrame({"x": [1.0, 2.0, 3.0, 4.0, 5.0], "y": [0, 1, 0, 1, 0]})
 
 
+def unassessed(split_id=None):
+    """A stand-in for a model the assess guard has not seen: the two
+    attributes `claim_assessment` reads and writes."""
+    return SimpleNamespace(assess_count=0, source_split_id=split_id)
+
+
 def test_register_and_lookup(registry, frame):
     fp = fingerprint(frame)
     registry.register(fp, "test", "s1")
@@ -31,7 +39,7 @@ def test_register_and_lookup(registry, frame):
 def test_reregister_latest_wins(registry, frame):
     fp = fingerprint(frame)
     registry.register(fp, "test", "s1")
-    registry.claim_assessment(frame, None)
+    registry.claim_assessment(frame, unassessed())
     registry.register(fp, "test", "s2")  # re-split: resets assessed
     rec = registry.lookup(frame)
     assert rec.split_id == "s2" and rec.assessed is False
@@ -110,23 +118,24 @@ def test_lookup_is_pure_content_function(registry, frame):
 def test_guards_off_assess_marks_only_test_role(registry, frame):
     registry.register(fingerprint(frame), "train", "s1")
     registry.set_guards("off")
-    record, bypassed = registry.admit(frame, "assess")
+    record, bypassed = registry.admit(frame, "assess", unassessed())
     assert record.role == "train" and bypassed is True
     assert registry.lookup(frame).assessed is False
 
 
 def test_guards_off_assess_unregistered(registry, frame):
     registry.set_guards("off")
-    assert registry.admit(frame, "assess") == (None, True)
+    assert registry.admit(frame, "assess", unassessed()) == (None, True)
     assert registry.dump() == {}
 
 
 def test_guards_off_assess_idempotent(registry, frame):
     registry.register(fingerprint(frame), "test", "s1")
     registry.set_guards("off")
-    registry.admit(frame, "assess")
-    registry.admit(frame, "assess")  # off-mode never raises; guards-on rejects
-    assert registry.lookup(frame).assessed is True
+    model = unassessed()
+    registry.admit(frame, "assess", model)
+    registry.admit(frame, "assess", model)  # off-mode never raises; guards-on rejects
+    assert registry.lookup(frame).assessed is True and model.assess_count == 2
 
 
 def test_guard_mode_switch(registry):
@@ -213,18 +222,19 @@ def test_admission_matrix(registry, frame, guards, verb, role):
     if role is not None:
         registry.register(fingerprint(frame), role, "s1")
     registry.set_guards(guards)
+    model = unassessed("s1")
     if guards == "off":
-        record, bypassed = registry.admit(frame, verb)
+        record, bypassed = registry.admit(frame, verb, model)
         assert bypassed is True
         assert (record is None) == (role is None)
     elif role is None:
         with pytest.raises(PartitionError, match="call split"):
-            registry.admit(frame, verb)
+            registry.admit(frame, verb, model)
     elif role in ADMITS[verb]:
-        record, bypassed = registry.admit(frame, verb, "s1")
+        record, bypassed = registry.admit(frame, verb, model)
         assert record.role == role and bypassed is False
     else:
         with pytest.raises(GuardError, match="reserved for assess"):
-            registry.admit(frame, verb, "s1")
+            registry.admit(frame, verb, model)
     spent = [entry["assessed"] for entry in registry.dump().values()]
     assert spent == ([] if role is None else [verb == "assess" and role == "test"])

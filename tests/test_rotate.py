@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -8,6 +9,7 @@ from holdout import (
     ConfigError,
     DataFrame,
     GuardError,
+    PartitionError,
     ProvenanceRegistry,
     cv,
     cv_group,
@@ -66,8 +68,19 @@ class TestKFold:
 
     def test_unregistered_partition_rejected(self, partition):
         fresh = ProvenanceRegistry()
-        with pytest.raises(CVError, match="not registered"):
+        with pytest.raises(PartitionError, match="cv requires data registered by split"):
             cv(partition, 5, registry=fresh)
+
+    def test_a_swapped_dev_is_refused(self, registry, partition):
+        # The registry admits the frame the rotation cuts, not its split id.
+        swapped = dataclasses.replace(partition, dev=partition.test)
+        with pytest.raises(GuardError, match="cv admits only dev-role data, got role 'test'"):
+            cv(swapped, 5, registry=registry)
+
+    def test_guards_off_admits_an_unregistered_partition(self, registry, partition):
+        fresh = ProvenanceRegistry()
+        fresh.set_guards("off")
+        assert cv(partition, 5, registry=fresh).folds == cv(partition, 5, registry=registry).folds
 
     def test_partition_access_blocked(self, registry, partition):
         c = cv(partition, 5, registry=registry)

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -117,7 +118,7 @@ class TestRandomSplit:
     def test_resplit_resets_assessed(self, registry):
         df = make_classification_frame(20)
         p = split(df, "y", seed=1, registry=registry)
-        registry.claim_assessment(p.test, None)
+        registry.claim_assessment(p.test, SimpleNamespace(assess_count=0, source_split_id=None))
         split(df, "y", seed=1, registry=registry)  # same content re-registered
         assert registry.lookup(p.test).assessed is False
 

@@ -195,9 +195,10 @@ class TestStack:
         # prediction must come from a model whose training fold excluded i,
         # and the meta learner must be the one trained on exactly that
         # out-of-fold matrix.
-        from holdout.learn import _fold_seed, _train_on_prepared, feature_matrix
+        from holdout.learn import _train_on_prepared, feature_matrix
         from holdout.learners import resolve_hyperparameters, train
         from holdout.prepare import apply, fit_transformer, target_encoding
+        from holdout.rng import fold_seed
         from holdout.rotate import _materialize
 
         p = split(make_classification_frame(20, seed=3), "y", seed=6, registry=registry)
@@ -213,7 +214,7 @@ class TestStack:
                 state = _train_on_prepared(
                     prepared, algo,
                     resolve_hyperparameters(algo, None),
-                    _fold_seed(1, fold_index),
+                    fold_seed(1, fold_index),
                 )
                 fold_valid = _materialize(c, valid_idx)
                 X = feature_matrix(apply(prepared.state, fold_valid),
