@@ -136,7 +136,7 @@ def _check_5_per_fold_preparation():
     model = fit(rotation, "y", registry=reg)
     assert len(model.fold_transformers_) == rotation.k, "missing per-fold state"
     dev = rotation._dev_frame
-    for (train_idx, _), transformer in zip(rotation.folds, model.fold_transformers_):
+    for (train_idx, _), transformer in zip(rotation._folds, model.fold_transformers_):
         standardize = next(st for st in transformer.steps if st.kind == "standardize")
         for col, (mean, std) in standardize.params.items():
             cells = dev.column(col)

@@ -22,7 +22,8 @@ fingerprints depend on cell content only. A fingerprint encodes float
 columns with numpy and each dictionary entry once, gathered by code; both
 equal the per-cell ``canonical_encode`` stream byte for byte. A split's
 train, valid and dev members are built together (``_take_train_valid_dev``):
-dev is train's rows then valid's, so its digests continue train's SHA-256
+dev, train's rows then valid's, is the one gathered copy and train and
+valid are row slices of it, so dev's digests continue train's SHA-256
 states with valid's bytes, and no member's cells are encoded twice.
 """
 
@@ -157,8 +158,9 @@ def _cell(col: Column, i: int) -> Cell:
     return None if math.isnan(value) else float(value)
 
 
-def _take_column(col: Column, idx: np.ndarray) -> Column:
-    """The column's cells at row positions `idx`, in that order."""
+def _take_column(col: Column, idx: np.ndarray | slice) -> Column:
+    """The column's cells at row positions `idx`, in that order; a slice
+    gives a view of a float column or of a coded column's codes."""
     if isinstance(col, np.ndarray):
         return _readonly(col[idx])
     codes = col.codes[idx]
@@ -187,7 +189,12 @@ def _first_appearance(col: Column) -> list[Cell]:
     """The distinct present cells in order of first appearance; a float
     column's equal cells (0.0 and -0.0) count once."""
     if isinstance(col, Coded):
-        return [col.values[c] for c in dict.fromkeys(col.codes.tolist()) if c >= 0]
+        n = len(col.codes)
+        first = np.full(len(col.values), n)
+        np.minimum.at(first, col.codes, np.arange(n))  # code -1 writes None's slot
+        starts = np.zeros(n + 1, dtype=bool)
+        starts[first] = True  # rows where an entry first appears, in row order
+        return [col.values[c] for c in col.codes[starts[:-1]].tolist() if c >= 0]
     return [v for v in dict.fromkeys(col.tolist()) if v == v]  # NaN is missing
 
 
@@ -269,10 +276,18 @@ def _float_column_bytes(a: np.ndarray) -> bytes:
 def _column_bytes(col: Column) -> bytes:
     """The canonical encodings of a column's cells, concatenated. A coded
     column's dictionary entries are encoded once, then gathered by code
-    (-1 reads the trailing None)."""
+    (-1 reads the trailing None): as rows of an (entries, width) byte table
+    when every entry a row uses encodes to one width, else joined."""
     if not isinstance(col, Coded):
         return _float_column_bytes(col)
     encoded = list(map(canonical_encode, col.values))
+    used = np.zeros(len(encoded), dtype=bool)
+    used[col.codes] = True
+    widths = set(map(len, compress(encoded, used)))
+    if len(widths) == 1:
+        (width,) = widths  # an unused entry's row is never read
+        table = np.frombuffer(b"".join(e.ljust(width)[:width] for e in encoded), np.uint8)
+        return table.reshape(-1, width)[col.codes].tobytes()
     return b"".join(map(encoded.__getitem__, col.codes.tolist()))
 
 
@@ -470,16 +485,18 @@ def _take_train_valid_dev(
     """The rows at `idx_train` tagged train, at `idx_valid` tagged valid,
     and both, train's first, tagged dev, each with its fingerprint set.
 
+    Dev is the one gathered copy; train and valid are its row slices.
     Each side's cells are encoded and hashed once: SHA-256 reads its input
     as one stream, so dev's digest of a column is train's hash state fed
     valid's bytes, the digest `fingerprint` gives dev.
     """
-    sides = [np.asarray(idx, dtype=np.intp) for idx in (idx_train, idx_valid)]
-    rows = [*sides, np.concatenate(sides)]
+    rows = np.concatenate([np.asarray(idx, dtype=np.intp) for idx in (idx_train, idx_valid)])
+    halves = (slice(0, len(idx_train)), slice(len(idx_train), None))
     columns: list[list[Column]] = [[], [], []]  # of train, valid and dev
     digests: list[dict[str, bytes]] = [{}, {}, {}]
     for name, col in zip(df._names, df._columns):
-        taken = [_take_column(col, idx) for idx in rows]
+        dev_col = _take_column(col, rows)
+        taken = [*(_take_column(dev_col, half) for half in halves), dev_col]
         train_bytes, valid_bytes = map(_column_bytes, taken[:2])
         h = hashlib.sha256(train_bytes)
         digests[0][name] = h.digest()  # digest() leaves the state open
@@ -489,9 +506,9 @@ def _take_train_valid_dev(
         for member_columns, c in zip(columns, taken):
             member_columns.append(c)
     frames = []
-    for tag, idx, cols, d in zip(("train", "valid", "dev"), rows, columns, digests):
+    for tag, cols, d in zip(("train", "valid", "dev"), columns, digests):
         member = DataFrame._from_storage(df._names, cols, tag)
-        object.__setattr__(member, "_fp", FrameFingerprint(d, len(idx)))
+        object.__setattr__(member, "_fp", FrameFingerprint(d, member.row_count))
         frames.append(member)
     return tuple(frames)
 

@@ -291,19 +291,18 @@ def _fold_pass(c, target, task, classes, y, recipe, runs, seed) -> list[tuple]:
     fold_metrics: list[list[dict[str, float]]] = [[] for _ in runs]
     fold_transformers: list[Transformer] = []
     oof = [np.full(c._dev_frame.row_count, np.nan) for _ in runs]
-    for fold_index, (train_idx, valid_idx) in enumerate(c.folds):
+    for fold_index, (train_idx, valid_idx) in enumerate(c._folds):
         prepared = fit_transformer(_materialize(c, train_idx), target, recipe, (task, classes))
         fold_valid = _materialize(c, valid_idx)
         X_valid = feature_matrix(
             apply(prepared.state, fold_valid), prepared.state.feature_names
         )
-        valid = list(valid_idx)
-        y_valid = y[valid]
+        y_valid = y[valid_idx]
         seed_of_fold = fold_seed(seed, fold_index)
         for r, (algorithm, hp) in enumerate(runs):
             preds = _train_on_prepared(prepared, algorithm, hp, seed_of_fold).predict(X_valid)
             fold_metrics[r].append(score(task, y_valid, preds, CV_METRICS[task]))
-            oof[r][valid] = preds
+            oof[r][valid_idx] = preds
         fold_transformers.append(prepared.state)
 
     shared = tuple(fold_transformers)

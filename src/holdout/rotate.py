@@ -14,7 +14,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import CVError, GuardError
-from .frame import DataFrame
+from .frame import DataFrame, _readonly
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .signatures import Count, Folds, Positive, check_arguments
@@ -26,8 +26,8 @@ _BLOCKED_ATTRS = ("train", "valid", "test", "dev")
 class CVResult:
     """A k-fold rotation schedule; immutable and safely shareable.
 
-    folds holds k (train_indices, valid_indices) pairs of sorted row
-    indices into the dev frame of the originating split.
+    It stores k (train, valid) pairs of sorted positions into the source split's
+    dev rows as read-only intp arrays; `folds` reads them as tuples of Python ints.
 
     A cross-validated run's fold predictions depend only on the rotation
     and the run, so the rotation keeps each run it has seen (its mean fold
@@ -42,7 +42,8 @@ class CVResult:
     )
 
     def __init__(self, folds, k, target, source_split_id, kind, dev_frame):
-        object.__setattr__(self, "_folds", tuple(folds))
+        arrays = (tuple(_readonly(np.array(side, np.intp)) for side in fold) for fold in folds)
+        object.__setattr__(self, "_folds", tuple(arrays))
         object.__setattr__(self, "_k", int(k))
         object.__setattr__(self, "_target", target)
         object.__setattr__(self, "_source_split_id", source_split_id)
@@ -62,7 +63,7 @@ class CVResult:
 
     @property
     def folds(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        return self._folds
+        return tuple((tuple(t.tolist()), tuple(v.tolist())) for t, v in self._folds)
 
     @property
     def k(self) -> int:
@@ -94,7 +95,7 @@ class CVResult:
 
 def _materialize(cv_result: CVResult, indices) -> DataFrame:
     # Interior to fit: fold frames are never registered as session partitions.
-    return cv_result._dev_frame._take(list(indices), tag="dev")
+    return cv_result._dev_frame._take(indices, tag="dev")
 
 
 def _check_partition(p: Partition, expected_kind: str, registry: ProvenanceRegistry | None,
@@ -107,10 +108,13 @@ def _check_partition(p: Partition, expected_kind: str, registry: ProvenanceRegis
     resolve(registry).admit(p.dev, "cv")
 
 
-def _pair_with_rest(n: int, valid_sides) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Pair each sorted valid side with the other dev rows as its train side."""
-    rows = np.arange(n)
-    return [(tuple(np.delete(rows, v).tolist()), tuple(v)) for v in valid_sides]
+def _pair_with_rest(n: int, valid_sides) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pair each valid side with the other dev rows as its train side, both
+    as sorted positions read off a row mask (no integer sort runs)."""
+    valid = np.zeros((len(valid_sides), n), dtype=bool)
+    for mask, v in zip(valid, valid_sides):
+        mask[v] = True
+    return [(np.flatnonzero(~mask), np.flatnonzero(mask)) for mask in valid]
 
 
 def cv(
@@ -128,7 +132,7 @@ def cv(
     # Equal shares tie on every remainder, so the last (n mod folds) folds
     # get one extra row: 7 rows in 3 folds give [2, 2, 3].
     parts = deal(n, [1.0 / folds] * folds, generator(seed))
-    out = _pair_with_rest(n, [sorted(part) for part in parts])
+    out = _pair_with_rest(n, parts)
     return CVResult(out, folds, p.target, p.split_id, "kfold", p.dev)
 
 
@@ -159,11 +163,9 @@ def cv_temporal(
     out = []
     start = min_train + embargo
     for size in sizes:
-        valid_idx = tuple(range(start, start + size))
         train_end = start - embargo
         train_begin = 0 if window == "expanding" else train_end - min_train
-        train_idx = tuple(range(train_begin, train_end))
-        out.append((train_idx, valid_idx))
+        out.append((np.arange(train_begin, train_end), np.arange(start, start + size)))
         start += size
     return CVResult(out, folds, p.target, p.split_id, "temporal", p.dev)
 
@@ -185,6 +187,6 @@ def cv_group(
         )
     parts = deal(len(group_rows), [1.0 / folds] * folds, generator(seed))
     out = _pair_with_rest(
-        p.dev.row_count, [sorted(r for i in part for r in group_rows[i]) for part in parts]
+        p.dev.row_count, [np.concatenate([group_rows[i] for i in part]) for part in parts]
     )
     return CVResult(out, folds, p.target, p.split_id, "group", p.dev)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     GroupError,
     PartitionError,
@@ -67,11 +69,11 @@ def largest_remainder(n: int, ratios) -> list[int]:
     return base
 
 
-def deal(count: int, shares, rng) -> list[list[int]]:
-    """Positions 0..count-1 in one seeded shuffle, cut into consecutive parts
-    sized by `largest_remainder(count, shares)`: every seeded split and
-    rotation places its rows, a class's rows, or its groups this way."""
-    perm = rng.permutation(count).tolist()
+def deal(count: int, shares, rng) -> list[np.ndarray]:
+    """Positions 0..count-1 in one seeded shuffle, cut into consecutive intp
+    slices sized by `largest_remainder(count, shares)`: every seeded split
+    and rotation places its rows, a class's rows, or its groups this way."""
+    perm = rng.permutation(count)
     ends = [0, *accumulate(largest_remainder(count, shares))]
     return [perm[start:end] for start, end in zip(ends, ends[1:])]
 
@@ -287,7 +289,7 @@ def split_group(
     if len(group_rows) < 3:
         raise GroupError(f"need at least 3 distinct groups to split, got {len(group_rows)}")
     parts = deal(len(group_rows), ratios, generator(seed))
-    if not all(parts):
+    if not all(map(len, parts)):
         raise GroupError(
             f"ratios {tuple(ratios)} allocate zero groups to a partition "
             f"(group counts {tuple(map(len, parts))})"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from holdout import ConfigError, DataFrame, SchemaError, canonical_encode, fingerprint
 from holdout import select_columns
+from holdout.frame import Coded, _column_bytes, _first_appearance
 from holdout.prepare import fit_transformer
 
 _CELLS = st.one_of(
@@ -125,6 +126,26 @@ class TestCodedColumns:
             y = prepared.data.column("y")
             if len(classes) == 2:
                 assert y == tuple(float(v == classes[1]) for v in cells)
+
+
+class TestCodedGathers:
+    # Cells of a few encoded widths, so a column is often of one width
+    # (the byte-table gather) and often not (the join).
+    @given(
+        st.lists(st.sampled_from(["ab", "cd", "ef", "é", True, False, 1, 2.5, None]),
+                 min_size=1, max_size=30),
+        st.lists(st.integers(min_value=0, max_value=29), max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_per_cell_loops(self, cells, rows):
+        n = len(cells)
+        df = DataFrame({"c": cells})
+        assume(isinstance(df._col("c"), Coded))
+        for frame in (df, df._take([r % n for r in rows])):
+            col, taken = frame._col("c"), frame.column("c")
+            assert _column_bytes(col) == b"".join(map(canonical_encode, taken))
+            reference = [col.values[c] for c in dict.fromkeys(col.codes.tolist()) if c >= 0]
+            assert _exact(_first_appearance(col)) == _exact(reference)
 
 
 class TestTakenFramesForgetDroppedRows:

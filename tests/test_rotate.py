@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from holdout import (
@@ -20,8 +21,10 @@ from holdout import (
     split_group,
     split_temporal,
 )
+from holdout.rotate import CVResult
 
 from conftest import make_classification_frame
+from test_partition_golden import GOLDEN_ROTATIONS, ROTATIONS, SPLITS, _folds_digest, _frame
 
 
 @pytest.fixture
@@ -98,6 +101,20 @@ class TestKFold:
         with pytest.raises(AttributeError):
             c.k = 7
 
+    def test_stored_fold_sides_are_readonly_intp_arrays(self, registry, partition):
+        c = cv(partition, 5, registry=registry)
+        for fold in c._folds:
+            for side in fold:
+                assert isinstance(side, np.ndarray) and side.dtype == np.intp
+                with pytest.raises(ValueError, match="read-only"):
+                    side[0] = 0
+        # Sides passed in are copied: a caller's array cannot reach them.
+        train, valid = np.arange(50, 100), np.arange(50)
+        twin = CVResult([(train, valid)], 2, c.target, c.source_split_id, c.kind,
+                        c._dev_frame)
+        valid[0] = 99
+        assert twin.folds[0][1][0] == 0
+
     @pytest.mark.parametrize(
         "duplicate",
         [copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
@@ -112,6 +129,8 @@ class TestKFold:
         assert (twin.folds, twin.k, twin.target, twin.source_split_id, twin.kind) == (
             c.folds, c.k, c.target, c.source_split_id, c.kind
         )
+        with pytest.raises(ValueError, match="read-only"):
+            twin._folds[0][1][0] = 0  # unpickled arrays come back writeable
         assert c._runs and twin._runs == {}
         assert twin._dev_frame == c._dev_frame
         assert fingerprint(twin._dev_frame) == fingerprint(partition.dev)
@@ -263,3 +282,21 @@ class TestGroupRotation:
         counts = [len({dev_groups[i] for i in valid_idx}) for _, valid_idx in c.folds]
         assert sum(counts) == dev_group_count
         assert max(counts) - min(counts) <= 1
+
+
+@pytest.mark.parametrize("name", sorted(ROTATIONS))
+def test_public_folds_are_tuples_of_python_ints(name):
+    source, rotate = ROTATIONS[name]
+    reg = ProvenanceRegistry()
+    c = rotate(SPLITS[source](_frame(), reg), reg)
+    folds = c.folds
+    assert type(folds) is tuple and len(folds) == c.k
+    for fold in folds:
+        assert type(fold) is tuple and len(fold) == 2
+        for side in fold:
+            assert type(side) is tuple
+            assert all(type(i) is int for i in side)
+    assert [[list(side) for side in fold] for fold in folds] == [
+        [side.tolist() for side in fold] for fold in c._folds
+    ]
+    assert _folds_digest(c) == GOLDEN_ROTATIONS[name]
