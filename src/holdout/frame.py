@@ -186,16 +186,25 @@ def _as_floats(col: Column) -> np.ndarray:
 
 
 def _first_appearance(col: Column) -> list[Cell]:
-    """The distinct present cells in order of first appearance; a float
-    column's equal cells (0.0 and -0.0) count once."""
+    """The classes of equal present cells, each named by its first cell, in
+    order of first appearance: 1, 1.0 and True are one class; so are 0.0
+    and -0.0."""
     if isinstance(col, Coded):
         n = len(col.codes)
         first = np.full(len(col.values), n)
         np.minimum.at(first, col.codes, np.arange(n))  # code -1 writes None's slot
         starts = np.zeros(n + 1, dtype=bool)
         starts[first] = True  # rows where an entry first appears, in row order
-        return [col.values[c] for c in col.codes[starts[:-1]].tolist() if c >= 0]
-    return [v for v in dict.fromkeys(col.tolist()) if v == v]  # NaN is missing
+        cells = [col.values[c] for c in col.codes[starts[:-1]].tolist() if c >= 0]
+    else:
+        cells = col.tolist()
+    return [v for v in dict.fromkeys(cells) if v == v]  # NaN is missing
+
+
+def _classes(col: Column) -> tuple[np.ndarray, list[Cell]]:
+    """Each row's class as an index into `_first_appearance(col)`, -1 if missing; and that list."""
+    names = _first_appearance(col)
+    return _lookup(col, dict(zip(names, range(len(names)))), -1), names
 
 
 def _lookup(col: Column, table: Mapping, default) -> np.ndarray:

@@ -4,17 +4,17 @@ Every learner trains on a float64 matrix, predicts a single numeric column
 (class-1 probability for classification, a point estimate for regression),
 and is deterministic given its seed. State is plain data so fitted models
 serialize to JSON. `LEARNERS` declares each algorithm once: how it trains,
-its state (whose fields declare its document), the one task it may be
-limited to and whether a document fits a model. A fit's keyword-only
-parameters declare its hyperparameters, their defaults and, through the
-`signatures` table, their domains.
+its state (whose fields declare its document) and whether a document fits
+a model. A fit's `task` annotation names the one task it is limited to, if
+any, and its keyword-only parameters declare its hyperparameters, their
+defaults and, through the `signatures` table, their domains.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping, NamedTuple, Sequence
+from typing import Callable, Literal, Mapping, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -72,8 +72,9 @@ class LogisticState(_Affine):
         return _sigmoid(X @ np.asarray(self.weights, dtype=np.float64) + self.bias)
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, seed: int, task: str, *, learning_rate: Rate = 0.1,
-                 max_iter: Size = 2000, tol: Penalty = 1e-8, l2: Penalty = 0.0) -> LogisticState:
+def fit_logistic(X: np.ndarray, y: np.ndarray, seed: int, task: Literal["classification"], *,
+                 learning_rate: Rate = 0.1, max_iter: Size = 2000, tol: Penalty = 1e-8,
+                 l2: Penalty = 0.0) -> LogisticState:
     """Full-batch gradient descent on the log-loss, optional L2 penalty.
     Labels are 0.0 or 1.0 (`encode_target`), so a row's loss is the log of
     its own label's probability. A mean is np.mean's pairwise sum over n."""
@@ -101,7 +102,7 @@ class LinearState(_Affine):
         return X @ np.asarray(self.weights, dtype=np.float64) + self.bias
 
 
-def fit_linear(X: np.ndarray, y: np.ndarray, seed: int, task: str, *,
+def fit_linear(X: np.ndarray, y: np.ndarray, seed: int, task: Literal["regression"], *,
                ridge: Penalty = 0.0) -> LinearState:
     """Least squares via the normal equations; falls back to a small ridge
     term when the Gram matrix is singular."""
@@ -398,11 +399,10 @@ def fit_knn(X: np.ndarray, y: np.ndarray, seed: int, task: str, *, k: Size = 5) 
 
 
 class Learner(NamedTuple):
-    """One algorithm: how it trains and reloads, and what it may learn."""
+    """One algorithm: how it trains and reloads."""
 
     fit: Callable  # (X, y, seed, task, **hyperparameters) -> state
     state: type  # rebuilt from its `to_dict()` as state(**document)
-    only_task: str | None  # the one task it learns; None learns both
     fits: Callable  # (document, features) -> whether it predicts from that many
 
 
@@ -411,15 +411,15 @@ def _affine_fits(d, features: int) -> bool:
 
 
 LEARNERS: dict[str, Learner] = {
-    "logistic": Learner(fit_logistic, LogisticState, "classification", _affine_fits),
-    "linear": Learner(fit_linear, LinearState, "regression", _affine_fits),
-    "decision_tree": Learner(fit_decision_tree, TreeState, None,
+    "logistic": Learner(fit_logistic, LogisticState, _affine_fits),
+    "linear": Learner(fit_linear, LinearState, _affine_fits),
+    "decision_tree": Learner(fit_decision_tree, TreeState,
                              lambda d, features: _trees_fit([d["root"]], features)),
     "random_forest": Learner(
-        fit_random_forest, ForestState, None,
+        fit_random_forest, ForestState,
         lambda d, features: len(d["trees"]) > 0 and _trees_fit(d["trees"], features),
     ),
-    "knn": Learner(fit_knn, KnnState, None, lambda d, features: (
+    "knn": Learner(fit_knn, KnnState, lambda d, features: (
         d["k"] >= 1 and len(d["train_X"]) == len(d["train_y"]) > 0
         and all(len(row) == features for row in d["train_X"]))),
 }
@@ -427,9 +427,9 @@ LEARNERS: dict[str, Learner] = {
 
 def check_task(algorithm: str, task: str) -> None:
     """Reject an algorithm that cannot learn this task, before any training."""
-    only = _learner(algorithm).only_task
-    if only is not None and task != only:
-        raise ConfigError(f"{algorithm} supports {only} targets only")
+    only = get_args(signature(_learner(algorithm).fit).parameters["task"].annotation)
+    if only and task not in only:
+        raise ConfigError(f"{algorithm} supports {only[0]} targets only")
 
 
 def train(algorithm: str, X: np.ndarray, y: np.ndarray, hp: dict, seed: int, task: str):

@@ -324,9 +324,7 @@ def _apply_step(step: Step, working: _Working) -> None:
             new_order.append(name)
             continue
         categories = step.params[name]
-        index: dict = {}
-        for k, cat in enumerate(categories):
-            index.setdefault(cat, k)
+        index = {cat: k for k, cat in enumerate(categories)}
         codes = _lookup(working.values.pop(name), index, -1)
         del working.missing[name]
         for cat in categories:
@@ -357,7 +355,7 @@ def target_encoding(col: Column) -> tuple[str, tuple | None]:
     task = infer_task(col)
     if task == "regression":
         return task, None
-    classes = sorted(set(_first_appearance(col)), key=repr)
+    classes = sorted(_first_appearance(col), key=repr)
     if len(classes) > 2:
         raise ConfigError(
             f"classification supports exactly 2 classes, got {len(classes)}"

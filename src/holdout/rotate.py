@@ -4,7 +4,7 @@ A CVResult is a schedule of (train-index, valid-index) pairs into the dev
 frame. It deliberately exposes no partition accessors: the test holdout
 stays on the originating Partition and is reachable only through assess.
 Each rotation verb checks its partition's kind, then the registry admits
-the dev frame it cuts as `cv`.
+the dev frame it cuts as `cv`; `cv` and `cv_group` label each dev row's fold.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from typing import Literal
 import numpy as np
 
 from .errors import CVError, GuardError
-from .frame import DataFrame, _readonly
+from .frame import DataFrame, _classes, _readonly
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
 from .signatures import Count, Folds, Positive, check_arguments
-from .split import Partition, deal, groups, largest_remainder
+from .split import Partition, deal, largest_remainder, part_labels
 
 _BLOCKED_ATTRS = ("train", "valid", "test", "dev")
 
@@ -37,14 +37,11 @@ class CVResult:
     keeps no frames and no prepared matrices.
     """
 
-    __slots__ = (
-        "_folds", "_k", "_target", "_source_split_id", "_kind", "_dev_frame", "_runs"
-    )
+    __slots__ = ("_folds", "_target", "_source_split_id", "_kind", "_dev_frame", "_runs")
 
-    def __init__(self, folds, k, target, source_split_id, kind, dev_frame):
+    def __init__(self, folds, target, source_split_id, kind, dev_frame):
         arrays = (tuple(_readonly(np.array(side, np.intp)) for side in fold) for fold in folds)
         object.__setattr__(self, "_folds", tuple(arrays))
-        object.__setattr__(self, "_k", int(k))
         object.__setattr__(self, "_target", target)
         object.__setattr__(self, "_source_split_id", source_split_id)
         object.__setattr__(self, "_kind", kind)
@@ -57,8 +54,7 @@ class CVResult:
     def __reduce__(self):
         # A copy rebuilds through __init__, so it starts with an empty memo.
         return CVResult, (
-            self._folds, self._k, self._target, self._source_split_id,
-            self._kind, self._dev_frame,
+            self._folds, self._target, self._source_split_id, self._kind, self._dev_frame
         )
 
     @property
@@ -67,7 +63,7 @@ class CVResult:
 
     @property
     def k(self) -> int:
-        return self._k
+        return len(self._folds)
 
     @property
     def target(self) -> str:
@@ -90,7 +86,7 @@ class CVResult:
         raise AttributeError(name)
 
     def __repr__(self) -> str:
-        return f"CVResult(kind={self._kind!r}, k={self._k})"
+        return f"CVResult(kind={self._kind!r}, k={self.k})"
 
 
 def _materialize(cv_result: CVResult, indices) -> DataFrame:
@@ -108,13 +104,10 @@ def _check_partition(p: Partition, expected_kind: str, registry: ProvenanceRegis
     resolve(registry).admit(p.dev, "cv")
 
 
-def _pair_with_rest(n: int, valid_sides) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pair each valid side with the other dev rows as its train side, both
-    as sorted positions read off a row mask (no integer sort runs)."""
-    valid = np.zeros((len(valid_sides), n), dtype=bool)
-    for mask, v in zip(valid, valid_sides):
-        mask[v] = True
-    return [(np.flatnonzero(~mask), np.flatnonzero(mask)) for mask in valid]
+def _pair_with_rest(row_folds: np.ndarray, folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each fold's dev rows (`row_folds` holds each row's fold) as its valid
+    side and the other dev rows as its train side, both sorted positions."""
+    return [(np.flatnonzero(row_folds != f), np.flatnonzero(row_folds == f)) for f in range(folds)]
 
 
 def cv(
@@ -132,8 +125,8 @@ def cv(
     # Equal shares tie on every remainder, so the last (n mod folds) folds
     # get one extra row: 7 rows in 3 folds give [2, 2, 3].
     parts = deal(n, [1.0 / folds] * folds, generator(seed))
-    out = _pair_with_rest(n, parts)
-    return CVResult(out, folds, p.target, p.split_id, "kfold", p.dev)
+    out = _pair_with_rest(part_labels(parts, n), folds)
+    return CVResult(out, p.target, p.split_id, "kfold", p.dev)
 
 
 def cv_temporal(
@@ -167,7 +160,7 @@ def cv_temporal(
         train_begin = 0 if window == "expanding" else train_end - min_train
         out.append((np.arange(train_begin, train_end), np.arange(start, start + size)))
         start += size
-    return CVResult(out, folds, p.target, p.split_id, "temporal", p.dev)
+    return CVResult(out, p.target, p.split_id, "temporal", p.dev)
 
 
 def cv_group(
@@ -176,17 +169,13 @@ def cv_group(
     seed: Count = 0,
     registry: ProvenanceRegistry | None = None,
 ) -> CVResult:
-    """Grouped rotation: whole groups rotate; no group appears in both the
-    train and valid side of any fold."""
+    """Grouped rotation: whole groups (equal cells, as in `split_group`)
+    rotate; no group appears in both the train and valid side of any fold."""
     check_arguments(cv_group, locals())
     _check_partition(p, "group", registry, "cv_group")
-    group_rows = list(groups(p.dev.column(p.group_col)).values())
-    if folds > len(group_rows):
-        raise CVError(
-            f"folds must be between 2 and {len(group_rows)} (dev groups), got {folds}"
-        )
-    parts = deal(len(group_rows), [1.0 / folds] * folds, generator(seed))
-    out = _pair_with_rest(
-        p.dev.row_count, [np.concatenate([group_rows[i] for i in part]) for part in parts]
-    )
-    return CVResult(out, folds, p.target, p.split_id, "group", p.dev)
+    codes, names = _classes(p.dev._col(p.group_col))
+    if folds > len(names):
+        raise CVError(f"folds must be between 2 and {len(names)} (dev groups), got {folds}")
+    parts = deal(len(names), [1.0 / folds] * folds, generator(seed))
+    out = _pair_with_rest(part_labels(parts, len(names))[codes], folds)
+    return CVResult(out, p.target, p.split_id, "group", p.dev)

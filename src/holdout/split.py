@@ -4,6 +4,8 @@ Each variant returns a Partition whose train/valid/test/dev members are
 tagged and registered in the provenance registry under a deterministic
 split id. Rounding uses largest-remainder allocation; remainder ties go to
 the later partition (train < valid < test), which keeps sizes reproducible.
+Rows are placed from integer codes read off the frame's storage, never from
+per-row Python cells: equal cells (1, 1.0 and True) are one class, group or time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import (
     StratifyError,
     TemporalTieError,
 )
-from .frame import DataFrame, _take_train_valid_dev, fingerprint
+from .frame import (Coded, DataFrame, _cell, _classes, _first_appearance, _lookup, _missing,
+                    _take_train_valid_dev, fingerprint)
 from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
@@ -78,12 +81,12 @@ def deal(count: int, shares, rng) -> list[np.ndarray]:
     return [perm[start:end] for start, end in zip(ends, ends[1:])]
 
 
-def groups(cells) -> dict:
-    """Each distinct cell mapped to its row positions, in first-appearance order."""
-    rows: dict = {}
-    for i, cell in enumerate(cells):
-        rows.setdefault(cell, []).append(i)
-    return rows
+def part_labels(parts, count: int) -> np.ndarray:
+    """Each of positions 0..count-1's part under `deal`, as int32 labels."""
+    out = np.empty(count, dtype=np.int32)  # compared faster than intp
+    for i, part in enumerate(parts):
+        out[part] = i
+    return out
 
 
 def _validate_common(df: DataFrame, target: str, ratios) -> None:
@@ -171,7 +174,7 @@ def split(
     With stratify=True and a classification target (text, bool, or at
     most 20 distinct values: the rule of `prepare.infer_task`), per-class
     proportions in every member match the global proportions to within one
-    row per class.
+    row per class: classes are dealt in turn, in repr order of their names.
     """
     check_arguments(split, locals())
     reg = resolve(registry)
@@ -187,21 +190,19 @@ def split(
         stratify = False
 
     if stratify:
-        # Classes by Python equality, each named by its first cell.
-        classes = groups(df.column(target))
-        if None in classes:
+        codes, names = _classes(df._col(target))
+        if (codes < 0).any():
             raise StratifyError("cannot stratify on a target with missing values")
-        buckets: list[list[int]] = [[], [], []]
-        for v in sorted(classes, key=repr):
-            rows = classes[v]
+        dealt = []
+        for c in sorted(range(len(names)), key=lambda c: repr(names[c])):
+            rows = np.flatnonzero(codes == c)
             if len(rows) < 3:
                 raise StratifyError(
-                    f"target class {v!r} has {len(rows)} rows; "
+                    f"target class {names[c]!r} has {len(rows)} rows; "
                     "stratification needs at least one row per partition"
                 )
-            for bucket, part in zip(buckets, deal(len(rows), ratios, rng)):
-                bucket.extend(rows[i] for i in part)
-        idx_train, idx_valid, idx_test = buckets
+            dealt.append([rows[part] for part in deal(len(rows), ratios, rng)])
+        idx_train, idx_valid, idx_test = map(np.concatenate, zip(*dealt))
     else:
         idx_train, idx_valid, idx_test = deal(n, ratios, rng)
 
@@ -219,33 +220,37 @@ def split_temporal(
     """Ordered split: all train times precede all valid times precede all
     test times, with `embargo` rows dropped after each boundary.
 
-    Unsorted input is sorted internally (stable). Duplicate timestamps that
-    straddle a member boundary are rejected: assigning them to either side
-    would leak future information.
+    Unsorted input is sorted internally (stable, by Python order, so ints
+    past 2**53 stay exact). Equal timestamps (1 and 1.0) that straddle a
+    member boundary are rejected: either side would leak future information.
     """
     check_arguments(split_temporal, locals())
     reg = resolve(registry)
     _validate_common(df, target, ratios)
     if time_col not in df.column_names:
         raise SchemaError(f"time column {time_col!r} not in frame")
-    times = df.column(time_col)
-    if any(t is None for t in times):
+    col = df._col(time_col)
+    if _missing(col).any():
         raise PartitionError("time column has missing values; ordering is undefined")
-    kinds = {type(t) for t in times}
+    kinds = set(map(type, col.values[:-1])) if isinstance(col, Coded) else {float}
     if kinds - {int, float} and kinds != {str}:
         raise PartitionError(
             "time column must be uniformly numeric or uniformly text to be totally ordered"
         )
+    keys = col
+    if isinstance(col, Coded):  # each row's class rank in Python order: ints past 2**53 stay exact
+        ranked = sorted(_first_appearance(col))
+        keys = _lookup(col, dict(zip(ranked, range(len(ranked)))), -1)
 
     n = df.row_count
-    order = sorted(range(n), key=lambda i: (times[i], i))
+    order = np.argsort(keys, kind="stable")
     n_train, n_valid, _ = largest_remainder(n, ratios)
     valid_start = n_train + embargo
     test_start = valid_start + n_valid + embargo
     idx_train = order[:n_train]
     idx_valid = order[valid_start : valid_start + n_valid]
     idx_test = order[test_start:]
-    if len(idx_valid) < n_valid or not idx_test:
+    if len(idx_valid) < n_valid or len(idx_test) == 0:
         raise PartitionError(
             f"embargo of {embargo} rows leaves no room for valid/test members"
         )
@@ -253,9 +258,9 @@ def split_temporal(
         (idx_train, idx_valid, "train/valid"),
         (idx_valid, idx_test, "valid/test"),
     ):
-        if times[upper[-1]] == times[lower[0]]:
+        if len(upper) and len(lower) and keys[upper[-1]] == keys[lower[0]]:
             raise TemporalTieError(
-                f"duplicate timestamp {times[lower[0]]!r} straddles the {where} "
+                f"duplicate timestamp {_cell(col, lower[0])!r} straddles the {where} "
                 "boundary; increase embargo or deduplicate timestamps"
             )
 
@@ -275,28 +280,27 @@ def split_group(
     """Grouped split: every group's rows land in exactly one member.
 
     Group-count shares approximate the ratios by largest remainder over
-    groups; rows keep their input order within each member.
+    groups, dealt in order of first appearance; rows keep their input order
+    within each member.
     """
     check_arguments(split_group, locals())
     reg = resolve(registry)
     _validate_common(df, target, ratios)
     if group_col not in df.column_names:
         raise SchemaError(f"group column {group_col!r} not in frame")
-    cells = df.column(group_col)
-    if any(g is None for g in cells):
+    codes, names = _classes(df._col(group_col))
+    if (codes < 0).any():
         raise GroupError("group column has missing values")
-    group_rows = list(groups(cells).values())
-    if len(group_rows) < 3:
-        raise GroupError(f"need at least 3 distinct groups to split, got {len(group_rows)}")
-    parts = deal(len(group_rows), ratios, generator(seed))
+    if len(names) < 3:
+        raise GroupError(f"need at least 3 distinct groups to split, got {len(names)}")
+    parts = deal(len(names), ratios, generator(seed))
     if not all(map(len, parts)):
         raise GroupError(
             f"ratios {tuple(ratios)} allocate zero groups to a partition "
             f"(group counts {tuple(map(len, parts))})"
         )
-    idx_train, idx_valid, idx_test = (
-        sorted(r for i in part for r in group_rows[i]) for part in parts
-    )
+    row_parts = part_labels(parts, len(names))[codes]
+    idx_train, idx_valid, idx_test = (np.flatnonzero(row_parts == i) for i in range(3))
 
     return _build_partition(
         df, target, idx_train, idx_valid, idx_test, seed, "group", reg, group_col=group_col

@@ -197,8 +197,7 @@ def test_criterion_4_per_fold_preparation_oracle():
         cols = {name: list(vals) for name, vals in dev.columns().items()}
         cols["f0"][canary_row] = 1e12
         poisoned = CVResult(
-            rotation.folds, rotation.k, rotation.target,
-            rotation.source_split_id, rotation.kind,
+            rotation.folds, rotation.target, rotation.source_split_id, rotation.kind,
             DataFrame(cols, partition_tag="dev"),
         )
         reg.set_guards("off")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from holdout import ConfigError, DataFrame, SchemaError, canonical_encode, fingerprint
 from holdout import select_columns
-from holdout.frame import Coded, _column_bytes, _first_appearance
+from holdout.frame import Coded, _classes, _column_bytes
 from holdout.prepare import fit_transformer
 
 _CELLS = st.one_of(
@@ -144,8 +144,14 @@ class TestCodedGathers:
         for frame in (df, df._take([r % n for r in rows])):
             col, taken = frame._col("c"), frame.column("c")
             assert _column_bytes(col) == b"".join(map(canonical_encode, taken))
-            reference = [col.values[c] for c in dict.fromkeys(col.codes.tolist()) if c >= 0]
-            assert _exact(_first_appearance(col)) == _exact(reference)
+            # Classes by Python equality (True is 1), each named by its first cell.
+            classes: dict = {}
+            for cell in taken:
+                if cell is not None:
+                    classes.setdefault(cell, len(classes))
+            codes, names = _classes(col)
+            assert codes.tolist() == [-1 if v is None else classes[v] for v in taken]
+            assert _exact(names) == _exact(classes)
 
 
 class TestTakenFramesForgetDroppedRows:

@@ -7,7 +7,8 @@ and a setting's named choices are a `Literal` there, never a membership test
 in the function's body. Every guard decision is the registry's, so only
 `registry` compares a model's `assess_count` or raises an assess-guard error,
 and a verb reads the bypass flag `admit` returns, not `guards_on`. Only `rng`
-names `np.random`."""
+names `np.random`. Splits and rotations place rows from class codes, so
+`split` and `rotate` never read a column as Python cells."""
 
 import ast
 from pathlib import Path
@@ -104,3 +105,16 @@ def test_only_rng_names_np_random(path):
         and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
     ]
     assert named == [] or path.name == "rng.py"
+
+
+@pytest.mark.parametrize("name", ["split.py", "rotate.py"])
+def test_splits_and_rotations_read_no_python_cells(name):
+    path = Path(holdout.__file__).parent / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "column"
+    ]
+    assert read == []

@@ -128,7 +128,7 @@ class TestFitRotation:
         from holdout.rotate import CVResult
 
         poisoned = CVResult(
-            c.folds, c.k, c.target, c.source_split_id, c.kind, poisoned_dev
+            c.folds, c.target, c.source_split_id, c.kind, poisoned_dev
         )
         registry.set_guards("off")  # poisoned dev content is unregistered
         poisoned_model = fit(poisoned, "y", registry=registry)

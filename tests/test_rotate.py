@@ -110,8 +110,7 @@ class TestKFold:
                     side[0] = 0
         # Sides passed in are copied: a caller's array cannot reach them.
         train, valid = np.arange(50, 100), np.arange(50)
-        twin = CVResult([(train, valid)], 2, c.target, c.source_split_id, c.kind,
-                        c._dev_frame)
+        twin = CVResult([(train, valid)], c.target, c.source_split_id, c.kind, c._dev_frame)
         valid[0] = 99
         assert twin.folds[0][1][0] == 0
 
