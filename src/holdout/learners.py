@@ -151,53 +151,108 @@ def _trees_fit(trees, features: int) -> bool:
     return True
 
 
-def _best_split(Xt, ranks, y, rows, features, criterion, min_leaf):
-    """Scan candidate thresholds of every feature at once with cumulative
-    sums along the sorted (features x rows) block.
+def _best_splits(fit: tuple, nodes, features) -> list:
+    """(cost, feature, threshold) or None for each node (a row array): the
+    best threshold over its row of `features`, found with cumulative sums
+    along its sorted (features x rows) block. Ties resolve to the first
+    feature in `features` order and the lowest threshold.
 
-    Returns (cost, feature, threshold) or None. Ties resolve to the first
-    feature in `features` order and the lowest threshold, so tree growth is
-    deterministic.
+    Each node sorts and cumulates its own block. The blocks lie end to end
+    in the fit's buffers, and every other step is one elementwise pass.
     """
-    n = len(rows)
-    features = features[:, None]
-    sorted_rows = rows[np.argsort(ranks[features, rows], axis=1, kind="stable")]
-    vs = Xt[features, sorted_rows]
-    ys = y[sorted_rows]
-    csum = np.cumsum(ys, axis=1)
-    csq = np.cumsum(ys * ys, axis=1)
-    left_n = np.arange(1, n, dtype=np.float64)
-    right_n = n - left_n
-    left_mean = csum[:, :-1] / left_n
-    right_mean = (csum[:, -1:] - csum[:, :-1]) / right_n
-    if criterion == "gini":
-        left_imp = 2.0 * left_mean * (1.0 - left_mean)
-        right_imp = 2.0 * right_mean * (1.0 - right_mean)
-    else:  # variance
-        left_imp = csq[:, :-1] / left_n - left_mean**2
-        right_imp = (csq[:, -1:] - csq[:, :-1]) / right_n - right_mean**2
-    cost = (left_n * left_imp + right_n * right_imp) / n
-    allowed = (vs[:, 1:] != vs[:, :-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-    cost = np.where(allowed, cost, np.inf)
-    best = None
-    for j, i in enumerate(np.argmin(cost, axis=1)):
-        if not np.isfinite(cost[j, i]):
-            continue
-        if best is None or cost[j, i] < best[0] - 1e-15:
-            lower, upper = float(vs[j, i]), float(vs[j, i + 1])
-            # Between adjacent doubles the midpoint can round onto `upper`;
-            # near the float64 limit it overflows, silently for Python floats.
-            midpoint = (lower + upper) / 2.0
-            overflowed = math.isinf(midpoint) and math.isfinite(lower)
-            threshold = lower if midpoint == upper or overflowed else midpoint
-            best = (float(cost[j, i]), int(features[j, 0]), threshold)
-    return best
+    Xt, ranks, y, criterion, min_leaf, (floats, order, barred, ramp) = fit
+    f = features.shape[1]
+    if not f:  # no feature column, no threshold
+        return [None] * len(nodes)
+    sizes = [len(rows) for rows in nodes]
+    lengths = np.repeat(sizes, f)  # cells of each (node, feature) row
+    ends = np.cumsum(lengths)
+    starts, last, size = ends - lengths, ends - 1, int(ends[-1])
+    # take(out=...) buffers its output unless indices are clipped; none is out of range.
+    for rows, feats, a, n in zip(nodes, features, starts[::f].tolist(), sizes):
+        ranked = ranks[feats].take(rows, axis=1).argsort(axis=1, kind="stable")
+        rows.take(ranked, out=order[a:a + f * n].reshape(f, n), mode="clip")
+    order, barred = order[:size], barred[:size]
+    csum, vs, left_n, right_n, left_mean, right_mean, csq, right_sq = floats[:, :size]
+    y.take(order, out=csum, mode="clip")
+    sums = (csum,) if criterion == "gini" else (csum, np.multiply(csum, csum, out=csq))
+    for a, n, offsets in zip(starts[::f].tolist(), sizes, features * len(y)):
+        for cells in sums:
+            block = cells[a:a + f * n].reshape(f, n)
+            np.add.accumulate(block, axis=1, out=block)
+        block = order[a:a + f * n].reshape(f, n)
+        np.add(block, offsets[:, None], out=block)  # cells of Xt
+    Xt.take(order, out=vs, mode="clip")
+    row = np.repeat(np.arange(len(lengths)), lengths)  # each cell's (node, feature) row
+    np.take(starts.astype(np.float64), row, out=left_n, mode="clip")
+    np.subtract(ramp[:size], left_n, out=left_n)  # 1, 2, ... n along each row
+    np.take(lengths.astype(np.float64), row, out=right_n, mode="clip")
+    right_n -= left_n
+    right_n[last] = 1.0  # a row's last cell is no candidate: no 0 / 0, and n is off there
+    np.divide(csum, left_n, out=left_mean)
+    np.take(csum[last], row, out=right_mean, mode="clip")
+    right_mean -= csum
+    right_mean /= right_n
+    if criterion == "gini":  # 2.0 * mean * (1.0 - mean) on each side
+        left_imp, right_imp = left_mean, right_mean
+        for mean in left_mean, right_mean:
+            np.subtract(1.0, mean, out=csum)
+            mean *= 2.0
+            mean *= csum
+    else:  # variance: mean square - mean**2 on each side
+        left_imp, right_imp = csq, right_sq
+        np.take(csq[last], row, out=right_imp, mode="clip")
+        right_imp -= csq
+        right_imp /= right_n
+        left_imp /= left_n
+        left_imp -= np.square(left_mean, out=left_mean)
+        right_imp -= np.square(right_mean, out=right_mean)
+    cost = np.multiply(left_imp, left_n, out=left_imp)
+    cost += np.multiply(right_imp, right_n, out=right_imp)
+    cost /= np.add(left_n, right_n, out=csum)  # n
+    # No threshold between equal values, nor one leaving a side under
+    # min_leaf rows: the first min_leaf - 1 and last min_leaf cells of a row.
+    np.equal(vs[1:], vs[:-1], out=barred[:-1])
+    barred[starts[:, None] + np.arange(min_leaf - 1)] = True
+    barred[last[:, None] - np.arange(min_leaf)] = True
+    np.copyto(cost, np.inf, where=barred)
+    # Each row's first lowest cost, as np.argmin finds it; a row with no
+    # finite one (a NaN is np.argmin's lowest) offers nothing.
+    lowest = np.minimum.reduceat(cost, starts)
+    hits = np.flatnonzero(np.equal(cost, lowest.take(row, out=right_imp, mode="clip"), out=barred))
+    chosen = np.full(len(starts), -1)
+    finite = np.isfinite(lowest)
+    chosen[finite] = hits[np.searchsorted(hits, starts[finite])]
+    costs, chosen = cost[chosen].tolist(), chosen.tolist()
+    found = []
+    for k, feats in enumerate(features.tolist()):
+        best = None
+        for j, feature in enumerate(feats, k * f):
+            i = chosen[j]
+            if i >= 0 and (best is None or costs[j] < best[0] - 1e-15):
+                lower, upper = float(vs[i]), float(vs[i + 1])
+                # Between adjacent doubles the midpoint can round onto `upper`;
+                # near the float64 limit it overflows, silently for Python floats.
+                midpoint = (lower + upper) / 2.0
+                overflowed = math.isinf(midpoint) and math.isfinite(lower)
+                threshold = lower if midpoint == upper or overflowed else midpoint
+                best = (costs[j], feature, threshold)
+        found.append(best)
+    return found
 
 
 def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> list[dict]:
     """One CART tree per (rng, rows) sample: gini impurity for classification,
-    variance for regression, grown depth first, each node drawing its
-    `n_subsample` features from the tree's rng.
+    variance for regression, each node drawing its `n_subsample` features
+    from the tree's rng.
+
+    Trees grow a frontier at a time. Each keeps a depth-first stack of
+    pending nodes. In each round a tree that samples features gives its
+    next node in pre-order that needs a search, so its rng draws come in
+    the order a recursive grower makes them; a tree that samples none
+    gives every pending node. `_best_splits` then searches the whole
+    frontier in consecutive batches of at most X.size cells, the cells of
+    one unsampled root search.
 
     Columns are ranked once per fit: equal values share a rank (0.0 and -0.0
     too) and NaN ranks last, so a node's stable sort of its ranks is a stable
@@ -208,36 +263,53 @@ def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> l
     for col, out in zip(Xt, ranks):
         out[:] = np.unique(col, return_inverse=True)[1]
     criterion = "gini" if task == "classification" else "variance"
-    fit = (Xt, ranks, y, criterion, int(max_depth), int(min_leaf), n_subsample)
-    return [_grow_tree(fit, rows, 0, rng) for rng, rows in samples]
-
-
-def _grow_tree(fit: tuple, rows: np.ndarray, depth: int, rng) -> dict:
-    Xt, ranks, y, criterion, max_depth, min_leaf, n_subsample = fit
-    y_rows = y[rows]
-    leaf_value = float(y_rows.sum() / len(rows))  # np.mean: NaN when empty
-    if depth >= max_depth or len(rows) < 2 * min_leaf or y_rows.min() == y_rows.max():
-        return {"value": leaf_value}
-    p = len(Xt)
-    features = np.arange(p)
-    if n_subsample is not None and n_subsample < p:
-        features = np.sort(rng.choice(p, size=n_subsample, replace=False))
-    found = _best_split(Xt, ranks, y, rows, features, criterion, min_leaf)
-    if found is None:
-        return {"value": leaf_value}
-    cost, feature, threshold = found
-    if criterion == "gini":
-        impurity = 2.0 * leaf_value * (1.0 - leaf_value)
-    else:
-        impurity = float((y_rows**2).sum() / len(rows) - leaf_value**2)
-    left = Xt[feature, rows] <= threshold
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "gain": max(0.0, float(len(rows) * (impurity - cost))),
-        "left": _grow_tree(fit, rows[left], depth + 1, rng),
-        "right": _grow_tree(fit, rows[~left], depth + 1, rng),
-    }
+    max_depth, min_leaf, p = int(max_depth), int(min_leaf), len(Xt)
+    fit = (Xt, ranks, y, criterion, min_leaf, (np.empty((8, Xt.size)), np.empty(Xt.size, np.intp),
+                                               np.empty(Xt.size, bool), np.arange(1.0, Xt.size + 1)))
+    sampled = n_subsample is not None and n_subsample < p
+    f = n_subsample if sampled else p
+    # A pending node: its rows, its depth and the dict and key it is stored under.
+    trees = [(rng, [(rows, 0, {}, "root")]) for rng, rows in samples]
+    roots = [stack[0][2] for _, stack in trees]
+    while True:
+        frontier = []
+        for rng, stack in trees:
+            while stack:
+                rows, depth, parent, key = stack.pop()
+                y_rows = y[rows]
+                leaf_value = float(np.add.reduce(y_rows) / len(rows))  # np.mean: NaN when empty
+                if (depth >= max_depth or len(rows) < 2 * min_leaf
+                        or np.minimum.reduce(y_rows) == np.maximum.reduce(y_rows)):
+                    parent[key] = {"value": leaf_value}
+                    continue
+                features = np.sort(rng.choice(p, size=f, replace=False)) if sampled else np.arange(p)
+                frontier.append((rows, features, depth, parent, key, leaf_value, stack))
+                if sampled:
+                    break
+        if not frontier:
+            return [root["root"] for root in roots]
+        # Each batch: the longest run of frontier nodes, from the first not
+        # yet searched, that holds at most X.size cells.
+        cells, found = np.cumsum([0] + [f * len(node[0]) for node in frontier]), []
+        while len(found) < len(frontier):
+            stop = np.searchsorted(cells, cells[len(found)] + Xt.size, "right") - 1
+            rows, features = zip(*(node[:2] for node in frontier[len(found):stop]))
+            found += _best_splits(fit, rows, np.array(features))
+        while frontier:  # last first, so each node's rows go once it is split
+            (rows, _, depth, parent, key, leaf_value, stack), best = frontier.pop(), found.pop()
+            if best is None:
+                parent[key] = {"value": leaf_value}
+                continue
+            cost, feature, threshold = best
+            if criterion == "gini":
+                impurity = 2.0 * leaf_value * (1.0 - leaf_value)
+            else:
+                impurity = float((y[rows]**2).sum() / len(rows) - leaf_value**2)
+            left = Xt[feature].take(rows) <= threshold
+            parent[key] = node = {"feature": feature, "threshold": threshold,
+                                  "gain": max(0.0, float(len(rows) * (impurity - cost))),
+                                  "left": None, "right": None}
+            stack += (rows[~left], depth + 1, node, "right"), (rows[left], depth + 1, node, "left")
 
 
 def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ from .errors import (
     StratifyError,
     TemporalTieError,
 )
-from .frame import (Coded, DataFrame, _cell, _classes, _first_appearance, _lookup, _missing,
-                    _take_train_valid_dev, fingerprint)
+from .frame import (Coded, DataFrame, _as_floats, _cell, _classes, _first_appearance, _lookup,
+                    _missing, _take_train_valid_dev, fingerprint)
 from .prepare import infer_task
 from .registry import ProvenanceRegistry, resolve
 from .rng import generator
@@ -220,9 +220,10 @@ def split_temporal(
     """Ordered split: all train times precede all valid times precede all
     test times, with `embargo` rows dropped after each boundary.
 
-    Unsorted input is sorted internally (stable, by Python order, so ints
-    past 2**53 stay exact). Equal timestamps (1 and 1.0) that straddle a
-    member boundary are rejected: either side would leak future information.
+    Unsorted input is sorted internally (stable; by float64 value, or by
+    Python order for text and for ints past 2**53, so those stay exact).
+    Equal timestamps (1 and 1.0) that straddle a member boundary are
+    rejected: either side would leak future information.
     """
     check_arguments(split_temporal, locals())
     reg = resolve(registry)
@@ -237,10 +238,12 @@ def split_temporal(
         raise PartitionError(
             "time column must be uniformly numeric or uniformly text to be totally ordered"
         )
-    keys = col
-    if isinstance(col, Coded):  # each row's class rank in Python order: ints past 2**53 stay exact
+    if str in kinds or int in kinds and abs(max(col.values[:-1], key=abs)) > 2**53:
+        # Each row's class rank in Python order: float64 would round ints past 2**53.
         ranked = sorted(_first_appearance(col))
         keys = _lookup(col, dict(zip(ranked, range(len(ranked)))), -1)
+    else:
+        keys = _as_floats(col)  # exact for every float and every int within 2**53
 
     n = df.row_count
     order = np.argsort(keys, kind="stable")

@@ -172,3 +172,37 @@ def test_rank_width_boundary(n):
     X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n), 1)])
     y = (X[:, 0] + rng.normal(size=n) > 0.3).astype(np.float64)
     _assert_matches_reference("decision_tree", X, y, {"max_depth": 2}, 0, "classification")
+
+
+# Splits are searched in batches of at most X.size cells, laid end to end.
+# A forest's first round then spans several batches (3 roots of 2 of 6
+# features fit one), an unsampled forest's rounds take the pending nodes
+# of every tree, and a deep tree searches many nodes per batch. Integer
+# columns tie within nodes and across the boundaries between neighbours.
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("algorithm, overrides, n", [
+    ("random_forest", {"n_trees": 12, "max_features": 2}, 300),
+    ("random_forest", {"n_trees": 20, "max_features": "sqrt", "min_leaf": 1, "max_depth": 12}, 200),
+    ("random_forest", {"n_trees": 12, "max_features": 6, "min_leaf": 3}, 400),
+    ("decision_tree", {"min_leaf": 1, "max_depth": 12}, 400),
+])
+def test_batch_boundaries(algorithm, overrides, n, task):
+    rng = _philox(11)
+    X = np.column_stack([
+        rng.normal(size=n),
+        np.round(rng.normal(size=n), 1),
+        rng.integers(0, 3, size=n).astype(np.float64),
+        rng.integers(0, 2, size=n) * 0.5,
+        np.full(n, 2.0),
+        rng.integers(-4, 5, size=n) / 4.0,
+    ])
+    signal = X[:, 0] + X[:, 2] + rng.normal(size=n)
+    y = (signal > 0.5).astype(np.float64) if task == "classification" else np.round(signal, 2)
+    _assert_matches_reference(algorithm, X, y, overrides, 7, task)
+
+
+@pytest.mark.parametrize("algorithm", ["decision_tree", "random_forest"])
+def test_no_feature_columns(algorithm):
+    """With no feature column there is no threshold: every tree is a leaf."""
+    y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+    _assert_matches_reference(algorithm, np.empty((6, 0)), y, {}, 0, "classification")

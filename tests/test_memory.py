@@ -1,4 +1,5 @@
-"""Memory in proportion to the frame: what `split` and `cv` keep at 200k rows.
+"""Memory in proportion to the input: what `split` and `cv` keep at 200k
+rows, and what a forest fit allocates beside a tree fit.
 
 Dev is the one gathered copy of a split's train and valid rows, so train's
 and valid's float columns are views of dev's, and a rotation keeps its fold
@@ -6,6 +7,12 @@ sides as intp arrays. Together `split` and a 5-fold `cv` then keep about
 1.2 times the frame's column bytes: dev (0.8), test (0.2) and the folds'
 row positions (0.2). Copying train and valid again, or storing positions
 as Python ints, would keep more than twice the frame.
+
+Trees search their splits in batches of at most X.size cells, the cells of
+a decision tree's root search, so a 50-tree forest peaks at about 1.2
+times the tree's peak (its bootstrap rows and pending nodes on top). A
+forest that searched each round's frontier in one batch, all 50 roots
+first, would peak at more than seven times.
 """
 
 import gc
@@ -15,9 +22,11 @@ import numpy as np
 
 from holdout import DataFrame, ProvenanceRegistry, cv, split
 from holdout.frame import Coded
+from holdout.learners import fit_decision_tree, fit_random_forest
 
 ROWS = 200_000
 KEPT_BOUND = 1.3  # times the frame's column bytes
+FOREST_PEAK_BOUND = 2.0  # times a decision tree's peak on the same X
 
 
 def _frame() -> DataFrame:
@@ -58,3 +67,24 @@ def test_split_and_cv_keep_little_beyond_the_frame():
         assert np.shares_memory(p.valid._col(name), p.dev._col(name))
     assert np.shares_memory(p.train._col("c5").codes, p.dev._col("c5").codes)
     assert c.k == 5 and sum(len(v) for _, v in c._folds) == p.dev.row_count
+
+
+def _peak(fit, *args) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fit(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forest_fit_peaks_near_a_tree_fit():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(2_000, 20))
+    y = (X[:, 0] + rng.normal(size=2_000) > 0).astype(np.float64)
+    tree = _peak(fit_decision_tree, X, y, 0, "classification")
+    forest = _peak(fit_random_forest, X, y, 0, "classification")
+    assert forest <= FOREST_PEAK_BOUND * tree, (
+        f"a 50-tree forest peaks at {forest / tree:.2f}x a tree's {tree / 1e6:.2f} MB"
+    )

@@ -15,7 +15,7 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["cv_workflow_20k", "session_small"])
+@pytest.mark.parametrize("name", ["cv_workflow_20k", "strategy_2k", "session_small"])
 def test_traced_op_matches_plain_op(name, tmp_path):
     workload = workloads.WORKLOADS[name]
     case = workload.make_case(0, tmp_path, True)  # the small case
