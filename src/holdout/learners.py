@@ -19,7 +19,7 @@ from typing import Callable, Literal, Mapping, NamedTuple, Sequence, get_args
 import numpy as np
 
 from .errors import ConfigError
-from .rng import generator
+from .rng import generator, sorted_choices
 from .signatures import (Count, Depth, Penalty, Rate, Size, check_arguments, check_document,
                          signature)
 
@@ -170,7 +170,7 @@ def _best_splits(fit: tuple, nodes, features) -> list:
     starts, last, size = ends - lengths, ends - 1, int(ends[-1])
     # take(out=...) buffers its output unless indices are clipped; none is out of range.
     for rows, feats, a, n in zip(nodes, features, starts[::f].tolist(), sizes):
-        ranked = ranks[feats].take(rows, axis=1).argsort(axis=1, kind="stable")
+        ranked = ranks.take(feats, axis=0).take(rows, axis=1).argsort(axis=1, kind="stable")
         rows.take(ranked, out=order[a:a + f * n].reshape(f, n), mode="clip")
     order, barred = order[:size], barred[:size]
     csum, vs, left_n, right_n, left_mean, right_mean, csq, right_sq = floats[:, :size]
@@ -246,6 +246,14 @@ def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> l
     variance for regression, each node drawing its `n_subsample` features
     from the tree's rng.
 
+    A tree draws its nodes' feature subsets a block at a time from its own
+    stream (`sorted_choices`): the same subsets, in the same order, as one
+    `np.sort(rng.choice(...))` per node. A block can reach past the tree's
+    last node, but nothing reads a tree's rng once it is grown, so no tree
+    moves. A tree searches fewer than 2**max_depth nodes, so a block holds
+    that many subsets, and at most 64: past that a subset costs little
+    less, while an unused one still costs its draws.
+
     Trees grow a frontier at a time. Each keeps a depth-first stack of
     pending nodes. In each round a tree that samples features gives its
     next node in pre-order that needs a search, so its rng draws come in
@@ -269,20 +277,23 @@ def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> l
     sampled = n_subsample is not None and n_subsample < p
     f = n_subsample if sampled else p
     # A pending node: its rows, its depth and the dict and key it is stored under.
-    trees = [(rng, [(rows, 0, {}, "root")]) for rng, rows in samples]
+    trees = [(sorted_choices(rng, p, f, 1 << min(max_depth, 6)) if sampled else None,
+              [(rows, 0, {}, "root")]) for rng, rows in samples]
     roots = [stack[0][2] for _, stack in trees]
     while True:
         frontier = []
-        for rng, stack in trees:
+        for subsets, stack in trees:
             while stack:
                 rows, depth, parent, key = stack.pop()
-                y_rows = y[rows]
-                leaf_value = float(np.add.reduce(y_rows) / len(rows))  # np.mean: NaN when empty
-                if (depth >= max_depth or len(rows) < 2 * min_leaf
-                        or np.minimum.reduce(y_rows) == np.maximum.reduce(y_rows)):
+                y_rows = y.take(rows)
+                total = np.add.reduce(y_rows)
+                leaf_value = float(total / len(rows))  # np.mean: NaN when empty
+                if depth >= max_depth or len(rows) < 2 * min_leaf or (
+                        total == 0.0 or total == len(rows) if criterion == "gini"  # labels are 0.0 or 1.0
+                        else np.minimum.reduce(y_rows) == np.maximum.reduce(y_rows)):
                     parent[key] = {"value": leaf_value}
                     continue
-                features = np.sort(rng.choice(p, size=f, replace=False)) if sampled else np.arange(p)
+                features = next(subsets) if sampled else np.arange(p)
                 frontier.append((rows, features, depth, parent, key, leaf_value, stack))
                 if sampled:
                     break
@@ -312,16 +323,17 @@ def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> l
             stack += (rows[~left], depth + 1, node, "right"), (rows[left], depth + 1, node, "left")
 
 
-def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
-    """Route row indices down the tree; NaN fails `<=`, so it goes right."""
-    out = np.empty(len(X))
-    stack = [(node, np.arange(len(X)))]
+def _tree_predict(node: dict, Xt: np.ndarray) -> np.ndarray:
+    """Route row indices down the tree, reading feature-major `Xt`; NaN
+    fails `<=`, so it goes right."""
+    out = np.empty(Xt.shape[1])
+    stack = [(node, np.arange(Xt.shape[1]))]
     while stack:
         node, rows = stack.pop()
         if "value" in node:
             out[rows] = node["value"]
         elif len(rows):
-            left = X[rows, node["feature"]] <= node["threshold"]
+            left = Xt[node["feature"]].take(rows) <= node["threshold"]
             stack += [(node["left"], rows[left]), (node["right"], rows[~left])]
     return out
 
@@ -340,7 +352,7 @@ class TreeState:
     task: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return _tree_predict(self.root, X)
+        return _tree_predict(self.root, np.ascontiguousarray(X.T))
 
     def importances(self) -> dict[int, float]:
         return _tree_gains([self.root], {})
@@ -362,7 +374,8 @@ class ForestState:
     task: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([_tree_predict(t, X) for t in self.trees]).mean(axis=0)
+        Xt = np.ascontiguousarray(X.T)
+        return np.array([_tree_predict(t, Xt) for t in self.trees]).mean(axis=0)
 
     def importances(self) -> dict[int, float]:
         return _tree_gains(self.trees, {})

@@ -1,5 +1,7 @@
 """The library's one source of seeded randomness."""
 
+from typing import Iterator
+
 import numpy as np
 
 
@@ -9,6 +11,39 @@ def generator(seed) -> np.random.Generator:
     independent child streams. A verb checks its seed by its annotation."""
     return np.random.Generator(np.random.Philox(seed))
 
+
+def sorted_choices(rng: np.random.Generator, p: int, f: int, block: int) -> Iterator[np.ndarray]:
+    """Successive `np.sort(rng.choice(p, size=f, replace=False))`, drawn
+    `block` at a time: the same subsets, and after each block `rng` stands
+    where `block` such calls leave it.
+
+    Where numpy uses Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987),
+    that is p <= 10,000 or f <= p // 50, a call draws from [0, j] for
+    j = p - f, ..., p - 1 and then from [0, i] for i = f - 1, ..., 1 to
+    shuffle what the sort throws away. One `rng.integers` call with those
+    bounds on each of `block` rows makes the same draws in the same order.
+    Elsewhere numpy shuffles a tail of range(p), and each subset is drawn
+    by `choice` itself.
+    """
+    if p > 10_000 and f > p // 50:
+        while True:
+            yield np.sort(rng.choice(p, size=f, replace=False))
+    bounds = np.concatenate([np.arange(p - f, p) + 1, np.arange(f, 1, -1)])
+    while True:
+        yield from _floyd(rng.integers(0, bounds, size=(block, len(bounds))), p, f)
+
+
+def _floyd(draws: np.ndarray, p: int, f: int) -> np.ndarray:
+    """Each row's sorted subset by Floyd's rule, every row at once: its
+    draw v from [0, j] is taken unless the subset holds it already, and
+    then j is. Each row marks its own p cells of `taken`."""
+    starts = np.arange(0, len(draws) * p, p)[:, None]
+    draws = draws[:, :f] + starts
+    taken = np.zeros(len(draws) * p, bool)
+    for v, j in zip(draws.T, (starts + np.arange(p - f, p)).T):
+        np.copyto(v, j, where=taken[v])
+        taken[v] = True
+    return np.flatnonzero(taken).reshape(len(draws), f) - starts
 
 
 def fold_seed(seed: int, fold_index: int) -> int:

@@ -206,3 +206,24 @@ def test_no_feature_columns(algorithm):
     """With no feature column there is no threshold: every tree is a leaf."""
     y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
     _assert_matches_reference(algorithm, np.empty((6, 0)), y, {}, 0, "classification")
+
+
+# A tree draws its feature subsets a block at a time. Where numpy's choice
+# runs Floyd's algorithm the block emulates it; past p = 10,000 with
+# max_features > p // 50 numpy shuffles a tail instead, and each subset is
+# drawn by choice itself. The last two cases sit on either side of that line.
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("p, max_features, n, n_trees, max_depth", [
+    (6, 1, 200, 12, 6),
+    (6, 5, 200, 12, 6),
+    (10_001, 200, 12, 2, 2),
+    (10_001, 201, 12, 2, 2),
+])
+def test_feature_draw_regimes(p, max_features, n, n_trees, max_depth, task):
+    rng = _philox(13)
+    X = np.round(rng.normal(size=(n, p)), 1)
+    signal = X[:, 0] + X[:, -1] + rng.normal(size=n)
+    y = (signal > 0.0).astype(np.float64) if task == "classification" else np.round(signal, 2)
+    overrides = {"n_trees": n_trees, "max_features": max_features, "max_depth": max_depth,
+                 "min_leaf": 1}
+    _assert_matches_reference("random_forest", X, y, overrides, 5, task)
