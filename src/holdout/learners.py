@@ -151,14 +151,21 @@ def _trees_fit(trees, features: int) -> bool:
     return True
 
 
-def _best_splits(fit: tuple, nodes, features) -> list:
-    """(cost, feature, threshold) or None for each node (a row array): the
-    best threshold over its row of `features`, found with cumulative sums
-    along its sorted (features x rows) block. Ties resolve to the first
-    feature in `features` order and the lowest threshold.
+def _best_splits(fit: tuple, nodes, features, weights=None) -> list:
+    """(cost, feature, threshold, left label sum, left count) or None for
+    each node (a row array): the best threshold over its row of `features`,
+    found with cumulative sums along its sorted (features x rows) block.
+    Ties resolve to the first feature in `features` order and the lowest
+    threshold. A gini node's left sums are whole numbers, exact.
 
-    Each node sorts and cumulates its own block. The blocks lie end to end
-    in the fit's buffers, and every other step is one elementwise pass.
+    Each node sorts its own block. The blocks lie end to end in the fit's
+    buffers, and every other step is one pass over the batch.
+
+    With `weights`, each node's row weights (a bootstrap tree's draw
+    counts), a cell counts as its row's weight: a side's count and label
+    sum are cumulative sums of weights and of weighted labels, and a
+    threshold that leaves either side under min_leaf weighted rows is
+    barred.
     """
     Xt, ranks, y, criterion, min_leaf, (floats, order, barred, ramp) = fit
     f = features.shape[1]
@@ -168,62 +175,81 @@ def _best_splits(fit: tuple, nodes, features) -> list:
     lengths = np.repeat(sizes, f)  # cells of each (node, feature) row
     ends = np.cumsum(lengths)
     starts, last, size = ends - lengths, ends - 1, int(ends[-1])
+    order, barred = order[:size], barred[:size]
+    left_n, csum, csq, vs, right_n, left_mean, right_mean, right_sq = floats[:, :size]
     # take(out=...) buffers its output unless indices are clipped; none is out of range.
-    for rows, feats, a, n in zip(nodes, features, starts[::f].tolist(), sizes):
+    for k, (rows, feats, a, n) in enumerate(zip(nodes, features, starts[::f].tolist(), sizes)):
         ranked = ranks.take(feats, axis=0).take(rows, axis=1).argsort(axis=1, kind="stable")
         rows.take(ranked, out=order[a:a + f * n].reshape(f, n), mode="clip")
-    order, barred = order[:size], barred[:size]
-    csum, vs, left_n, right_n, left_mean, right_mean, csq, right_sq = floats[:, :size]
+        if weights is not None:
+            weights[k].take(ranked, out=left_n[a:a + f * n].reshape(f, n), mode="clip")
     y.take(order, out=csum, mode="clip")
-    sums = (csum,) if criterion == "gini" else (csum, np.multiply(csum, csum, out=csq))
-    for a, n, offsets in zip(starts[::f].tolist(), sizes, features * len(y)):
-        for cells in sums:
-            block = cells[a:a + f * n].reshape(f, n)
-            np.add.accumulate(block, axis=1, out=block)
-        block = order[a:a + f * n].reshape(f, n)
-        np.add(block, offsets[:, None], out=block)  # cells of Xt
+    # np.repeat(values, lengths) gives each cell its (node, feature) row's value.
+    order += np.repeat((features * len(y)).ravel(), lengths)  # cells of Xt
     Xt.take(order, out=vs, mode="clip")
-    row = np.repeat(np.arange(len(lengths)), lengths)  # each cell's (node, feature) row
-    np.take(starts.astype(np.float64), row, out=left_n, mode="clip")
-    np.subtract(ramp[:size], left_n, out=left_n)  # 1, 2, ... n along each row
-    np.take(lengths.astype(np.float64), row, out=right_n, mode="clip")
-    right_n -= left_n
+    if weights is not None:
+        csum *= left_n
+    elif criterion != "gini":
+        np.multiply(csum, csum, out=csq)
+    # What each row cumulates: weights and weighted labels, or labels (and
+    # their squares).
+    sums = floats[int(weights is None):2 if criterion == "gini" else 3, :size]
+    if criterion == "gini" and f * len(y) * len(nodes) < 2**53:
+        # Labels are 0.0 or 1.0 and a node counts at most len(y) rows, so
+        # every partial sum is a whole number below 2**53: a row's own
+        # cumulative sums are the batch's less the sum before the row.
+        np.add.accumulate(sums, axis=1, out=sums)
+        before = sums[:, starts - 1]
+        before[:, 0] = 0.0
+        sums -= np.repeat(before, lengths, axis=1)
+    else:
+        for a, n in zip(starts[::f].tolist(), sizes):
+            for cells in sums:
+                block = cells[a:a + f * n].reshape(f, n)
+                np.add.accumulate(block, axis=1, out=block)
+    if weights is None:  # 1, 2, ... n along each row
+        np.subtract(ramp[:size], np.repeat(starts.astype(np.float64), lengths), out=left_n)
+    np.subtract(np.repeat(left_n[last], lengths), left_n, out=right_n)
     right_n[last] = 1.0  # a row's last cell is no candidate: no 0 / 0, and n is off there
     np.divide(csum, left_n, out=left_mean)
-    np.take(csum[last], row, out=right_mean, mode="clip")
-    right_mean -= csum
+    np.subtract(np.repeat(csum[last], lengths), csum, out=right_mean)
     right_mean /= right_n
     if criterion == "gini":  # 2.0 * mean * (1.0 - mean) on each side
         left_imp, right_imp = left_mean, right_mean
         for mean in left_mean, right_mean:
-            np.subtract(1.0, mean, out=csum)
+            np.subtract(1.0, mean, out=csq)
             mean *= 2.0
-            mean *= csum
+            mean *= csq
     else:  # variance: mean square - mean**2 on each side
         left_imp, right_imp = csq, right_sq
-        np.take(csq[last], row, out=right_imp, mode="clip")
-        right_imp -= csq
+        np.subtract(np.repeat(csq[last], lengths), csq, out=right_imp)
         right_imp /= right_n
         left_imp /= left_n
         left_imp -= np.square(left_mean, out=left_mean)
         right_imp -= np.square(right_mean, out=right_mean)
     cost = np.multiply(left_imp, left_n, out=left_imp)
     cost += np.multiply(right_imp, right_n, out=right_imp)
-    cost /= np.add(left_n, right_n, out=csum)  # n
+    cost /= np.add(left_n, right_n, out=right_imp)  # n
     # No threshold between equal values, nor one leaving a side under
-    # min_leaf rows: the first min_leaf - 1 and last min_leaf cells of a row.
+    # min_leaf rows: by position, the first min_leaf - 1 and last min_leaf
+    # cells of a row, or by weighted count.
     np.equal(vs[1:], vs[:-1], out=barred[:-1])
-    barred[starts[:, None] + np.arange(min_leaf - 1)] = True
-    barred[last[:, None] - np.arange(min_leaf)] = True
+    if weights is None:
+        barred[starts[:, None] + np.arange(min_leaf - 1)] = True
+        barred[last[:, None] - np.arange(min_leaf)] = True
+    else:
+        barred |= np.minimum(left_n, right_n, out=right_imp) < min_leaf
+        barred[last] = True
     np.copyto(cost, np.inf, where=barred)
     # Each row's first lowest cost, as np.argmin finds it; a row with no
     # finite one (a NaN is np.argmin's lowest) offers nothing.
     lowest = np.minimum.reduceat(cost, starts)
-    hits = np.flatnonzero(np.equal(cost, lowest.take(row, out=right_imp, mode="clip"), out=barred))
+    hits = np.flatnonzero(np.equal(cost, np.repeat(lowest, lengths), out=barred))
     chosen = np.full(len(starts), -1)
     finite = np.isfinite(lowest)
     chosen[finite] = hits[np.searchsorted(hits, starts[finite])]
-    costs, chosen = cost[chosen].tolist(), chosen.tolist()
+    costs, left_sums, left_counts = (a[chosen].tolist() for a in (cost, csum, left_n))
+    chosen = chosen.tolist()
     found = []
     for k, feats in enumerate(features.tolist()):
         best = None
@@ -236,7 +262,7 @@ def _best_splits(fit: tuple, nodes, features) -> list:
                 midpoint = (lower + upper) / 2.0
                 overflowed = math.isinf(midpoint) and math.isfinite(lower)
                 threshold = lower if midpoint == upper or overflowed else midpoint
-                best = (costs[j], feature, threshold)
+                best = (costs[j], feature, threshold, left_sums[j], left_counts[j])
         found.append(best)
     return found
 
@@ -244,7 +270,7 @@ def _best_splits(fit: tuple, nodes, features) -> list:
 def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> list[dict]:
     """One CART tree per (rng, rows) sample: gini impurity for classification,
     variance for regression, each node drawing its `n_subsample` features
-    from the tree's rng.
+    from the tree's rng. A forest gives `n_subsample`, a decision tree not.
 
     A tree draws its nodes' feature subsets a block at a time from its own
     stream (`sorted_choices`): the same subsets, in the same order, as one
@@ -253,6 +279,23 @@ def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> l
     moves. A tree searches fewer than 2**max_depth nodes, so a block holds
     that many subsets, and at most 64: past that a subset costs little
     less, while an unused one still costs its draws.
+
+    Under gini on finite X, a split's children take their label sums and
+    counts from its scan, not from their rows: every such sum is a whole
+    number, and a finite threshold sends left exactly the rows before it.
+
+    There a forest also grows each tree on its distinct bootstrap rows
+    (`np.unique`), each weighted by its draw count, and its leaf checks,
+    leaf values, gains and `_best_splits` count weighted rows. The trees
+    are the same bits as on the drawn rows. Counts and label sums are
+    whole numbers, exact in any order. Copies of a row fall in one run of
+    equal values, and only a run's last cell is a threshold candidate, so
+    the candidates, their costs, the first lowest and its threshold are
+    the same; but a run of ±0.0 just below +inf gives its last value as
+    the threshold, whose sign depends on the order of the run's rows:
+    hence finite X. Elsewhere the drawn rows stay: a decision tree has no copies, a
+    regression forest sums float labels in cell order, and the drawn-row
+    scan offers thresholds between copies of a NaN cell.
 
     Trees grow a frontier at a time. Each keeps a depth-first stack of
     pending nodes. In each round a tree that samples features gives its
@@ -276,25 +319,46 @@ def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> l
                                                np.empty(Xt.size, bool), np.arange(1.0, Xt.size + 1)))
     sampled = n_subsample is not None and n_subsample < p
     f = n_subsample if sampled else p
-    # A pending node: its rows, its depth and the dict and key it is stored under.
+    scanned_sums = criterion == "gini" and bool(np.isfinite(X).all())
+    weighted = scanned_sums and n_subsample is not None
+
+    def pending(rows):
+        # A pending node: its rows, their weights (None: one each), its label
+        # sum and count (None: not yet summed), its depth and the dict and
+        # key it is stored under.
+        weights = None
+        if weighted:
+            rows, counts = np.unique(rows, return_counts=True)
+            weights = counts.astype(np.float64)
+        return rows, weights, None, 0, {}, "root"
+
     trees = [(sorted_choices(rng, p, f, 1 << min(max_depth, 6)) if sampled else None,
-              [(rows, 0, {}, "root")]) for rng, rows in samples]
-    roots = [stack[0][2] for _, stack in trees]
+              [pending(rows)]) for rng, rows in samples]
+    roots = [stack[0][4] for _, stack in trees]
     while True:
         frontier = []
         for subsets, stack in trees:
             while stack:
-                rows, depth, parent, key = stack.pop()
-                y_rows = y.take(rows)
-                total = np.add.reduce(y_rows)
-                leaf_value = float(total / len(rows))  # np.mean: NaN when empty
-                if depth >= max_depth or len(rows) < 2 * min_leaf or (
-                        total == 0.0 or total == len(rows) if criterion == "gini"  # labels are 0.0 or 1.0
+                rows, weights, sums, depth, parent, key = stack.pop()
+                if sums is not None:
+                    total, count = sums
+                else:
+                    y_rows = y.take(rows)
+                    if weights is None:
+                        total, count = np.add.reduce(y_rows), len(rows)
+                    else:
+                        total, count = y_rows @ weights, np.add.reduce(weights)
+                leaf_value = float(total / count)  # np.mean: NaN when empty
+                if depth >= max_depth or count < 2 * min_leaf or (
+                        total == 0.0 or total == count if criterion == "gini"  # labels are 0.0 or 1.0
                         else np.minimum.reduce(y_rows) == np.maximum.reduce(y_rows)):
                     parent[key] = {"value": leaf_value}
                     continue
+                impurity = (2.0 * leaf_value * (1.0 - leaf_value) if criterion == "gini"
+                            else float(np.add.reduce(y_rows * y_rows) / count - leaf_value**2))
                 features = next(subsets) if sampled else np.arange(p)
-                frontier.append((rows, features, depth, parent, key, leaf_value, stack))
+                frontier.append((rows, weights, features, depth, parent, key, leaf_value,
+                                 impurity, total, count, stack))
                 if sampled:
                     break
         if not frontier:
@@ -304,37 +368,95 @@ def _grow_trees(X, y, task, max_depth, min_leaf, samples, n_subsample=None) -> l
         cells, found = np.cumsum([0] + [f * len(node[0]) for node in frontier]), []
         while len(found) < len(frontier):
             stop = np.searchsorted(cells, cells[len(found)] + Xt.size, "right") - 1
-            rows, features = zip(*(node[:2] for node in frontier[len(found):stop]))
-            found += _best_splits(fit, rows, np.array(features))
+            rows, weights, features = zip(*(node[:3] for node in frontier[len(found):stop]))
+            found += _best_splits(fit, rows, np.array(features), weights if weighted else None)
         while frontier:  # last first, so each node's rows go once it is split
-            (rows, _, depth, parent, key, leaf_value, stack), best = frontier.pop(), found.pop()
+            (rows, weights, _, depth, parent, key, leaf_value, impurity, total, count,
+             stack), best = frontier.pop(), found.pop()
             if best is None:
                 parent[key] = {"value": leaf_value}
                 continue
-            cost, feature, threshold = best
-            if criterion == "gini":
-                impurity = 2.0 * leaf_value * (1.0 - leaf_value)
-            else:
-                impurity = float((y[rows]**2).sum() / len(rows) - leaf_value**2)
+            cost, feature, threshold, left_total, left_count = best
             left = Xt[feature].take(rows) <= threshold
             parent[key] = node = {"feature": feature, "threshold": threshold,
-                                  "gain": max(0.0, float(len(rows) * (impurity - cost))),
+                                  "gain": max(0.0, float(count * (impurity - cost))),
                                   "left": None, "right": None}
-            stack += (rows[~left], depth + 1, node, "right"), (rows[left], depth + 1, node, "left")
+            sides = ("right", ~left, (total - left_total, count - left_count)), (
+                "left", left, (left_total, left_count))
+            stack += [(rows[side], None if weights is None else weights[side],
+                       sums if scanned_sums else None, depth + 1, node, name)
+                      for name, side, sums in sides]
 
 
-def _tree_predict(node: dict, Xt: np.ndarray) -> np.ndarray:
-    """Route row indices down the tree, reading feature-major `Xt`; NaN
-    fails `<=`, so it goes right."""
-    out = np.empty(Xt.shape[1])
-    stack = [(node, np.arange(Xt.shape[1]))]
-    while stack:
-        node, rows = stack.pop()
-        if "value" in node:
-            out[rows] = node["value"]
-        elif len(rows):
-            left = Xt[node["feature"]].take(rows) <= node["threshold"]
-            stack += [(node["left"], rows[left]), (node["right"], rows[~left])]
+# Cells of the (trees x rows) arrays a forest's prediction walks at once:
+# its few such arrays stay under this size, whatever the number of rows.
+PREDICT_BLOCK_CELLS = 1 << 12
+
+
+def _flat_trees(trees) -> tuple:
+    """`trees` as flat node arrays, breadth first with tree t's root at
+    index t: each node's feature (-1 for a leaf), its threshold or leaf
+    value, and its right child, the left one sitting just before it; then
+    the number of levels below the roots. A leaf is its own right child."""
+    nodes, level, levels = list(trees), trees, 0
+    while True:  # a level's children, in order, follow the level
+        level = [child for node in level if "value" not in node
+                 for child in (node["left"], node["right"])]
+        if not level:
+            break
+        nodes += level
+        levels += 1
+    n = len(nodes)
+    feature = np.fromiter((node.get("feature", -1) for node in nodes), np.intp, n)
+    key = np.fromiter((node["value"] if "value" in node else node["threshold"] for node in nodes),
+                      np.float64, n)
+    leaves = np.flatnonzero(feature < 0)
+    # The k-th split's children are nodes len(trees) + 2k and + 2k + 1.
+    right = np.cumsum(feature >= 0)
+    right *= 2
+    right += len(trees) - 1
+    right[leaves] = leaves
+    return feature, key, right, levels
+
+
+def _predict_trees(trees, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf values over `trees`, summed over the trees left to
+    right and divided by their number: a row predicts the same bits alone,
+    in any batch and in any block. A decision tree is a one-tree forest.
+
+    Every tree walks a block of rows at once, one level at a time, through
+    `_flat_trees`' arrays, reading feature-major X. A leaf reads a NaN row
+    past X's features, and NaN fails `<=`, so it goes right: a leaf to
+    itself, a split to its right child.
+    """
+    if not trees:
+        return np.array(math.nan)  # no trees: one NaN, as np.mean gives it
+    offset, key, right, levels = _flat_trees(trees)
+    (m, p), t = X.shape, len(trees)
+    if offset.max() >= p:
+        raise IndexError(f"a split reads feature {offset.max()}, but X has {p} features")
+    Xt = np.empty((p + 1, m))  # feature-major, and a NaN row for leaves
+    Xt[:p] = X.T
+    Xt[p] = math.nan
+    Xt = Xt.ravel()
+    offset[offset < 0] = p
+    offset *= m  # each node's first cell in Xt
+    out, roots = np.empty(m), np.arange(t)[:, None]
+    block = max(1, PREDICT_BLOCK_CELLS // t)
+    for start in range(0, m, block):
+        rows = np.arange(start, min(start + block, m))
+        node = np.broadcast_to(roots, (t, len(rows)))  # (trees, rows), read only
+        for _ in range(levels):
+            cell = offset.take(node)
+            cell += rows
+            goes_left = Xt.take(cell) <= key.take(node)
+            node = right.take(node)
+            node -= goes_left
+        leaves = key.take(node)
+        # accumulate adds in order along an axis, for one row as for many.
+        np.add.accumulate(leaves, axis=0, out=leaves)
+        out[start:start + len(rows)] = leaves[-1]
+    out /= t
     return out
 
 
@@ -352,7 +474,7 @@ class TreeState:
     task: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return _tree_predict(self.root, np.ascontiguousarray(X.T))
+        return _predict_trees([self.root], X)
 
     def importances(self) -> dict[int, float]:
         return _tree_gains([self.root], {})
@@ -374,8 +496,7 @@ class ForestState:
     task: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        Xt = np.ascontiguousarray(X.T)
-        return np.array([_tree_predict(t, Xt) for t in self.trees]).mean(axis=0)
+        return _predict_trees(self.trees, X)
 
     def importances(self) -> dict[int, float]:
         return _tree_gains(self.trees, {})

@@ -5,7 +5,10 @@ first shipped: each node sorts its (rows x features) block of float values
 with mergesort, scans every threshold with cumulative sums, and partitions
 its rows recursively, drawing each node's feature sample depth first.
 Fitted trees and forests must equal it bit for bit, NaN thresholds and
-empty leaves included, on data with heavy ties, ±0.0 and NaN cells.
+empty leaves included, on data with heavy ties, ±0.0 and NaN cells. The
+reference grows a bootstrap tree on its drawn rows, copies included, where
+the library fits a classification forest on finite X from its distinct
+rows weighted by their draw counts.
 """
 
 import json
@@ -115,10 +118,28 @@ def _json(d):
     return json.dumps(d, sort_keys=True)
 
 
+def _first_difference(got, want, path="$"):
+    """(path, got's JSON there, want's JSON there) at the first place, in
+    JSON text order, where the two documents differ; None where they agree."""
+    if isinstance(got, dict) and isinstance(want, dict) and sorted(got) == sorted(want):
+        pairs = ((f"{path}.{key}", got[key], want[key]) for key in sorted(got))
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        pairs = ((f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(got, want)))
+    else:
+        return None if _json(got) == _json(want) else (path, _json(got), _json(want))
+    return next(filter(None, (_first_difference(a, b, where) for where, a, b in pairs)), None)
+
+
 def _assert_matches_reference(algorithm, X, y, overrides, seed, task):
     hp = resolve_hyperparameters(algorithm, overrides)
-    state = train(algorithm, X, y, hp, seed, task)
-    assert _json(state.to_dict()) == _json(_reference_fit(algorithm, X, y, hp, seed, task))
+    got = train(algorithm, X, y, hp, seed, task).to_dict()
+    want = _reference_fit(algorithm, X, y, hp, seed, task)
+    # The whole JSON text must match. A failure names the first difference
+    # instead of diffing two long strings, which pytest can take minutes on.
+    if _json(got) != _json(want):
+        path, a, b = _first_difference(got, want)
+        pytest.fail(f"differs from the reference first at {path}: {a[:200]} != {b[:200]}",
+                    pytrace=False)
 
 
 # Few distinct values, so nodes tie often; ±0.0 compare equal and NaN
@@ -227,3 +248,57 @@ def test_feature_draw_regimes(p, max_features, n, n_trees, max_depth, task):
     overrides = {"n_trees": n_trees, "max_features": max_features, "max_depth": max_depth,
                  "min_leaf": 1}
     _assert_matches_reference("random_forest", X, y, overrides, 5, task)
+
+
+# A classification forest on finite X fits each tree on its distinct
+# bootstrap rows, weighted by their draw counts. With n >= 3 most
+# bootstraps repeat a row, and few distinct values make runs of ties
+# (±0.0 among them) in which copies and other rows mix.
+FINITE_TIED_CELLS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+
+
+@st.composite
+def _weighted_forest_problem(draw):
+    n = draw(st.integers(min_value=3, max_value=40))
+    p = draw(st.integers(min_value=1, max_value=5))
+    cell = draw(st.sampled_from([
+        FINITE_TIED_CELLS,
+        st.one_of(FINITE_TIED_CELLS, st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)),
+    ]))
+    X = np.array(draw(st.lists(cell, min_size=n * p, max_size=n * p))).reshape(n, p)
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    overrides = {
+        "n_trees": draw(st.integers(min_value=1, max_value=20)),
+        "min_leaf": draw(st.integers(min_value=1, max_value=4)),
+        "max_features": draw(st.integers(min_value=1, max_value=p)),
+        "max_depth": draw(st.sampled_from([1, 2, 6, 12])),
+    }
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return "random_forest", X, y, overrides, seed, "classification"
+
+
+@given(problem=_weighted_forest_problem())
+@settings(max_examples=150, deadline=None)
+def test_weighted_forests_equal_reference(problem):
+    _assert_matches_reference(*problem)
+
+
+def test_min_leaf_counts_drawn_rows():
+    """min_leaf bounds the rows a side draws, copies included: eight
+    distinct values drawn eight times leave most trees fewer than six
+    distinct rows, and many a side three draws of two rows."""
+    X = np.arange(8.0)[:, None]
+    y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    overrides = {"n_trees": 20, "min_leaf": 3, "max_depth": 2, "max_features": 1}
+    _assert_matches_reference("random_forest", X, y, overrides, 3, "classification")
+
+
+def test_zeros_below_inf_keep_drawn_rows():
+    """A threshold between a run of ±0.0 and +inf is the run's last value,
+    and which zero comes last depends on the order of the run's rows: a
+    forest on X holding an inf keeps its drawn rows, in their order."""
+    rng = _philox(17)
+    X = np.column_stack([rng.choice([0.0, -0.0, math.inf], size=40), rng.normal(size=40)])
+    y = (X[:, 0] == math.inf).astype(np.float64)
+    overrides = {"n_trees": 20, "max_features": 2, "min_leaf": 1}
+    _assert_matches_reference("random_forest", X, y, overrides, 0, "classification")

@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import json
+import math
 import threading
 import time
 
@@ -197,6 +199,28 @@ class TestExplain:
     def test_test_frame_rejected(self, registry, partition, model):
         with pytest.raises(GuardError):
             explain(model, partition.test, registry=registry)
+
+
+@pytest.mark.parametrize("result", [
+    Metrics({"accuracy": 0.75}, "valid"),
+    Evidence({"accuracy": 0.75}, "f" * 64),
+    Explanation({"x0": 0.25}),
+], ids=["Metrics", "Evidence", "Explanation"])
+def test_result_types_refuse_assignment(result):
+    # A delivered result is a record: no field can be rebound, added or dropped.
+    before = result.to_dict()
+    for name in [f.name for f in dataclasses.fields(result)] + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del result.values
+    assert result.to_dict() == before
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_explanation_rejects_non_finite_importance(bad):
+    with pytest.raises(ValueError, match="non-finite importances"):
+        Explanation({"x0": 0.25, "x1": bad})
 
     def test_seeded_determinism(self, registry, partition, model):
         a = explain(model, partition.valid, seed=3, registry=registry)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -218,6 +220,35 @@ class TestRandomForest:
     def test_n_trees(self):
         state = fit_random_forest(SEP_X, SEP_Y, seed=1, task="classification", **self.small())
         assert len(state.trees) == 10
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_a_row_predicts_the_same_bits_alone_in_a_batch_and_across_blocks(
+            self, task, monkeypatch):
+        # A row's prediction is its leaf values summed over the trees left to
+        # right, then divided by their number. numpy's pairwise sum, which a
+        # lone row's mean over 8 or more trees takes, rounds differently.
+        rng = np.random.Generator(np.random.Philox(4))
+        X = rng.normal(size=(400, 6))
+        signal = X[:, 0] + X[:, 1] * X[:, 2] + rng.normal(size=400)
+        y = (signal > 0.0).astype(np.float64) if task == "classification" else signal
+        state = fit_random_forest(X, y, seed=0, task=task,
+                                  **hp("random_forest", n_trees=20, max_depth=5))
+        Q = rng.normal(size=(50, 6))
+        Q[::7, 1] = np.nan
+
+        def leaf(node, q):
+            while "value" not in node:
+                node = node["left"] if q[node["feature"]] <= node["threshold"] else node["right"]
+            return node["value"]
+
+        expected = np.array([functools.reduce(operator.add, (leaf(t, q) for t in state.trees))
+                             / len(state.trees) for q in Q])
+        batch = state.predict(Q)
+        alone = np.concatenate([state.predict(Q[i : i + 1]) for i in range(len(Q))])
+        monkeypatch.setattr(learners, "PREDICT_BLOCK_CELLS", 7 * len(state.trees))  # 7-row blocks
+        blocked = state.predict(Q)
+        for got in batch, alone, blocked:
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestKnn:
