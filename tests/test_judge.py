@@ -200,6 +200,11 @@ class TestExplain:
         with pytest.raises(GuardError):
             explain(model, partition.test, registry=registry)
 
+    def test_seeded_determinism(self, registry, partition, model):
+        a = explain(model, partition.valid, seed=3, registry=registry)
+        b = explain(model, partition.valid, seed=3, registry=registry)
+        assert a.values == b.values
+
 
 @pytest.mark.parametrize("result", [
     Metrics({"accuracy": 0.75}, "valid"),
@@ -221,11 +226,6 @@ def test_result_types_refuse_assignment(result):
 def test_explanation_rejects_non_finite_importance(bad):
     with pytest.raises(ValueError, match="non-finite importances"):
         Explanation({"x0": 0.25, "x1": bad})
-
-    def test_seeded_determinism(self, registry, partition, model):
-        a = explain(model, partition.valid, seed=3, registry=registry)
-        b = explain(model, partition.valid, seed=3, registry=registry)
-        assert a.values == b.values
 
 
 class TestTerminalTypes:
